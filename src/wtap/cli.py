@@ -3,6 +3,14 @@
 Exit codes: 0 ok, 2 invariant violation, 3 infeasible instance, 4 bad
 input.  Tables (lowerbound, sweep) honor --format; everything else is
 JSON.
+
+Every solver run goes through one runner, ``run_report``: ``run-path``,
+``run-tree`` and ``run-frac`` call it with their algorithm, ``verify``
+calls it again on a stored report's instance, and ``sweep --kind tree``
+calls it per cell.  The runner owns the report envelope (timer, ratio,
+config hash); ``_ALGORITHMS`` holds what differs per algorithm: build
+the solver, serve the requests into per-request rows, check the
+invariants and compute the offline optimum when one is in reach.
 """
 
 from __future__ import annotations
@@ -82,11 +90,41 @@ def _emit_table(args, fieldnames, rows, out_path=None):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-# -- run helpers (shared by run-* and verify) -----------------------------
+# -- the run pipeline (run-*, verify and sweep) ----------------------------
 
 
-def run_tree_report(inst, seed=None) -> RunReport:
-    start = time.perf_counter()
+def _path_reduction(inst):
+    """Path coordinates of a path-shaped instance plus its minimal instance."""
+    edge_count, plinks, request_edges = path_instance_from_tree(inst)
+    minimal, _ = build_minimal_instance(edge_count, plinks)
+    return edge_count, plinks, request_edges, minimal
+
+
+def _path_opt(edge_count, plinks, request_edges):
+    if not request_edges:
+        return None
+    return opt_path_dp(edge_count, plinks, request_edges).opt_cost
+
+
+def _solver_invariants(solvers, dual_id: str) -> list:
+    """Dual feasibility and the 3c rooted-load cap over path solvers."""
+    dual_bad = []
+    load_bad = []
+    for ps in solvers:
+        dual_bad.extend(verify_dual_feasible(ps.y, ps.minimal.links)[1])
+        load_bad.extend(l.id for l in ps.minimal.links
+                        if l.rooted and ps.full_load(l) > 3 * l.cost)
+    return [
+        InvariantRecord(
+            id=dual_id, ok=not dual_bad,
+            detail=f"overpaid links {dual_bad}" if dual_bad else ""),
+        InvariantRecord(
+            id="rooted-load-within-3c", ok=not load_bad,
+            detail=f"overloaded links {load_bad}" if load_bad else ""),
+    ]
+
+
+def _run_tree(inst):
     solver = TreeSolver(inst)
     per_request = []
     for req in inst.requests:
@@ -97,61 +135,27 @@ def run_tree_report(inst, seed=None) -> RunReport:
             "incremental_cost": rep.incremental_cost,
             "bought": list(rep.bought_sources),
         })
-    invariants = []
     missing = [e for req in inst.requests
                for e in inst.expand_request(req) if not solver.covered[e]]
-    invariants.append(InvariantRecord(
+    invariants = [InvariantRecord(
         id="requested-paths-covered", ok=not missing,
-        detail=f"uncovered edges {missing}" if missing else ""))
-    dual_bad = []
-    load_bad = []
-    for ps in solver.solvers:
-        ok, violators = verify_dual_feasible(ps.y, ps.minimal.links)
-        if not ok:
-            dual_bad.extend(violators)
-        for l in ps.minimal.links:
-            if l.rooted and ps.full_load(l) > 3 * l.cost:
-                load_bad.append(l.id)
-    invariants.append(InvariantRecord(
-        id="per-path-dual-feasible", ok=not dual_bad,
-        detail=f"overpaid links {dual_bad}" if dual_bad else ""))
-    invariants.append(InvariantRecord(
-        id="rooted-load-within-3c", ok=not load_bad,
-        detail=f"overloaded links {load_bad}" if load_bad else ""))
+        detail=f"uncovered edges {missing}" if missing else "")]
+    invariants += _solver_invariants(solver.solvers, "per-path-dual-feasible")
     invariants.append(InvariantRecord(
         id="purchases-not-double-counted",
         ok=solver.cost_total <= solver.path_cost_total(),
         detail=f"{solver.cost_total} vs {solver.path_cost_total()}"))
-
     opt = None
-    ratio = None
     if len(inst.links) <= TREE_ENUM_LINK_CAP:
         try:
-            res = opt_tree_enum(inst)
-            opt = res.opt_cost
-            if opt > 0:
-                ratio = solver.cost_total / opt
+            opt = opt_tree_enum(inst).opt_cost
         except InfeasibleInstanceError:
             pass
-    spec = ExperimentSpec(algorithm="tree-online", seed=seed)
-    return RunReport(
-        algorithm="tree-online",
-        instance_digest=inst.digest(),
-        instance_text=format_instance(inst),
-        per_request=per_request,
-        final_cost=str(solver.cost_total),
-        opt=None if opt is None else str(opt),
-        ratio=ratio,
-        invariants=invariants,
-        wall_time=time.perf_counter() - start,
-        config_hash=spec.config_hash(),
-    )
+    return per_request, solver.cost_total, invariants, opt
 
 
-def run_path_report(inst, seed=None) -> RunReport:
-    start = time.perf_counter()
-    edge_count, plinks, request_edges = path_instance_from_tree(inst)
-    minimal, _ = build_minimal_instance(edge_count, plinks)
+def _run_path(inst):
+    edge_count, plinks, request_edges, minimal = _path_reduction(inst)
     solver = PathSolver(minimal, n_global=inst.n)
     per_request = []
     for e in request_edges:
@@ -166,42 +170,13 @@ def run_path_report(inst, seed=None) -> RunReport:
             "Z_right_endpoint": rec.frontier_right,
             "incremental_cost": solver.cost - before,
         })
-    ok, violators = verify_dual_feasible(solver.y, minimal.links)
-    invariants = [InvariantRecord(
-        id="dual-feasible", ok=ok,
-        detail=f"overpaid links {violators}" if not ok else "")]
-    load_bad = [l.id for l in minimal.links
-                if l.rooted and solver.full_load(l) > 3 * l.cost]
-    invariants.append(InvariantRecord(
-        id="rooted-load-within-3c", ok=not load_bad,
-        detail=f"overloaded links {load_bad}" if load_bad else ""))
-
-    opt = None
-    ratio = None
-    if request_edges:
-        res = opt_path_dp(edge_count, plinks, request_edges)
-        opt = res.opt_cost
-        if opt > 0:
-            ratio = solver.cost / opt
-    spec = ExperimentSpec(algorithm="path-online", seed=seed)
-    return RunReport(
-        algorithm="path-online",
-        instance_digest=inst.digest(),
-        instance_text=format_instance(inst),
-        per_request=per_request,
-        final_cost=str(solver.cost),
-        opt=None if opt is None else str(opt),
-        ratio=ratio,
-        invariants=invariants,
-        wall_time=time.perf_counter() - start,
-        config_hash=spec.config_hash(),
-    )
+    invariants = _solver_invariants([solver], "dual-feasible")
+    return (per_request, solver.cost, invariants,
+            _path_opt(edge_count, plinks, request_edges))
 
 
-def run_frac_report(inst, seed=None) -> RunReport:
-    start = time.perf_counter()
-    edge_count, plinks, request_edges = path_instance_from_tree(inst)
-    minimal, _ = build_minimal_instance(edge_count, plinks)
+def _run_frac(inst):
+    edge_count, plinks, request_edges, minimal = _path_reduction(inst)
     solver = FractionalPathSolver(minimal)
     per_request = []
     for e in request_edges:
@@ -219,58 +194,79 @@ def run_frac_report(inst, seed=None) -> RunReport:
     invariants = [InvariantRecord(
         id="coverage-within-tolerance", ok=not low,
         detail=f"undercovered edges {sorted(low)}" if low else "")]
+    return (per_request, solver.total_cost, invariants,
+            _path_opt(edge_count, plinks, request_edges))
 
-    opt = None
-    ratio = None
-    if request_edges:
-        res = opt_path_dp(edge_count, plinks, request_edges)
-        opt = res.opt_cost
-        if opt > 0:
-            ratio = solver.total_cost / opt
-    spec = ExperimentSpec(algorithm="fractional", seed=seed)
+
+# algorithm -> inst -> (per-request rows, cost, invariants, opt or None)
+_ALGORITHMS = {
+    "tree-online": _run_tree,
+    "path-online": _run_path,
+    "fractional": _run_frac,
+}
+
+# run command -> (algorithm, help)
+_RUN_COMMANDS = {
+    "run-path": ("path-online",
+                 "primal-dual online algorithm on a path instance"),
+    "run-tree": ("tree-online", "online algorithm on a tree instance"),
+    "run-frac": ("fractional",
+                 "fractional online algorithm on a path instance"),
+}
+
+
+def run_report(algorithm: str, inst, seed=None) -> RunReport:
+    """Run one algorithm on an instance and record the outcome."""
+    run = _ALGORITHMS.get(algorithm)
+    if run is None:
+        raise BadInputError(f"unknown algorithm {algorithm!r}")
+    start = time.perf_counter()
+    per_request, cost, invariants, opt = run(inst)
+    spec = ExperimentSpec(algorithm=algorithm, seed=seed)
     return RunReport(
-        algorithm="fractional",
+        algorithm=algorithm,
         instance_digest=inst.digest(),
         instance_text=format_instance(inst),
         per_request=per_request,
-        final_cost=repr(solver.total_cost),
+        final_cost=str(cost),
         opt=None if opt is None else str(opt),
-        ratio=ratio,
+        ratio=cost / opt if opt else None,
         invariants=invariants,
         wall_time=time.perf_counter() - start,
         config_hash=spec.config_hash(),
     )
 
 
-_RUNNERS = {
-    "tree-online": run_tree_report,
-    "path-online": run_path_report,
-    "fractional": run_frac_report,
-}
+# -- subcommands -----------------------------------------------------------
 
 
-def _finish_run(args, report: RunReport) -> int:
-    if getattr(args, "report", None):
+def cmd_run(args) -> int:
+    inst = load_instance(args.instance)
+    report = run_report(args.algorithm, inst, seed=args.seed)
+    if getattr(args, "trace", False):
+        for row in report.per_request:
+            rec = {k: row[k] for k in ("request", "y_raise", "type1",
+                                       "type2", "type3", "Z_right_endpoint")}
+            print(json.dumps(rec))
+    if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
         _note(args, f"wrote {args.report}")
+    invariants_ok = all(r.ok for r in report.invariants)
     summary = {
         "algorithm": report.algorithm,
         "final_cost": report.final_cost,
         "opt": report.opt,
         "ratio": report.ratio,
-        "invariants_ok": all(r.ok for r in report.invariants),
+        "invariants_ok": invariants_ok,
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
-    if not all(r.ok for r in report.invariants):
+    if not invariants_ok:
         for r in report.invariants:
             if not r.ok:
                 _note(args, f"invariant {r.id} failed: {r.detail}")
         return 2
     return 0
-
-
-# -- subcommands -----------------------------------------------------------
 
 
 def cmd_decompose(args) -> int:
@@ -329,29 +325,6 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def cmd_run_path(args) -> int:
-    inst = load_instance(args.instance)
-    report = run_path_report(inst, seed=args.seed)
-    if args.trace:
-        for row in report.per_request:
-            rec = {k: row[k] for k in ("request", "y_raise", "type1",
-                                       "type2", "type3", "Z_right_endpoint")}
-            print(json.dumps(rec))
-    return _finish_run(args, report)
-
-
-def cmd_run_tree(args) -> int:
-    inst = load_instance(args.instance)
-    report = run_tree_report(inst, seed=args.seed)
-    return _finish_run(args, report)
-
-
-def cmd_run_frac(args) -> int:
-    inst = load_instance(args.instance)
-    report = run_frac_report(inst, seed=args.seed)
-    return _finish_run(args, report)
-
-
 def cmd_oracle(args) -> int:
     inst = load_instance(args.instance)
     try:
@@ -377,11 +350,8 @@ def cmd_verify(args) -> int:
         raise BadInputError(f"cannot read {args.report}: {exc}") from exc
     except (ValueError, TypeError, KeyError) as exc:
         raise BadInputError(f"malformed report: {exc}") from exc
-    runner = _RUNNERS.get(stored.algorithm)
-    if runner is None:
-        raise BadInputError(f"unknown algorithm {stored.algorithm!r}")
     inst = parse_instance(stored.instance_text)
-    fresh = runner(inst)
+    fresh = run_report(stored.algorithm, inst)
     problems = []
     if fresh.instance_digest != stored.instance_digest:
         problems.append("instance digest mismatch")
@@ -453,7 +423,7 @@ def cmd_sweep(args) -> int:
                 row = {"n": n, "seed": cell_seed, "cost": None, "opt": None,
                        "ratio": None, "invariants_ok": None, "error": ""}
                 try:
-                    rep = run_tree_report(inst, seed=cell_seed)
+                    rep = run_report("tree-online", inst, seed=cell_seed)
                     row["cost"] = rep.final_cost
                     row["opt"] = rep.opt
                     row["ratio"] = rep.ratio
@@ -531,25 +501,15 @@ def build_parser() -> _Parser:
                    help="decomposition path id (default 0)")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("run-path", parents=[common],
-                       help="primal-dual online algorithm on a path instance")
-    p.add_argument("instance")
-    p.add_argument("--trace", action="store_true",
-                   help="emit one JSON record per request")
-    p.add_argument("--report", help="write a full run report to this file")
-    p.set_defaults(func=cmd_run_path)
-
-    p = sub.add_parser("run-tree", parents=[common],
-                       help="online algorithm on a tree instance")
-    p.add_argument("instance")
-    p.add_argument("--report", help="write a full run report to this file")
-    p.set_defaults(func=cmd_run_tree)
-
-    p = sub.add_parser("run-frac", parents=[common],
-                       help="fractional online algorithm on a path instance")
-    p.add_argument("instance")
-    p.add_argument("--report", help="write a full run report to this file")
-    p.set_defaults(func=cmd_run_frac)
+    for name, (algorithm, help_text) in _RUN_COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.add_argument("instance")
+        if name == "run-path":
+            p.add_argument("--trace", action="store_true",
+                           help="emit one JSON record per request")
+        p.add_argument("--report",
+                       help="write a full run report to this file")
+        p.set_defaults(func=cmd_run, algorithm=algorithm)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="exact offline optimum for the instance requests")

@@ -16,6 +16,12 @@ Two layers:
 * object layer (``decompose``, ``width``, ``project``) wraps a
   ``TreeInstance`` and produces ``RootedPathDecomposition`` /
   ``ProjectedLink`` values for everything downstream.
+
+The decomposition stores one per-vertex index: ``pid_above[v]``, the
+path owning the edge from v to its parent, and ``pos_above[v]``, v's
+position on that path.  Every edge is addressed by its child vertex, so
+``width`` and ``project`` (and the tree solver's edge routing) read
+these arrays instead of rebuilding vertex-to-position maps.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import InvariantViolationError
 from .instance import Link, TreeInstance
 
 
@@ -41,6 +48,8 @@ class RootedPathDecomposition:
     width_bound: int         # 2*ceil(log2 n) + 1
     n: int
     root: int
+    pid_above: tuple         # vertex -> id of the path owning its parent edge
+    pos_above: tuple         # vertex -> its position on that path (root: -1)
 
 
 @dataclass(frozen=True)
@@ -211,9 +220,11 @@ def default_width_bound(n: int) -> int:
 def decompose(inst: TreeInstance) -> RootedPathDecomposition:
     children = tree_children(inst)
     paths, pid_above = decompose_arrays(inst.n, inst.root, inst.parent, children)
-    edge_to_path = tuple(
-        pid_above[inst.child_of_edge[eid]] for eid in range(inst.n - 1)
-    )
+    edge_to_path = tuple(pid_above[child] for child in inst.child_of_edge)
+    pos_above = [-1] * inst.n
+    for p in paths:
+        for i in range(1, len(p)):
+            pos_above[p[i]] = i
     dpaths = tuple(
         DecompPath(id=i, vertices=tuple(p), root=p[0]) for i, p in enumerate(paths)
     )
@@ -223,20 +234,14 @@ def decompose(inst: TreeInstance) -> RootedPathDecomposition:
         width_bound=default_width_bound(inst.n),
         n=inst.n,
         root=inst.root,
+        pid_above=tuple(pid_above),
+        pos_above=tuple(pos_above),
     )
 
 
 def width(inst: TreeInstance, decomp: RootedPathDecomposition) -> int:
-    children = tree_children(inst)
-    pid_above = [-1] * inst.n
-    for v in range(inst.n):
-        if v != inst.root:
-            pid_above[v] = decomp.edge_to_path[inst.edge_of_child[v]]
-    return width_arrays(inst.n, inst.root, inst.parent, children, pid_above)
-
-
-def _positions(decomp: RootedPathDecomposition, pid: int) -> dict:
-    return {v: i for i, v in enumerate(decomp.paths[pid].vertices)}
+    return width_arrays(inst.n, inst.root, inst.parent, tree_children(inst),
+                        decomp.pid_above)
 
 
 def project(inst: TreeInstance, decomp: RootedPathDecomposition,
@@ -246,16 +251,19 @@ def project(inst: TreeInstance, decomp: RootedPathDecomposition,
     Paths meeting the link's tree path in zero edges contribute
     nothing; among the rest at most one projection is non-rooted.
     """
-    edges = inst.tree_path(link.u, link.v).edges
     by_pid = {}
-    for e in edges:
-        by_pid.setdefault(decomp.edge_to_path[e], []).append(e)
+    for e in inst.tree_path(link.u, link.v).edges:
+        child = inst.child_of_edge[e]
+        by_pid.setdefault(decomp.pid_above[child], []).append(
+            decomp.pos_above[child])
     out = []
     for pid in sorted(by_pid):
-        pos = _positions(decomp, pid)
-        idxs = [pos[inst.child_of_edge[e]] for e in by_pid[pid]]
+        idxs = by_pid[pid]
         i0, i1 = min(idxs), max(idxs)
-        assert i1 - i0 + 1 == len(idxs), "projection not contiguous"
+        if i1 - i0 + 1 != len(idxs):
+            raise InvariantViolationError(
+                f"projection of link {link.id} onto path {pid} "
+                f"is not contiguous")
         verts = decomp.paths[pid].vertices
         out.append(ProjectedLink(
             source=link.id,

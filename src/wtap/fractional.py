@@ -62,11 +62,7 @@ class FractionalPathSolver:
             raise BadInputError("need at least one edge")
         self.m = m
         self.theta = 1.0 / math.log2(m) if m >= 2 else None
-        self.links = {l.id: l for l in minimal.links}
-        self.cov_ids = [[] for _ in range(m)]
-        for l in minimal.links:
-            for e in range(l.left, l.right):
-                self.cov_ids[e].append(l.id)
+        self.links = minimal.by_id
         self.x = {l.id: 0.0 for l in minimal.links}
         self.total_cost = 0.0
         self.records = []
@@ -90,7 +86,7 @@ class FractionalPathSolver:
         insort(self._sorted, e)
         if self._monotone:
             best = None
-            for lid in self.cov_ids[e]:
+            for lid in self.minimal.cov_ids[e]:
                 l = self.links[lid]
                 k2 = bisect_left(self._sorted, l.left)
                 cand = l.cost + self._g[k2]
@@ -124,12 +120,13 @@ class FractionalPathSolver:
     # -- serving -----------------------------------------------------------
 
     def coverage(self, e: int) -> float:
-        return sum(self.x[lid] for lid in self.cov_ids[e])
+        return sum(self.x[lid] for lid in self.minimal.cov_ids[e])
 
     def serve(self, e: int) -> FracRecord:
         if not 0 <= e < self.m:
             raise BadInputError(f"edge {e} out of range")
-        if not self.cov_ids[e]:
+        cov = self.minimal.cov_ids[e]
+        if not cov:
             raise InfeasibleInstanceError(f"edge {e} has no covering link")
         self._note_request(e)
         opt_i = self.current_opt()
@@ -141,7 +138,7 @@ class FractionalPathSolver:
             return rec
 
         if self.m == 1:
-            lid = min(self.cov_ids[e], key=lambda i: (self.links[i].cost, i))
+            lid = min(cov, key=lambda i: (self.links[i].cost, i))
             inc = self.links[lid].cost * (1.0 - self.x[lid])
             self.x[lid] = 1.0
             self.total_cost += inc
@@ -150,7 +147,7 @@ class FractionalPathSolver:
             self.records.append(rec)
             return rec
 
-        cheap = [lid for lid in self.cov_ids[e]
+        cheap = [lid for lid in cov
                  if self.links[lid].cost * self.m <= opt_i]
         if cheap:
             lid = min(cheap, key=lambda i: (self.links[i].cost, i))
@@ -162,7 +159,7 @@ class FractionalPathSolver:
             self.records.append(rec)
             return rec
 
-        band = [lid for lid in self.cov_ids[e]
+        band = [lid for lid in cov
                 if self.links[lid].cost * self.m >= opt_i
                 and self.links[lid].cost <= 2 * opt_i]
         if not band:
@@ -220,12 +217,6 @@ class FractionalPathSolver:
         return [self.serve(e) for e in requests]
 
 
-def opt_i(minimal: MinimalPathInstance, requested_edges) -> int:
-    """Exact offline optimum for a request prefix (oracle passthrough)."""
-    return opt_path_dp(minimal.edge_count, minimal.links,
-                       requested_edges).opt_cost
-
-
 def restricted_solution(minimal: MinimalPathInstance, records):
     """Integral certificate rebuilt from the run's phase structure.
 
@@ -249,8 +240,7 @@ def restricted_solution(minimal: MinimalPathInstance, records):
             res = opt_path_dp(minimal.edge_count, minimal.links, seen)
             per_phase_costs.append(res.opt_cost)
             chosen.update(res.witness)
-    links_by_id = {l.id: l for l in minimal.links}
-    total = sum(links_by_id[lid].cost for lid in chosen)
+    total = sum(minimal.by_id[lid].cost for lid in chosen)
     return {
         "links": sorted(chosen),
         "cost": total,

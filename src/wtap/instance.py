@@ -56,14 +56,6 @@ class TreePath:
         return len(self.edges)
 
 
-def _parse_cost(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadInputError(f"unparsable cost {text!r}") from exc
-    return value
-
-
 def round_costs(raw_costs: Sequence[Fraction]) -> list:
     """Normalize by the minimum, then round each cost up to a power of 2.
 
@@ -257,13 +249,24 @@ class TreeInstance:
         return hashlib.sha256(format_instance(self).encode()).hexdigest()
 
 
+# directive -> the exact shape of its line
+_LINE_SHAPES = {
+    "n": "n <count> root <vertex>",
+    "edge": "edge u v",
+    "link": "link u v cost",
+    "request": "request s t",
+}
+
+
 def parse_instance(text: str) -> TreeInstance:
     """Parse the line-oriented instance format.
 
-    ``n <count> root <vertex>``, then ``edge u v`` lines, then
+    ``n <count> root <vertex>`` once, then ``edge u v`` lines, then
     ``link u v cost`` lines, then ``request s t`` lines.  ``#`` starts a
     comment; blank lines are skipped.  Costs may be integers, decimals,
-    or ``p/q`` rationals.
+    or ``p/q`` rationals.  A line of the wrong shape, a token that does
+    not parse, or a second header raises ``BadInputError`` naming the
+    line.
     """
     n = None
     root = None
@@ -276,23 +279,26 @@ def parse_instance(text: str) -> TreeInstance:
             continue
         parts = line.split()
         kind = parts[0]
+        shape = _LINE_SHAPES.get(kind)
+        if shape is None:
+            raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
+        if (len(parts) != len(shape.split())
+                or (kind == "n" and parts[2] != "root")):
+            raise BadInputError(f"line {lineno}: expected {shape!r}")
+        if kind == "n" and n is not None:
+            raise BadInputError(f"line {lineno}: second {shape!r} header")
         try:
             if kind == "n":
-                if len(parts) != 4 or parts[2] != "root":
-                    raise BadInputError(f"line {lineno}: expected 'n <count> root <vertex>'")
                 n = int(parts[1])
                 root = int(parts[3])
             elif kind == "edge":
                 edges.append((int(parts[1]), int(parts[2])))
             elif kind == "link":
-                if len(parts) != 4:
-                    raise BadInputError(f"line {lineno}: expected 'link u v cost'")
-                raw_links.append((int(parts[1]), int(parts[2]), _parse_cost(parts[3])))
-            elif kind == "request":
-                requests.append((int(parts[1]), int(parts[2])))
+                raw_links.append((int(parts[1]), int(parts[2]),
+                                  Fraction(parts[3])))
             else:
-                raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
-        except (ValueError, IndexError) as exc:
+                requests.append((int(parts[1]), int(parts[2])))
+        except (ValueError, ZeroDivisionError) as exc:
             raise BadInputError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BadInputError, InfeasibleInstanceError
+from .errors import (BadInputError, InfeasibleInstanceError,
+                     InvariantViolationError)
 from .pruning import MinimalPathInstance
 
 
@@ -54,11 +55,7 @@ class PathSolver:
         # vertex count used in the hat-dual cost floor; the path itself
         # when the instance is standalone
         self.n_global = n_global if n_global is not None else m + 1
-        self.links = {l.id: l for l in minimal.links}
-        self.cov_ids = [[] for _ in range(m)]
-        for l in minimal.links:
-            for e in range(l.left, l.right):
-                self.cov_ids[e].append(l.id)
+        self.links = minimal.by_id
         self.y = [Fraction(0)] * m
         self.charge = [0] * m
         self.product = [Fraction(0)] * m      # charge[e] * y[e]
@@ -97,7 +94,7 @@ class PathSolver:
                               frontier_right=self.frontier)
             self.records.append(rec)
             return rec
-        cands = self.cov_ids[e]
+        cands = self.minimal.cov_ids[e]
         if not cands:
             raise InfeasibleInstanceError(f"edge {e} has no covering link")
 
@@ -113,7 +110,10 @@ class PathSolver:
         if delta > 0:
             # an uncovered edge was never charged: charges always come
             # from a bought link whose span contains the edge
-            assert self.charge[e] == 0
+            if self.charge[e]:
+                raise InvariantViolationError(
+                    f"uncovered edge {e} already carries charge "
+                    f"{self.charge[e]}")
             self.y[e] += delta
             for lid in cands:
                 self.residual[lid] -= delta
@@ -153,7 +153,8 @@ class PathSolver:
                         swept.append(l.id)
             self.frontier = trig.right
 
-        assert self.covered[e]
+        if not self.covered[e]:
+            raise InvariantViolationError(f"edge {e} left uncovered by serve")
         rec = ServeRecord(request=e, y_raise=delta, type1=pick.id,
                           type2=bought2, type3=tuple(swept),
                           frontier_right=self.frontier)

@@ -45,13 +45,26 @@ class PathLink:
 
 @dataclass(frozen=True)
 class MinimalPathInstance:
+    """A pruned link set plus the one coverage index its solvers share.
+
+    ``by_id`` maps link id to link and ``cov_ids[e]`` lists the ids of
+    the links covering edge e, ascending; both are built once here.
+    """
+
     edge_count: int
     links: tuple                      # kept PathLinks, ascending id
     kept_from: dict                   # kept link id -> source link id
     path: Optional[DecompPath] = None
+    by_id: dict = field(init=False, repr=False, compare=False)
+    cov_ids: list = field(init=False, repr=False, compare=False)
 
-    def cov(self, edge: int) -> list:
-        return [l for l in self.links if l.covers(edge)]
+    def __post_init__(self):
+        cov_ids = [[] for _ in range(self.edge_count)]
+        for l in self.links:
+            for e in range(l.left, l.right):
+                cov_ids[e].append(l.id)
+        object.__setattr__(self, "by_id", {l.id: l for l in self.links})
+        object.__setattr__(self, "cov_ids", cov_ids)
 
 
 def prune_rooted(links):

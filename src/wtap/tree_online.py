@@ -12,6 +12,14 @@ link it came from.  Source purchases are global: a link bought through
 one path covers its whole tree path, so repeat purchases through other
 paths are free no-ops and global coverage, not per-path coverage,
 decides whether an edge still needs serving.
+
+An edge no link covers is caught from its path's minimal instance
+alone.  A link covers a tree edge exactly when its projection onto the
+edge's path covers the edge's position; span dedup keeps one source per
+projected span; rooted dominance drops a link only for a kept one
+covering a superset, and the per-class cover keeps each class's edge
+union.  So the position has a kept covering link iff the tree edge has
+any covering link.
 """
 
 from __future__ import annotations
@@ -72,15 +80,11 @@ class TreeSolver:
             self.prune_records.append(record)
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
-        # edge id -> (path id, position on that path)
-        self.edge_pos = []
-        pos_on = [
-            {v: i for i, v in enumerate(p.vertices)} for p in self.decomp.paths
-        ]
-        for eid in range(inst.n - 1):
-            pid = self.decomp.edge_to_path[eid]
-            child = inst.child_of_edge[eid]
-            self.edge_pos.append((pid, pos_on[pid][child] - 1))
+        # edge id -> (path id, position of the edge on that path)
+        pid_above = self.decomp.pid_above
+        pos_above = self.decomp.pos_above
+        self.edge_pos = [(pid_above[child], pos_above[child] - 1)
+                         for child in inst.child_of_edge]
 
         self.bought_sources = set()
         self.purchase_order = []
@@ -108,10 +112,10 @@ class TreeSolver:
         for e in elementary:
             if self.covered[e]:
                 continue
-            if not self.inst.cov(e):
+            pid, pos = self.edge_pos[e]
+            if not self.minimal[pid].cov_ids[pos]:
                 raise InfeasibleInstanceError(
                     f"request edge {e} has no covering link")
-            pid, pos = self.edge_pos[e]
             solver = self.solvers[pid]
             rec = solver.serve(pos)
             served.append(e)

@@ -235,3 +235,5 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run-path", str(tmp_path / "missing.txt")]) == 4
     assert main(["run-tree",
                  write(tmp_path, "u.txt", UNCOVERABLE), "--quiet"]) == 3
+    assert main(["run-tree", write(tmp_path, "j.txt",
+                                   "n 2 root 0\nedge 0 1 junk\n")]) == 4

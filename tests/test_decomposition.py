@@ -1,3 +1,6 @@
+import dataclasses
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtap.decomposition import (
@@ -9,6 +12,7 @@ from wtap.decomposition import (
     width,
     width_arrays,
 )
+from wtap.errors import InvariantViolationError
 from wtap.generators import enumerate_trees, prufer_decode
 from wtap.instance import TreeInstance
 
@@ -160,6 +164,15 @@ def test_projection_of_in_path_link_is_rooted_iff_at_path_root():
     pr1 = project(inst, d, inst.links[1])
     assert len(pr0) == 1 and pr0[0].rooted
     assert len(pr1) == 1 and not pr1[0].rooted
+
+
+def test_non_contiguous_projection_is_an_invariant_violation():
+    inst = make(4, [(0, 1), (1, 2), (2, 3)], raw_links=[(0, 3, 1)])
+    d = decompose(inst)
+    assert d.pos_above == (-1, 1, 2, 3)
+    broken = dataclasses.replace(d, pos_above=(-1, 1, 3, 4))
+    with pytest.raises(InvariantViolationError):
+        project(inst, broken, inst.links[0])
 
 
 @given(st.data())

@@ -9,7 +9,6 @@ from wtap.fractional import (
     COVERAGE_TOL,
     FractionalPathSolver,
     band_cap,
-    opt_i,
     phase_of,
     restricted_solution,
 )
@@ -102,12 +101,6 @@ def test_phase_of_values():
     assert phase_of(0, [1, 5, 0]) == 0
     assert phase_of(1, [1, 5, 0]) == 2
     assert phase_of(2, [1, 5, 0]) is None
-
-
-def test_opt_i_passthrough_matches_dp():
-    minimal, _ = build_minimal_instance(
-        4, [PL(0, 2, 0, 0), PL(2, 4, 0, 1), PL(0, 4, 2, 2)])
-    assert opt_i(minimal, [0, 3]) == opt_path_dp(4, minimal.links, [0, 3]).opt_cost
 
 
 def random_fracrun(seed, max_edges=20, max_links=14):

@@ -249,3 +249,13 @@ def test_parse_bad_cost():
 def test_parse_short_link_line():
     with pytest.raises(BadInputError):
         parse_instance("n 2 root 0\nedge 0 1\nlink 0 1\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("n 3 root 0\nedge 0 1\nedge 1 2 7 junk\n", 3),   # trailing token
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nrequest 0 1 zz\n", 4),
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nn 3 root 2\n", 4),  # re-rooting
+])
+def test_parse_rejects_malformed_line_with_its_number(text, lineno):
+    with pytest.raises(BadInputError, match=f"^line {lineno}: "):
+        parse_instance(text)

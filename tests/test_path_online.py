@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtap.errors import BadInputError, InfeasibleInstanceError
+from wtap.errors import (BadInputError, InfeasibleInstanceError,
+                         InvariantViolationError)
 from wtap.generators import random_minimal_path_instance
 from wtap.oracles import opt_path_dp, verify_dual_feasible
 from wtap.path_online import PathSolver, run_sequence
@@ -66,6 +67,22 @@ def test_serve_rejects_uncovered_edge():
     minimal, _ = build_minimal_instance(3, [PL(0, 1, 0, 0)])
     with pytest.raises(InfeasibleInstanceError):
         PathSolver(minimal).serve(2)
+
+
+def test_charge_on_uncovered_edge_is_an_invariant_violation():
+    # charges only come from bought spans, so this state is corrupt; the
+    # check must hold under python -O too
+    solver = PathSolver(three_vertex_minimal())
+    solver.charge[1] = 1
+    with pytest.raises(InvariantViolationError):
+        solver.serve(1)
+
+
+def test_serve_leaving_its_edge_uncovered_is_an_invariant_violation():
+    solver = PathSolver(three_vertex_minimal())
+    solver._buy = lambda link: solver.bought.add(link.id)   # covers nothing
+    with pytest.raises(InvariantViolationError):
+        solver.serve(0)
 
 
 def test_run_sequence_empty():
