@@ -8,8 +8,9 @@ coverage queries go through them.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
-every link cost is an integer ``2**cls`` and all later arithmetic on
-duals stays exact (``fractions.Fraction`` against int costs).
+every link cost is an integer ``2**cls``.  Only the raw input costs are
+rational (``fractions.Fraction``); the path solvers' duals are exact
+ints, and the fractional solver's ``x`` is a float.
 """
 
 from __future__ import annotations
@@ -169,9 +170,9 @@ class TreeInstance:
             else:
                 s, t = r
                 self.requests.append(Request(s=int(s), t=int(t)))
-        for r in self.requests:
+        for i, r in enumerate(self.requests):
             if r.edge is None and not (0 <= r.s < n and 0 <= r.t < n):
-                raise BadInputError(f"request {r} endpoint out of range")
+                raise BadInputError(f"request {i} endpoint out of range")
 
         self._link_edge_sets = None
         self._cov = None
@@ -265,8 +266,9 @@ def parse_instance(text: str) -> TreeInstance:
     ``link u v cost`` lines, then ``request s t`` lines.  ``#`` starts a
     comment; blank lines are skipped.  Costs may be integers, decimals,
     or ``p/q`` rationals.  A line of the wrong shape, a token that does
-    not parse, or a second header raises ``BadInputError`` naming the
-    line.
+    not parse, a second header, a line before the header, an endpoint
+    out of range, a self-loop edge or link, or a nonpositive cost
+    raises ``BadInputError`` naming the line.
     """
     n = None
     root = None
@@ -287,19 +289,35 @@ def parse_instance(text: str) -> TreeInstance:
             raise BadInputError(f"line {lineno}: expected {shape!r}")
         if kind == "n" and n is not None:
             raise BadInputError(f"line {lineno}: second {shape!r} header")
+        if kind != "n" and n is None:
+            raise BadInputError(
+                f"line {lineno}: {kind!r} before the {_LINE_SHAPES['n']!r} header")
         try:
-            if kind == "n":
-                n = int(parts[1])
-                root = int(parts[3])
-            elif kind == "edge":
-                edges.append((int(parts[1]), int(parts[2])))
-            elif kind == "link":
-                raw_links.append((int(parts[1]), int(parts[2]),
-                                  Fraction(parts[3])))
-            else:
-                requests.append((int(parts[1]), int(parts[2])))
+            a = int(parts[1])                  # count, or first endpoint
+            b = int(parts[3] if kind == "n" else parts[2])   # root, or second
+            cost = Fraction(parts[3]) if kind == "link" else None
         except (ValueError, ZeroDivisionError) as exc:
             raise BadInputError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+        if kind == "n":
+            if a < 1:
+                raise BadInputError(f"line {lineno}: need at least one vertex")
+            if not 0 <= b < a:
+                raise BadInputError(f"line {lineno}: root {b} out of range")
+            n, root = a, b
+            continue
+        if not (0 <= a < n and 0 <= b < n):
+            raise BadInputError(
+                f"line {lineno}: {kind} endpoint out of range 0..{n - 1}")
+        if a == b and kind != "request":
+            raise BadInputError(f"line {lineno}: {kind} endpoints must differ")
+        if kind == "edge":
+            edges.append((a, b))
+        elif kind == "link":
+            if cost <= 0:
+                raise BadInputError(f"line {lineno}: nonpositive cost {cost}")
+            raw_links.append((a, b, cost))
+        else:
+            requests.append((a, b))
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
     return TreeInstance(n=n, edges=edges, root=root,

@@ -196,8 +196,11 @@ def opt_tree_enum(inst: TreeInstance, requests=None) -> OracleResult:
 
 
 def verify_dual_feasible(y, links):
-    """Exact check of the packing constraints; returns (ok, violators)."""
-    prefix = [Fraction(0)]
+    """Exact check of the packing constraints; returns (ok, violators).
+
+    ``y`` may hold ints or ``Fraction``s; sums stay exact either way.
+    """
+    prefix = [0]
     for v in y:
         prefix.append(prefix[-1] + v)
     bad = []
@@ -248,14 +251,14 @@ def verify_nice(solver, n_global: int,
     minimal = solver.minimal
     links = minimal.links
     hat = solver.hat_dual(n_global)
-    hat_total = sum(hat, Fraction(0))
+    hat_total = sum(hat)
     total = solver.cost
 
-    ok_a = Fraction(total) <= 24 * hat_total
+    ok_a = total <= 24 * hat_total
     report.add("cost-vs-hat-dual", f"<= 24*{hat_total}", str(total), ok_a)
 
     wterm = _width_term(n_global)
-    hat_prefix = [Fraction(0)]
+    hat_prefix = [0]
     for v in hat:
         hat_prefix.append(hat_prefix[-1] + v)
     worst_nr = 0.0
@@ -280,7 +283,7 @@ def verify_nice(solver, n_global: int,
         load = solver.full_load(l)
         if load > 3 * l.cost:
             ok_c = False
-        ratio = load / l.cost
+        ratio = Fraction(load, l.cost)
         if ratio > worst_r:
             worst_r = ratio
     report.add("rooted-full-load", "<= 3*cost",

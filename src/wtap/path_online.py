@@ -16,8 +16,20 @@ requests.  A serve step does three things, in order:
    positive left position (type 3).
 
 The frontier is an integer prefix boundary: edges below it are covered
-by an owned rooted link and receive no further charges.  All dual
-arithmetic is exact rationals; purchases and charge counts are ints.
+by an owned rooted link and receive no further charges.
+
+All dual arithmetic is exact in plain ints.  Link costs are powers of
+two, so every residual starts as an int; a raise ``delta`` is the
+minimum of integer residuals, and subtracting it from integer
+residuals leaves them integral; ``product`` only ever adds integer
+duals.  So ``y``, ``residual`` and ``product`` never leave the
+integers.
+
+The trigger scan asks one prefix sum of ``product`` per rooted link.
+A Fenwick tree (binary indexed tree, Fenwick 1994) over ``product``
+answers each in O(log m), and a minimal instance has at most one
+rooted link per class, so a serve scans in O(#classes * log m) rather
+than walking the whole prefix.
 
 Deviations from the obvious literal reading (strict trigger, triggers
 on owned links advancing the frontier without payment, sweeping only
@@ -28,7 +40,6 @@ caps provable; the accompanying test suite pins the intended traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (BadInputError, InfeasibleInstanceError,
@@ -39,7 +50,7 @@ from .pruning import MinimalPathInstance
 @dataclass(frozen=True)
 class ServeRecord:
     request: int
-    y_raise: Fraction
+    y_raise: int
     type1: Optional[int]
     type2: Optional[int]
     type3: tuple
@@ -56,9 +67,10 @@ class PathSolver:
         # when the instance is standalone
         self.n_global = n_global if n_global is not None else m + 1
         self.links = minimal.by_id
-        self.y = [Fraction(0)] * m
+        self.y = [0] * m
         self.charge = [0] * m
-        self.product = [Fraction(0)] * m      # charge[e] * y[e]
+        self.product = [0] * m                # charge[e] * y[e]
+        self.fenwick = [0] * (m + 1)          # Fenwick tree over product
         self.frontier = 0
         self.bought = set()
         self.type1 = []
@@ -66,13 +78,33 @@ class PathSolver:
         self.type3 = []
         self.charged = {}                     # type-1 id -> charged edges
         self.covered = [False] * m
-        self.residual = {l.id: Fraction(l.cost) for l in minimal.links}
+        self.residual = {l.id: l.cost for l in minimal.links}
         self.rooted_by_right = sorted(
             (l for l in minimal.links if l.rooted), key=lambda l: l.right)
         self.last_type2 = None
         self.cost = 0
         self.records = []
         self.requested = set()
+
+    # -- prefix index -----------------------------------------------------
+
+    def _add_product(self, i, v):
+        """Add ``v`` to ``product[i]`` and to the tree over it."""
+        self.product[i] += v
+        tree = self.fenwick
+        i += 1
+        while i <= self.m:
+            tree[i] += v
+            i += i & -i
+
+    def _prefix(self, k):
+        """Sum of ``product[0:k]``."""
+        tree = self.fenwick
+        s = 0
+        while k:
+            s += tree[k]
+            k &= k - 1
+        return s
 
     # -- purchases --------------------------------------------------------
 
@@ -89,7 +121,7 @@ class PathSolver:
             raise BadInputError(f"edge {e} out of range")
         self.requested.add(e)
         if self.covered[e]:
-            rec = ServeRecord(request=e, y_raise=Fraction(0), type1=None,
+            rec = ServeRecord(request=e, y_raise=0, type1=None,
                               type2=None, type3=(), skipped=True,
                               frontier_right=self.frontier)
             self.records.append(rec)
@@ -124,19 +156,19 @@ class PathSolver:
         for i in range(max(pick.left, self.frontier), pick.right):
             if self.y[i] > 0:
                 self.charge[i] += 1
-                self.product[i] += self.y[i]
+                self._add_product(i, self.y[i])
                 charged.append(i)
         self.charged[pick.id] = tuple(charged)
 
+        # the trigger is the furthest-right loaded rooted link past the
+        # frontier (rights ascend with class)
         trig = None
-        acc = Fraction(0)
-        idx = 0
-        for l in self.rooted_by_right:
-            while idx < l.right:
-                acc += self.product[idx]
-                idx += 1
-            if l.right > self.frontier and acc > l.cost:
-                trig = l                     # rights ascend with class
+        for l in reversed(self.rooted_by_right):
+            if l.right <= self.frontier:
+                break
+            if self._prefix(l.right) > l.cost:
+                trig = l
+                break
         bought2 = None
         swept = []
         if trig is not None:
@@ -163,13 +195,12 @@ class PathSolver:
 
     # -- analysis views ---------------------------------------------------
 
-    def full_load(self, link) -> Fraction:
+    def full_load(self, link) -> int:
         """Charge-weighted dual over the link's span."""
-        return sum((self.product[i] for i in range(link.left, link.right)),
-                   Fraction(0))
+        return self._prefix(link.right) - self._prefix(link.left)
 
-    def charge_weighted_total(self) -> Fraction:
-        return sum(self.product, Fraction(0))
+    def charge_weighted_total(self) -> int:
+        return sum(self.product)
 
     def hat_dual(self, n_global: Optional[int] = None) -> list:
         """Cost-floored variant of the charge-weighted dual.
@@ -179,14 +210,13 @@ class PathSolver:
         analysis can afford to drop.
         """
         n = n_global if n_global is not None else self.n_global
-        hat = [Fraction(0)] * self.m
+        hat = [0] * self.m
         if not self.type1:
             return hat
         cmax = max(self.links[lid].cost for lid in self.type1)
-        floor = Fraction(cmax, n * n)
         lam = [0] * self.m
         for lid in self.type1:
-            if self.links[lid].cost >= floor:
+            if self.links[lid].cost * n * n >= cmax:
                 for e in self.charged[lid]:
                     lam[e] += 1
         for i in range(self.m):

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from wtap.cli import main
 from wtap.errors import BadInputError
+from wtap.generators import gen_random
 from wtap.instance import (
     Request,
     TreeInstance,
@@ -186,7 +188,7 @@ def test_rejects_bad_link_endpoint():
 
 
 def test_rejects_bad_request_endpoint():
-    with pytest.raises(BadInputError):
+    with pytest.raises(BadInputError, match="^request 0 endpoint out of range"):
         TreeInstance(n=2, edges=[(0, 1)], root=0, requests=[(0, 9)])
 
 
@@ -259,3 +261,50 @@ def test_parse_short_link_line():
 def test_parse_rejects_malformed_line_with_its_number(text, lineno):
     with pytest.raises(BadInputError, match=f"^line {lineno}: "):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("n 3 root 0\nedge 0 1\nedge 1 5\n", 3),              # endpoint range
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 2 -1\n", 4),  # cost <= 0
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 2 1\nrequest 0 9\n", 5),
+])
+def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
+    with pytest.raises(BadInputError, match=f"^line {lineno}: "):
+        parse_instance(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["run-tree", str(path)]) == 4
+    assert f"line {lineno}: " in capsys.readouterr().err
+
+
+@given(kind=st.sampled_from(["tree", "path"]), n=st.integers(2, 12),
+       links=st.integers(0, 10), requests=st.integers(0, 6),
+       feasible=st.booleans(), seed=st.integers(0, 10 ** 6))
+def test_parse_format_round_trip(kind, n, links, requests, feasible, seed):
+    inst, _ = gen_random(kind, n, links, 64.0, seed, feasible=feasible,
+                         request_count=requests)
+    again = parse_instance(format_instance(inst))
+    assert (again.n, again.root) == (inst.n, inst.root)
+    assert again.edges == inst.edges
+    assert again.links == inst.links            # endpoints, cost, cls, id
+    assert again.raw_costs == inst.raw_costs
+    assert again.requests == inst.requests
+
+
+_TOKENS = st.sampled_from(["n", "root", "edge", "link", "request", "#", "0",
+                           "1", "2", "3", "-1", "9", "1/2", "0/1", "1/0",
+                           "2.5", "x", ""])
+
+
+@given(st.one_of(
+    st.text(max_size=200),
+    st.lists(st.lists(_TOKENS, max_size=5).map(" ".join),
+             max_size=8).map("\n".join),
+    st.lists(st.lists(_TOKENS, max_size=5).map(" ".join),
+             max_size=8).map(lambda ls: "\n".join(["n 4 root 0"] + ls))))
+def test_arbitrary_text_parses_or_raises_bad_input(text):
+    try:
+        inst = parse_instance(text)
+    except BadInputError:
+        return
+    assert isinstance(inst, TreeInstance)

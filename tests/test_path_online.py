@@ -271,3 +271,41 @@ def test_serve_keeps_dual_feasible_stepwise(data):
         ok, bad = verify_dual_feasible(solver.y, minimal.links)
         assert ok, bad
         assert solver.covered[e]
+
+
+def naive_trigger_frontier(solver, frontier):
+    """Frontier after the trigger scan, by a full prefix walk of product."""
+    trig = None
+    acc = 0
+    idx = 0
+    for l in solver.rooted_by_right:
+        while idx < l.right:
+            acc += solver.product[idx]
+            idx += 1
+        if l.right > frontier and acc > l.cost:
+            trig = l
+    return frontier if trig is None else trig.right
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_fenwick_index_matches_product_after_every_serve(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    rng = random.Random(seed)
+    minimal, _, _ = random_minimal_path_instance(rng, max_edges=40,
+                                                 max_links=24)
+    solver = PathSolver(minimal)
+    m = minimal.edge_count
+    for e in data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                max_size=30)):
+        before = solver.frontier
+        rec = solver.serve(e)
+        assert type(rec.y_raise) is int
+        assert all(type(v) is int for v in solver.y)
+        assert all(type(v) is int for v in solver.product)
+        assert all(type(v) is int for v in solver.residual.values())
+        for k in range(m + 1):
+            assert solver._prefix(k) == sum(solver.product[:k])
+        for l in minimal.links:
+            assert solver.full_load(l) == sum(solver.product[l.left:l.right])
+        assert rec.frontier_right == naive_trigger_frontier(solver, before)
