@@ -22,12 +22,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # name -> `wtap gen` arguments; tree instances with more than
 # TREE_ENUM_LINK_CAP (24) links report a null opt, and the no-feasible
-# ones contain a request edge no link covers (exit 3)
+# ones contain a request edge no link covers (exit 3); path-n100-long
+# serves 374 edges out of position order, repeats included, so the
+# fractional solver's optimum is both kept and recomputed mid-run
 INSTANCES = {
     "path-n6": "--kind path --n 6 --links 4 --requests 4 --seed 1",
     "path-n12": "--kind path --n 12 --links 10 --requests 10 --seed 2",
     "path-n40": "--kind path --n 40 --links 40 --requests 6 --seed 3",
     "path-n100": "--kind path --n 100 --links 120 --requests 4 --seed 4",
+    "path-n100-long":
+        "--kind path --n 100 --links 100 --requests 10 --seed 17",
     "path-n8-norequests": "--kind path --n 8 --links 6 --seed 5",
     "path-n9-uncoverable":
         "--kind path --n 9 --links 4 --requests 4 --seed 2 --no-feasible",
