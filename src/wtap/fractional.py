@@ -1,15 +1,24 @@
 """Fractional online covering on minimal path instances.
 
 Serving keeps a fractional unit of coverage over every requested edge.
-Each request first recomputes the exact offline optimum of everything
-requested so far (an integer, by the interval structure).  A request
-an ultra-cheap link can cover (cost * edge_count <= current optimum)
-is served by setting that link's variable to 1 outright.  Otherwise
-the update runs only over the band of links covering the edge whose
-cost sits within [opt/edge_count, 2*opt]: each variable follows the
-closed form x(t) = (x0 + theta) * exp(t / cost) - theta, and t grows
-until the band's (capped) sum reaches 1.  The growth time is found by
-bisection; everything else about the run is deterministic.
+Each request reads the exact offline optimum OPT_i of everything
+requested so far (an integer, by the interval structure), kept by one
+incremental prefix DP: over the requested positions in sorted order,
+g[k] is the cheapest cover of the first k.  When a covering link of
+the new edge is in the current optimal witness, nothing is recomputed:
+OPT is monotone in the request set and the witness still covers every
+request at cost OPT, so both stand, and only the DP entries right of
+the new position go stale.  Otherwise the DP resumes from the leftmost
+stale position.  Sorted arrivals extend it by one entry each, and a
+repeated edge costs nothing.
+
+A request an ultra-cheap link can cover (cost * edge_count <= current
+optimum) is served by setting that link's variable to 1 outright.
+Otherwise the update runs only over the band of links covering the
+edge whose cost sits within [opt/edge_count, 2*opt]: each variable
+follows the closed form x(t) = (x0 + theta) * exp(t / cost) - theta,
+and t grows until the band's (capped) sum reaches 1.  The growth time
+is found by bisection; everything else about the run is deterministic.
 
 Variables are floats (nothing here tests equality); optima and phase
 indices are exact ints.  theta = 1 / log2(edge_count); single-edge
@@ -19,7 +28,7 @@ paths skip the machinery and buy the cheapest cover exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,55 +76,54 @@ class FractionalPathSolver:
         self.total_cost = 0.0
         self.records = []
         self.opt_history = []
-        # incremental optimum bookkeeping: exact while requests arrive
-        # in nondecreasing position order, full recompute otherwise
+        # the exact optimum of the requests so far, kept incrementally
         self.requested = set()
-        self._sorted = []
-        self._monotone = True
-        self._g = [0]              # g[k] = optimum over first k positions
-        self._choice = [None]      # (link id, back index) per k
+        self._sorted = []          # requested positions, ascending
+        self._g = [0]              # _g[k] = optimum over the first k of them
+        self._choice = [None]      # (link id, back index) behind _g[k]
+        self._stale = None         # _g[k] is out of date for k > _stale
+        self._opt = 0
+        self._witness = frozenset()
 
     # -- offline optimum of the requests so far ---------------------------
 
     def _note_request(self, e: int):
         if e in self.requested:
             return
-        if self._sorted and e < self._sorted[-1]:
-            self._monotone = False
         self.requested.add(e)
-        insort(self._sorted, e)
-        if self._monotone:
+        k = bisect_left(self._sorted, e)
+        self._sorted.insert(k, e)
+        d = k if self._stale is None else min(self._stale, k)
+        if not self._witness.isdisjoint(self.minimal.cov_ids[e]):
+            # the witness covers e too, so by monotonicity it stays optimal
+            self._stale = d
+            return
+        g, choice, pos = self._g, self._choice, self._sorted
+        del g[d + 1:], choice[d + 1:]
+        for j in range(d, len(pos)):
             best = None
-            for lid in self.minimal.cov_ids[e]:
+            for lid in self.minimal.cov_ids[pos[j]]:
                 l = self.links[lid]
-                k2 = bisect_left(self._sorted, l.left)
-                cand = l.cost + self._g[k2]
+                back = bisect_left(pos, l.left)
+                cand = l.cost + g[back]
                 if best is None or cand < best[0] or (cand == best[0] and lid < best[1]):
-                    best = (cand, lid, k2)
-            if best is None:
-                raise InfeasibleInstanceError(f"edge {e} has no covering link")
-            self._g.append(best[0])
-            self._choice.append((best[1], best[2]))
+                    best = (cand, lid, back)
+            g.append(best[0])
+            choice.append((best[1], best[2]))
+        self._stale = None
+        self._opt = g[-1]
+        witness = set()
+        k = len(pos)
+        while k > 0:
+            lid, k = choice[k]
+            witness.add(lid)
+        self._witness = frozenset(witness)
 
     def current_opt(self) -> int:
-        if not self.requested:
-            return 0
-        if self._monotone:
-            return self._g[-1]
-        return opt_path_dp(self.m, self.minimal.links, self.requested).opt_cost
+        return self._opt
 
     def opt_witness(self) -> frozenset:
-        if not self.requested:
-            return frozenset()
-        if self._monotone:
-            out = set()
-            k = len(self._sorted)
-            while k > 0:
-                lid, back = self._choice[k]
-                out.add(lid)
-                k = back
-            return frozenset(out)
-        return opt_path_dp(self.m, self.minimal.links, self.requested).witness
+        return self._witness
 
     # -- serving -----------------------------------------------------------
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wtap import fractional
 from wtap.errors import BadInputError, InfeasibleInstanceError
 from wtap.fractional import (
     COVERAGE_TOL,
@@ -148,14 +149,48 @@ def test_incremental_optimum_matches_dp_out_of_order():
             assert sol.requested <= covered
 
 
-def test_monotone_arrivals_use_incremental_dp():
-    minimal, _ = build_minimal_instance(
-        6, [PL(0, 3, 0, 0), PL(3, 6, 0, 1), PL(0, 6, 2, 2)])
+def test_serve_never_reruns_the_offline_dp(monkeypatch):
+    """Sorted, reversed, random and repeated arrivals all keep the optimum
+    incrementally: serve makes no call to opt_path_dp."""
+    calls = []
+    monkeypatch.setattr(fractional, "opt_path_dp",
+                        lambda *a: calls.append(a) or opt_path_dp(*a))
+    rng = random.Random(7)
+    minimal, _, _ = random_minimal_path_instance(
+        rng, max_edges=40, max_links=30, max_cls=5)
+    m = minimal.edge_count
+    shuffled = list(range(m))
+    rng.shuffle(shuffled)
+    orders = [list(range(m)), list(range(m - 1, -1, -1)), shuffled,
+              [rng.randrange(m) for _ in range(3 * m)]]
+    for order in orders:
+        sol = FractionalPathSolver(minimal)
+        sol.run(order)
+        want = opt_path_dp(m, minimal.links, order).opt_cost
+        assert sol.current_opt() == want
+    assert calls == []
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_incremental_optimum_is_exact_after_every_serve(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    minimal, _, _ = random_minimal_path_instance(
+        random.Random(seed), max_edges=24, max_links=24, max_cls=5)
+    m = minimal.edge_count
+    arrivals = data.draw(st.lists(st.integers(0, m - 1), min_size=m,
+                                  max_size=3 * m))
     sol = FractionalPathSolver(minimal)
-    for e in range(6):
+    for e in arrivals:
         sol.serve(e)
-    assert sol._monotone
-    assert sol.current_opt() == 2
+        opt = sol.current_opt()
+        assert opt == opt_path_dp(m, minimal.links, sol.requested).opt_cost
+        witness = sol.opt_witness()
+        covered = set()
+        for lid in witness:
+            covered.update(range(sol.links[lid].left, sol.links[lid].right))
+        assert sol.requested <= covered
+        assert sum(sol.links[lid].cost for lid in witness) == opt
 
 
 def test_phases_never_decrease_along_a_run():
