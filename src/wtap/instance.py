@@ -250,6 +250,24 @@ class TreeInstance:
         return hashlib.sha256(format_instance(self).encode()).hexdigest()
 
 
+# a cost token may be at most this many characters long, and its
+# exponent at most this large in magnitude, so a parsed cost's numerator
+# and denominator stay under 2 * MAX_COST_CHARS digits: they format back
+# within Python's 4300-digit int-to-str limit, and no short token makes
+# Fraction build a huge power of ten
+MAX_COST_CHARS = 1000
+
+
+def _parse_cost(token: str) -> Fraction:
+    if len(token) > MAX_COST_CHARS:
+        raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
+    exponent = token.lower().partition("e")[2]
+    if (exponent.lstrip("+-").isdecimal()
+            and abs(int(exponent)) > MAX_COST_CHARS):
+        raise ValueError(f"cost exponent beyond {MAX_COST_CHARS}")
+    return Fraction(token)
+
+
 # directive -> the exact shape of its line
 _LINE_SHAPES = {
     "n": "n <count> root <vertex>",
@@ -265,14 +283,19 @@ def parse_instance(text: str) -> TreeInstance:
     ``n <count> root <vertex>`` once, then ``edge u v`` lines, then
     ``link u v cost`` lines, then ``request s t`` lines.  ``#`` starts a
     comment; blank lines are skipped.  Costs may be integers, decimals,
-    or ``p/q`` rationals.  A line of the wrong shape, a token that does
-    not parse, a second header, a line before the header, an endpoint
-    out of range, a self-loop edge or link, or a nonpositive cost
-    raises ``BadInputError`` naming the line.
+    or ``p/q`` rationals, at most ``MAX_COST_CHARS`` characters long and
+    with an exponent of at most that magnitude.  A line of the wrong
+    shape, a token that does not parse, a second header, a line before
+    the header, an endpoint out of range, a self-loop edge or link, a
+    duplicate edge, or a nonpositive cost raises ``BadInputError``
+    naming the line; a wrong edge count or a disconnected tree names
+    the header line.
     """
     n = None
     root = None
+    header = None
     edges = []
+    edge_line = {}                 # (low, high) endpoint pair -> its line
     raw_links = []
     requests = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -295,7 +318,7 @@ def parse_instance(text: str) -> TreeInstance:
         try:
             a = int(parts[1])                  # count, or first endpoint
             b = int(parts[3] if kind == "n" else parts[2])   # root, or second
-            cost = Fraction(parts[3]) if kind == "link" else None
+            cost = _parse_cost(parts[3]) if kind == "link" else None
         except (ValueError, ZeroDivisionError) as exc:
             raise BadInputError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
         if kind == "n":
@@ -303,7 +326,7 @@ def parse_instance(text: str) -> TreeInstance:
                 raise BadInputError(f"line {lineno}: need at least one vertex")
             if not 0 <= b < a:
                 raise BadInputError(f"line {lineno}: root {b} out of range")
-            n, root = a, b
+            n, root, header = a, b, lineno
             continue
         if not (0 <= a < n and 0 <= b < n):
             raise BadInputError(
@@ -311,6 +334,10 @@ def parse_instance(text: str) -> TreeInstance:
         if a == b and kind != "request":
             raise BadInputError(f"line {lineno}: {kind} endpoints must differ")
         if kind == "edge":
+            first = edge_line.setdefault((min(a, b), max(a, b)), lineno)
+            if first != lineno:
+                raise BadInputError(
+                    f"line {lineno}: edge duplicates the edge on line {first}")
             edges.append((a, b))
         elif kind == "link":
             if cost <= 0:
@@ -320,8 +347,13 @@ def parse_instance(text: str) -> TreeInstance:
             requests.append((a, b))
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
-    return TreeInstance(n=n, edges=edges, root=root,
-                        raw_links=raw_links, requests=requests)
+    try:
+        return TreeInstance(n=n, edges=edges, root=root,
+                            raw_links=raw_links, requests=requests)
+    except BadInputError as exc:
+        # every per-line fault is caught above, so what is left is the
+        # tree as a whole: its edge count or its connectivity
+        raise BadInputError(f"line {header}: {exc}") from exc
 
 
 def format_instance(inst: TreeInstance) -> str:

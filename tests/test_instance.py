@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,9 @@ def test_parse_rejects_malformed_line_with_its_number(text, lineno):
     ("n 3 root 0\nedge 0 1\nedge 1 5\n", 3),              # endpoint range
     ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 2 -1\n", 4),  # cost <= 0
     ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 2 1\nrequest 0 9\n", 5),
+    ("n 3 root 0\nedge 0 1\nedge 1 0\n", 3),              # duplicate edge
+    ("# two edges short\nn 3 root 0\nedge 0 1\n", 2),      # edge count
+    ("# cycle\nn 4 root 0\nedge 0 1\nedge 1 2\nedge 2 0\n", 2),  # disconnected
 ])
 def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
     with pytest.raises(BadInputError, match=f"^line {lineno}: "):
@@ -275,6 +279,18 @@ def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
     path.write_text(text)
     assert main(["run-tree", str(path)]) == 4
     assert f"line {lineno}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cost", ["1e5000", "7" * 5000])
+def test_huge_cost_exits_4_fast(cost, tmp_path, capsys):
+    # both parse to numbers too long for str(); the parser rejects them
+    # by their size, before it builds the Fraction
+    path = tmp_path / "huge.txt"
+    path.write_text(f"n 2 root 0\nedge 0 1\nlink 0 1 {cost}\n")
+    start = time.perf_counter()
+    assert main(["run-tree", str(path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "line 3: " in capsys.readouterr().err
 
 
 @given(kind=st.sampled_from(["tree", "path"]), n=st.integers(2, 12),
