@@ -93,9 +93,8 @@ class CanonicalWrapper:
             self.covered[i] = True
 
     def serve(self, e: int):
-        links_by_id = {l.id: l for l in self.inst.links}
         for lid in self.inner.serve(e):
-            link = links_by_id[lid]
+            link = self.inst.links[lid]           # ids are list positions
             self._buy(link)
             if self.canonical and link.left <= e < link.right:
                 for j in range(link.level):

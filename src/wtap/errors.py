@@ -13,7 +13,16 @@ class WtapError(Exception):
 
 
 class BadInputError(WtapError):
-    """Malformed instance data, unparsable files, or bad CLI arguments."""
+    """Malformed instance data, unparsable files, or bad CLI arguments.
+
+    ``items`` holds the ``(kind, index)`` instance entries at fault, kind
+    being "edge", "link" or "request": the offending one first, then any
+    earlier one it clashes with; empty for the instance as a whole.
+    """
+
+    def __init__(self, message: str = "", *items):
+        super().__init__(message)
+        self.items = items
 
 
 class InfeasibleInstanceError(WtapError):

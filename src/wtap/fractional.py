@@ -21,8 +21,9 @@ and t grows until the band's (capped) sum reaches 1.  The growth time
 is found by bisection; everything else about the run is deterministic.
 
 Variables are floats (nothing here tests equality); optima and phase
-indices are exact ints.  theta = 1 / log2(edge_count); single-edge
-paths skip the machinery and buy the cheapest cover exactly.
+indices are exact ints.  theta = 1 / log2(edge_count).  On a single
+edge OPT is the cheapest covering cost, so the ultra-cheap rule always
+applies and buys that link outright.
 """
 
 from __future__ import annotations
@@ -142,16 +143,6 @@ class FractionalPathSolver:
         if self.coverage(e) >= 1.0 - COVERAGE_TOL:
             rec = FracRecord(request=e, opt_i=opt_i, kind="skip",
                              t_star=0.0, incremental_cost=0.0, band_size=0)
-            self.records.append(rec)
-            return rec
-
-        if self.m == 1:
-            lid = min(cov, key=lambda i: (self.links[i].cost, i))
-            inc = self.links[lid].cost * (1.0 - self.x[lid])
-            self.x[lid] = 1.0
-            self.total_cost += inc
-            rec = FracRecord(request=e, opt_i=opt_i, kind="small",
-                             t_star=0.0, incremental_cost=inc, band_size=0)
             self.records.append(rec)
             return rec
 

@@ -4,7 +4,10 @@ The tree is stored rooted.  Every non-root vertex has exactly one edge
 to its parent, so edges can be addressed two ways: by their input index
 (``0..n-2``, the order they appeared in the source) and by their child
 endpoint.  Both maps are built once at construction and all path and
-coverage queries go through them.
+coverage queries go through them.  The constructor is the one place
+that checks an instance's values; the text parser only tokenizes, and
+maps the ``(kind, index)`` entry a ``BadInputError`` names back to its
+line.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
@@ -18,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BadInputError
 
@@ -57,17 +60,30 @@ class TreePath:
         return len(self.edges)
 
 
+# a cost token may be at most this many characters long, and its
+# exponent at most this large in magnitude, so a parsed cost's numerator
+# and denominator stay under 10**(2 * MAX_COST_CHARS); TreeInstance
+# holds every raw cost to that bound, so each formats back within
+# Python's 4300-digit int-to-str limit, and no short token makes
+# Fraction build a huge power of ten
+MAX_COST_CHARS = 1000
+_COST_BOUND = 10 ** (2 * MAX_COST_CHARS)
+
+
 def round_costs(raw_costs: Sequence[Fraction]) -> list:
     """Normalize by the minimum, then round each cost up to a power of 2.
 
     Returns one ``(cost, cls)`` pair per input, ``cost == 2**cls`` with
-    ``cls >= 0``.  Rejects nonpositive entries.
+    ``cls >= 0``.  Rejects nonpositive entries, naming the ``("link", i)``
+    entry at fault.
     """
     if not raw_costs:
         return []
-    for c in raw_costs:
+    for i, c in enumerate(raw_costs):
         if c <= 0:
-            raise BadInputError(f"nonpositive cost {c}; buy zero-cost links up front and drop them")
+            raise BadInputError(
+                f"link {i} cost is not positive; buy zero-cost links up "
+                f"front and drop them", ("link", i))
     lo = min(raw_costs)
     out = []
     for c in raw_costs:
@@ -83,6 +99,14 @@ def _ceil_pow2_class(f: Fraction) -> int:
     while (1 << j) * den < num:
         j += 1
     return j
+
+
+def _check_ends(n: int, kind: str, i: int, u: int, v: int):
+    """Both endpoints in ``0..n-1``, and distinct unless a request."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise BadInputError(f"{kind} {i} endpoint out of range 0..{n - 1}", (kind, i))
+    if u == v and kind != "request":
+        raise BadInputError(f"{kind} {i} endpoints must differ", (kind, i))
 
 
 class TreeInstance:
@@ -102,24 +126,22 @@ class TreeInstance:
         if n < 1:
             raise BadInputError("need at least one vertex")
         if not 0 <= root < n:
-            raise BadInputError(f"root {root} out of range")
-        if len(edges) != n - 1:
-            raise BadInputError(f"expected {n - 1} tree edges, got {len(edges)}")
+            raise BadInputError(f"root {root} out of range 0..{n - 1}")
         self.n = n
         self.root = root
         self.edges = [(int(u), int(v)) for u, v in edges]
+        first = {}                  # (low, high) endpoint pair -> first edge id
+        for eid, (u, v) in enumerate(self.edges):
+            _check_ends(n, "edge", eid, u, v)
+            earlier = first.setdefault((min(u, v), max(u, v)), eid)
+            if earlier != eid:
+                raise BadInputError(f"edge {eid} duplicates edge {earlier}",
+                                    ("edge", eid), ("edge", earlier))
+        if len(self.edges) != n - 1:
+            raise BadInputError(f"expected {n - 1} tree edges, got {len(self.edges)}")
 
         adj = [[] for _ in range(n)]
-        seen = set()
         for eid, (u, v) in enumerate(self.edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadInputError(f"edge {eid} endpoint out of range")
-            if u == v:
-                raise BadInputError(f"edge {eid} is a self-loop")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise BadInputError(f"edge {eid} duplicates an earlier edge")
-            seen.add(key)
             adj[u].append((v, eid))
             adj[v].append((u, eid))
         self.adjacency = adj
@@ -152,77 +174,57 @@ class TreeInstance:
                 child_of_edge[parent_edge[v]] = v
         self.child_of_edge = child_of_edge        # edge id -> child endpoint
 
-        self.raw_costs = [Fraction(c) for (_, _, c) in raw_links]
-        rounded = round_costs(self.raw_costs)
-        self.links = []
-        for i, ((u, v, _), (cost, cls)) in enumerate(zip(raw_links, rounded)):
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise BadInputError(f"link {i} endpoint out of range")
-            if u == v:
-                raise BadInputError(f"link {i} endpoints must differ")
-            self.links.append(Link(u=u, v=v, cost=cost, cls=cls, id=i))
+        self.raw_costs = []
+        for i, (u, v, c) in enumerate(raw_links):
+            _check_ends(n, "link", i, int(u), int(v))
+            c = Fraction(c)
+            if max(abs(c.numerator), c.denominator) >= _COST_BOUND:
+                raise BadInputError(f"link {i} cost has a numerator or denominator "
+                                    f"over {2 * MAX_COST_CHARS} digits", ("link", i))
+            self.raw_costs.append(c)
+        self.links = [Link(u=int(u), v=int(v), cost=cost, cls=cls, id=i)
+                      for i, ((u, v, _), (cost, cls))
+                      in enumerate(zip(raw_links, round_costs(self.raw_costs)))]
 
         self.requests = []
-        for r in requests:
-            if isinstance(r, Request):
-                self.requests.append(r)
-            else:
+        for i, r in enumerate(requests):
+            if not isinstance(r, Request):
                 s, t = r
-                self.requests.append(Request(s=int(s), t=int(t)))
-        for i, r in enumerate(self.requests):
-            if r.edge is None and not (0 <= r.s < n and 0 <= r.t < n):
-                raise BadInputError(f"request {i} endpoint out of range")
+                r = Request(s=int(s), t=int(t))
+            if r.edge is None:
+                _check_ends(n, "request", i, r.s, r.t)
+            self.requests.append(r)
 
-        self._link_edge_sets = None
         self._cov = None
 
     # -- path primitives ------------------------------------------------
 
-    def lca(self, u: int, v: int) -> int:
-        du, dv = self.depth[u], self.depth[v]
-        while du > dv:
-            u = self.parent[u]
-            du -= 1
-        while dv > du:
-            v = self.parent[v]
-            dv -= 1
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
-        return u
-
     def tree_path(self, u: int, v: int) -> TreePath:
-        """The unique simple u-v path; a single vertex when u == v."""
-        a = self.lca(u, v)
-        up_vertices = []
-        up_edges = []
-        w = u
-        while w != a:
-            up_vertices.append(w)
-            up_edges.append(self.edge_of_child[w])
-            w = self.parent[w]
-        down_vertices = []
-        down_edges = []
-        w = v
-        while w != a:
-            down_vertices.append(w)
-            down_edges.append(self.edge_of_child[w])
-            w = self.parent[w]
-        vertices = up_vertices + [a] + down_vertices[::-1]
-        edges = up_edges + down_edges[::-1]
+        """The unique simple u-v path; a single vertex when u == v.
+
+        One climb: the deeper endpoint steps up until the two meet.
+        """
+        parent, depth, up = self.parent, self.depth, self.edge_of_child
+        vertices, edges = [], []            # u's side, from u upwards
+        down_vertices, down_edges = [], []  # v's side, from v upwards
+        while u != v:
+            if depth[u] >= depth[v]:
+                vertices.append(u)
+                edges.append(up[u])
+                u = parent[u]
+            else:
+                down_vertices.append(v)
+                down_edges.append(up[v])
+                v = parent[v]
+        vertices.append(u)
+        vertices.extend(reversed(down_vertices))
+        edges.extend(reversed(down_edges))
         return TreePath(vertices=tuple(vertices), edges=tuple(edges))
 
     def link_edges(self, link_id: int) -> frozenset:
         """Edge ids on the tree path between the link's endpoints."""
-        if self._link_edge_sets is None:
-            self._link_edge_sets = {}
-        got = self._link_edge_sets.get(link_id)
-        if got is None:
-            ln = self.links[link_id]
-            got = frozenset(self.tree_path(ln.u, ln.v).edges)
-            self._link_edge_sets[link_id] = got
-        return got
+        ln = self.links[link_id]
+        return frozenset(self.tree_path(ln.u, ln.v).edges)
 
     def cov(self, edge_id: int) -> frozenset:
         """Ids of links whose tree path contains the edge."""
@@ -248,14 +250,6 @@ class TreeInstance:
 
     def digest(self) -> str:
         return hashlib.sha256(format_instance(self).encode()).hexdigest()
-
-
-# a cost token may be at most this many characters long, and its
-# exponent at most this large in magnitude, so a parsed cost's numerator
-# and denominator stay under 2 * MAX_COST_CHARS digits: they format back
-# within Python's 4300-digit int-to-str limit, and no short token makes
-# Fraction build a huge power of ten
-MAX_COST_CHARS = 1000
 
 
 def _parse_cost(token: str) -> Fraction:
@@ -285,19 +279,15 @@ def parse_instance(text: str) -> TreeInstance:
     comment; blank lines are skipped.  Costs may be integers, decimals,
     or ``p/q`` rationals, at most ``MAX_COST_CHARS`` characters long and
     with an exponent of at most that magnitude.  A line of the wrong
-    shape, a token that does not parse, a second header, a line before
-    the header, an endpoint out of range, a self-loop edge or link, a
-    duplicate edge, or a nonpositive cost raises ``BadInputError``
-    naming the line; a wrong edge count or a disconnected tree names
-    the header line.
+    shape, a token that does not parse, a second header or a line before
+    the header raises ``BadInputError`` naming the line.  ``TreeInstance``
+    checks every value; its error is re-raised naming the line of the
+    entry at fault (and the line of the earlier edge a duplicate
+    repeats), or the header line when the fault is the tree as a whole.
     """
-    n = None
-    root = None
-    header = None
-    edges = []
-    edge_line = {}                 # (low, high) endpoint pair -> its line
-    raw_links = []
-    requests = []
+    n = root = header = None
+    entries = {"edge": [], "link": [], "request": []}
+    lines = {"edge": [], "link": [], "request": []}   # line of each entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -320,40 +310,25 @@ def parse_instance(text: str) -> TreeInstance:
             b = int(parts[3] if kind == "n" else parts[2])   # root, or second
             cost = _parse_cost(parts[3]) if kind == "link" else None
         except (ValueError, ZeroDivisionError) as exc:
-            raise BadInputError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+            raise BadInputError(f"line {lineno}: {exc}") from exc
         if kind == "n":
-            if a < 1:
-                raise BadInputError(f"line {lineno}: need at least one vertex")
-            if not 0 <= b < a:
-                raise BadInputError(f"line {lineno}: root {b} out of range")
             n, root, header = a, b, lineno
             continue
-        if not (0 <= a < n and 0 <= b < n):
-            raise BadInputError(
-                f"line {lineno}: {kind} endpoint out of range 0..{n - 1}")
-        if a == b and kind != "request":
-            raise BadInputError(f"line {lineno}: {kind} endpoints must differ")
-        if kind == "edge":
-            first = edge_line.setdefault((min(a, b), max(a, b)), lineno)
-            if first != lineno:
-                raise BadInputError(
-                    f"line {lineno}: edge duplicates the edge on line {first}")
-            edges.append((a, b))
-        elif kind == "link":
-            if cost <= 0:
-                raise BadInputError(f"line {lineno}: nonpositive cost {cost}")
-            raw_links.append((a, b, cost))
-        else:
-            requests.append((a, b))
+        entries[kind].append((a, b) if cost is None else (a, b, cost))
+        lines[kind].append(lineno)
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
     try:
-        return TreeInstance(n=n, edges=edges, root=root,
-                            raw_links=raw_links, requests=requests)
+        return TreeInstance(n=n, edges=entries["edge"], root=root,
+                            raw_links=entries["link"],
+                            requests=entries["request"])
     except BadInputError as exc:
-        # every per-line fault is caught above, so what is left is the
-        # tree as a whole: its edge count or its connectivity
-        raise BadInputError(f"line {header}: {exc}") from exc
+        if not exc.items:
+            # the tree as a whole: its size, root, edge count or connectivity
+            raise BadInputError(f"line {header}: {exc}") from exc
+        (kind, i), *earlier = exc.items
+        also = "".join(f"; {k} {j} is on line {lines[k][j]}" for k, j in earlier)
+        raise BadInputError(f"line {lines[kind][i]}: {exc}{also}") from exc
 
 
 def format_instance(inst: TreeInstance) -> str:

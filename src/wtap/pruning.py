@@ -91,9 +91,10 @@ def prune_rooted(links):
 def prune_class(links):
     """Minimum-size subset of same-class links covering their edge union.
 
-    Greedy sweep: at the leftmost uncovered edge, take the link
-    reaching furthest right (ties by smaller id).  Exact for interval
-    covering, and the output covers no edge more than twice.
+    One pointer sweep over the links by left end: at the leftmost
+    uncovered edge, take the link reaching furthest right (ties by
+    smaller id); at a gap, jump to the next link's left end.  Exact for
+    interval covering, and the output covers no edge more than twice.
     """
     if not links:
         return [], []
@@ -102,30 +103,23 @@ def prune_class(links):
         if l.cls != cls:
             raise BadInputError("prune_class expects links of one class")
     by_left = sorted(links, key=lambda l: (l.left, -l.right, l.id))
-    segments = []
-    seg_l, seg_r = by_left[0].left, by_left[0].right
-    for l in by_left[1:]:
-        if l.left <= seg_r:
-            if l.right > seg_r:
-                seg_r = l.right
-        else:
-            segments.append((seg_l, seg_r))
-            seg_l, seg_r = l.left, l.right
-    segments.append((seg_l, seg_r))
-
     kept_ids = set()
-    for a, b in segments:
-        pos = a
-        while pos < b:
-            best = None
-            for l in by_left:
-                if l.left > pos:
-                    break
-                if l.right > pos and (best is None or l.right > best.right
-                                      or (l.right == best.right and l.id < best.id)):
-                    best = l
+    i, pos, best = 0, by_left[0].left, None
+    while True:
+        # links starting at or before pos; every earlier one ends by pos
+        while i < len(by_left) and by_left[i].left <= pos:
+            l = by_left[i]
+            i += 1
+            if l.right > pos and (best is None or l.right > best.right
+                                  or (l.right == best.right and l.id < best.id)):
+                best = l
+        if best is not None:
             kept_ids.add(best.id)
-            pos = best.right
+            pos, best = best.right, None
+        elif i < len(by_left):
+            pos = by_left[i].left             # a gap: jump to the next link
+        else:
+            break
     kept = [l for l in links if l.id in kept_ids]
     removed = [l for l in links if l.id not in kept_ids]
     kept.sort(key=lambda l: l.id)

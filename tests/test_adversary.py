@@ -36,6 +36,8 @@ def test_depth_two_layout():
 def test_levels_tile_the_path():
     for B, k in [(2, 2), (3, 2), (2, 3)]:
         inst = HierarchicalInstance(B, k)
+        # CanonicalWrapper looks links up by id as a list index
+        assert [l.id for l in inst.links] == list(range(len(inst.links)))
         for row in inst.levels:
             seen = []
             for l in row:

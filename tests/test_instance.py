@@ -102,8 +102,7 @@ def test_tree_path_matches_bfs(data):
     inst = TreeInstance(n=n, edges=edges, root=0)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
-    if u != v:
-        assert list(inst.tree_path(u, v).vertices) == bfs_path(n, edges, u, v)
+    assert list(inst.tree_path(u, v).vertices) == bfs_path(n, edges, u, v)
 
 
 @given(st.data())
@@ -116,10 +115,12 @@ def test_lca_is_deepest_common_ancestor(data):
     inst = TreeInstance(n=n, edges=edges, root=0)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
+    path = inst.tree_path(u, v)
+    # the path turns at the deepest common ancestor, its shallowest vertex
     to_u = bfs_path(n, edges, 0, u)
     to_v = bfs_path(n, edges, 0, v)
     common = [a for a, b in zip(to_u, to_v) if a == b]
-    assert inst.lca(u, v) == common[-1]
+    assert min(path.vertices, key=lambda w: inst.depth[w]) == common[-1]
 
 
 # -- link coverage ----------------------------------------------------------
@@ -193,6 +194,27 @@ def test_rejects_bad_request_endpoint():
         TreeInstance(n=2, edges=[(0, 1)], root=0, requests=[(0, 9)])
 
 
+def test_rejects_oversized_cost():
+    # numerator and denominator must stay under 10**2000 so that the
+    # cost formats back; digest() would otherwise crash in str()
+    for cost in (Fraction(10 ** 5000), Fraction(1, 10 ** 2000)):
+        with pytest.raises(BadInputError, match="^link 0 cost has"):
+            TreeInstance(2, [(0, 1)], 0, raw_links=[(0, 1, cost)])
+
+
+def test_value_errors_name_the_entry_at_fault():
+    with pytest.raises(BadInputError) as info:
+        TreeInstance(n=3, edges=[(0, 1), (1, 0)], root=0)
+    assert info.value.items == (("edge", 1), ("edge", 0))
+    with pytest.raises(BadInputError) as info:
+        TreeInstance(n=2, edges=[(0, 1)], root=0,
+                     raw_links=[(0, 1, 1), (0, 1, -1)])
+    assert info.value.items == (("link", 1),)
+    with pytest.raises(BadInputError) as info:
+        TreeInstance(n=3, edges=[(0, 1)], root=0)
+    assert info.value.items == ()
+
+
 def test_single_vertex_tree():
     inst = TreeInstance(n=1, edges=[], root=0)
     assert inst.parent == [-1]
@@ -264,6 +286,12 @@ def test_parse_rejects_malformed_line_with_its_number(text, lineno):
         parse_instance(text)
 
 
+def test_parse_duplicate_edge_names_both_lines():
+    text = "n 3 root 0\nedge 0 1\n# again\nedge 1 0\n"
+    with pytest.raises(BadInputError, match="^line 4: .* line 2$"):
+        parse_instance(text)
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("n 3 root 0\nedge 0 1\nedge 1 5\n", 3),              # endpoint range
     ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 2 -1\n", 4),  # cost <= 0
@@ -271,6 +299,11 @@ def test_parse_rejects_malformed_line_with_its_number(text, lineno):
     ("n 3 root 0\nedge 0 1\nedge 1 0\n", 3),              # duplicate edge
     ("# two edges short\nn 3 root 0\nedge 0 1\n", 2),      # edge count
     ("# cycle\nn 4 root 0\nedge 0 1\nedge 1 2\nedge 2 0\n", 2),  # disconnected
+    ("n 3 root 0\nedge 0 1\nedge 2 2\n", 3),              # edge self-loop
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 1 1\nlink 3 1 1\n", 5),  # link range
+    ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 1 1 1\n", 4),  # link self-loop
+    ("# root\nn 3 root 3\nedge 0 1\nedge 1 2\n", 2),      # bad root
+    ("n 0 root 0\n", 1),                                   # no vertices
 ])
 def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
     with pytest.raises(BadInputError, match=f"^line {lineno}: "):
@@ -284,13 +317,15 @@ def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
 @pytest.mark.parametrize("cost", ["1e5000", "7" * 5000])
 def test_huge_cost_exits_4_fast(cost, tmp_path, capsys):
     # both parse to numbers too long for str(); the parser rejects them
-    # by their size, before it builds the Fraction
+    # by their size, before it builds the Fraction, and does not echo them
     path = tmp_path / "huge.txt"
     path.write_text(f"n 2 root 0\nedge 0 1\nlink 0 1 {cost}\n")
     start = time.perf_counter()
     assert main(["run-tree", str(path)]) == 4
     assert time.perf_counter() - start < 1.0
-    assert "line 3: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 3: " in err
+    assert len(err) < 200
 
 
 @given(kind=st.sampled_from(["tree", "path"]), n=st.integers(2, 12),
