@@ -22,7 +22,7 @@ import sys
 import time
 
 from .adversary import CONTESTANTS, HierarchicalInstance, adversary_drive
-from .decomposition import decompose, width
+from .decomposition import decompose, meet, width
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError)
 from .fractional import FractionalPathSolver
@@ -124,6 +124,34 @@ def _solver_invariants(solvers, dual_id: str) -> list:
     ]
 
 
+def _uncovered_requested_edges(inst, decomp, bought) -> list:
+    """Requested edges no bought link covers, by tree difference counts.
+
+    Each bought link, and in a second count each request, adds +1 at
+    both endpoints and -2 at their meeting vertex; summing every subtree
+    then leaves at v the number of link (or request) paths through the
+    edge above v.  This reads only the bought link ids, never the tree
+    solver's coverage state, so it is an independent check of it.
+    """
+    def paths_through(ends):
+        counts = [0] * inst.n
+        for u, v in ends:
+            counts[u] += 1
+            counts[v] += 1
+            counts[meet(inst, decomp, u, v)] -= 2
+        return counts
+
+    links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
+    asked = paths_through((r.s, r.t) for r in inst.requests)
+    parent = inst.parent
+    for v in sorted(range(inst.n), key=inst.depth.__getitem__, reverse=True):
+        if v != inst.root:
+            links[parent[v]] += links[v]
+            asked[parent[v]] += asked[v]
+    return sorted(inst.edge_of_child[v] for v in range(inst.n)
+                  if asked[v] and not links[v])
+
+
 def _run_tree(inst):
     solver = TreeSolver(inst)
     per_request = []
@@ -135,8 +163,8 @@ def _run_tree(inst):
             "incremental_cost": rep.incremental_cost,
             "bought": list(rep.bought_sources),
         })
-    missing = [e for req in inst.requests
-               for e in inst.expand_request(req) if not solver.covered[e]]
+    missing = _uncovered_requested_edges(inst, solver.decomp,
+                                         solver.purchase_order)
     invariants = [InvariantRecord(
         id="requested-paths-covered", ok=not missing,
         detail=f"uncovered edges {missing}" if missing else "")]

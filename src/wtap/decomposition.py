@@ -13,7 +13,7 @@ Two layers:
 * array layer (``decompose_arrays``, ``width_arrays``) works on plain
   parent/children arrays with no object overhead; the exhaustive small
   tree sweeps run through it.
-* object layer (``decompose``, ``width``, ``project``) wraps a
+* object layer (``decompose``, ``width``, ``project``, ``meet``) wraps a
   ``TreeInstance`` and produces ``RootedPathDecomposition`` /
   ``ProjectedLink`` values for everything downstream.
 
@@ -22,6 +22,15 @@ path owning the edge from v to its parent, and ``pos_above[v]``, v's
 position on that path.  Every edge is addressed by its child vertex, so
 ``width`` and ``project`` (and the tree solver's edge routing) read
 these arrays instead of rebuilding vertex-to-position maps.
+
+``meet`` and ``project`` never walk a tree path edge by edge.  ``meet``
+finds the lowest common ancestor by jumping from each endpoint to the
+head of the path above it (``paths[pid].vertices[0]``), always moving
+the endpoint whose head is deeper, as in heavy-light decomposition
+(Sleator-Tarjan 1983), until both sit on one path.  ``project`` then
+climbs from each endpoint to that vertex one path segment at a time.
+So a pair's meeting vertex and a link's projections each cost O(width)
+steps.
 """
 
 from __future__ import annotations
@@ -244,34 +253,72 @@ def width(inst: TreeInstance, decomp: RootedPathDecomposition) -> int:
                         decomp.pid_above)
 
 
+def meet(inst: TreeInstance, decomp: RootedPathDecomposition,
+         u: int, v: int) -> int:
+    """Lowest common ancestor of u and v, by path-head jumps.
+
+    While u and v hang below different paths, the one whose path head
+    is deeper jumps to that head; once both are on one path (or both
+    are the root) the shallower of the two is the meeting vertex.  Each
+    jump leaves a path for good, so this takes O(width) steps.
+    """
+    pid_above, paths, depth = decomp.pid_above, decomp.paths, inst.depth
+    while True:
+        pu, pv = pid_above[u], pid_above[v]
+        if pu == pv:
+            return u if depth[u] <= depth[v] else v
+        if pv < 0 or (pu >= 0
+                      and depth[paths[pu].root] >= depth[paths[pv].root]):
+            u = paths[pu].root
+        else:
+            v = paths[pv].root
+
+
 def project(inst: TreeInstance, decomp: RootedPathDecomposition,
             link: Link) -> list:
     """All per-path projections of one link, path id ascending.
 
-    Paths meeting the link's tree path in zero edges contribute
-    nothing; among the rest at most one projection is non-rooted.
+    Find the meeting vertex by ``meet``, then climb from each endpoint
+    to it a path at a time: from x the climb takes the segment
+    ``.. pos_above[x]`` of path ``pid_above[x]``, up to that path's head,
+    or to the meeting vertex when it lies inside the path.  So a link
+    costs O(width), not O(length of its tree path).  Paths meeting the
+    link's tree path in zero edges contribute nothing; among the rest at
+    most one projection is non-rooted.  A path met twice, or a segment
+    end not at its stated position, means the decomposition's arrays
+    disagree and raises ``InvariantViolationError``.
     """
-    by_pid = {}
-    for e in inst.tree_path(link.u, link.v).edges:
-        child = inst.child_of_edge[e]
-        by_pid.setdefault(decomp.pid_above[child], []).append(
-            decomp.pos_above[child])
+    pid_above, pos_above = decomp.pid_above, decomp.pos_above
+    paths, depth = decomp.paths, inst.depth
+    top = meet(inst, decomp, link.u, link.v)
+    spans = {}                      # path id -> (left, right)
+    for x in (link.u, link.v):
+        while x != top:
+            pid = pid_above[x]
+            verts = paths[pid].vertices
+            if depth[verts[0]] >= depth[top]:
+                y, left = verts[0], 0
+            else:
+                y, left = top, pos_above[top]
+            right = pos_above[x]
+            if (pid in spans or not 0 <= left < right < len(verts)
+                    or verts[left] != y or verts[right] != x):
+                raise InvariantViolationError(
+                    f"projection of link {link.id} onto path {pid} "
+                    f"is not contiguous")
+            spans[pid] = (left, right)
+            x = y
     out = []
-    for pid in sorted(by_pid):
-        idxs = by_pid[pid]
-        i0, i1 = min(idxs), max(idxs)
-        if i1 - i0 + 1 != len(idxs):
-            raise InvariantViolationError(
-                f"projection of link {link.id} onto path {pid} "
-                f"is not contiguous")
-        verts = decomp.paths[pid].vertices
+    for pid in sorted(spans):
+        left, right = spans[pid]
+        verts = paths[pid].vertices
         out.append(ProjectedLink(
             source=link.id,
             path_id=pid,
-            u=verts[i0 - 1],
-            v=verts[i1],
-            left=i0 - 1,
-            right=i1,
-            rooted=(i0 - 1 == 0),
+            u=verts[left],
+            v=verts[right],
+            left=left,
+            right=right,
+            rooted=(left == 0),
         ))
     return out

@@ -134,7 +134,3 @@ def random_minimal_path_instance(rng: random.Random, max_edges: int = 64,
         raw.append(PathLink(left=left, right=right, cost=2 ** cls, cls=cls, id=i))
     minimal, record = build_minimal_instance(m, raw)
     return minimal, record, raw
-
-
-def random_request_positions(rng: random.Random, edge_count: int, count: int):
-    return [rng.randrange(edge_count) for _ in range(count)]

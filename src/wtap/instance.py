@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import BadInputError
 
@@ -39,14 +39,10 @@ class Link:
 
 @dataclass(frozen=True)
 class Request:
-    """A terminal pair, or a single tree edge when ``edge`` is set."""
+    """A terminal pair; its tree path is the set of edges to cover."""
 
-    s: Optional[int] = None
-    t: Optional[int] = None
-    edge: Optional[int] = None
-
-    def is_elementary(self) -> bool:
-        return self.edge is not None
+    s: int
+    t: int
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,7 @@ class TreeInstance:
             if not isinstance(r, Request):
                 s, t = r
                 r = Request(s=int(s), t=int(t))
-            if r.edge is None:
-                _check_ends(n, "request", i, r.s, r.t)
+            _check_ends(n, "request", i, r.s, r.t)
             self.requests.append(r)
 
         self._cov = None
@@ -240,8 +235,6 @@ class TreeInstance:
 
     def expand_request(self, req: Request) -> list:
         """Edge ids of the request's tree path, ordered from s to t."""
-        if req.edge is not None:
-            return [req.edge]
         if req.s == req.t:
             return []
         return list(self.tree_path(req.s, req.t).edges)
@@ -338,11 +331,7 @@ def format_instance(inst: TreeInstance) -> str:
     for ln, raw in zip(inst.links, inst.raw_costs):
         lines.append(f"link {ln.u} {ln.v} {raw}")
     for r in inst.requests:
-        if r.edge is not None:
-            child = inst.child_of_edge[r.edge]
-            lines.append(f"request {inst.parent[child]} {child}")
-        else:
-            lines.append(f"request {r.s} {r.t}")
+        lines.append(f"request {r.s} {r.t}")
     return "\n".join(lines) + "\n"
 
 

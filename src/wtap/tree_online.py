@@ -1,17 +1,27 @@
 """Online tree augmentation by reduction to per-path solvers.
 
 Setup: decompose the tree into rooted paths, project every link onto
-every path it meets, dedup projections landing on identical spans to
-the cheapest source, prune each path's link set to a minimal instance,
-and attach one path solver per path.
+every path it meets (by path-head jumps, O(width) per link), dedup
+projections landing on identical spans to the cheapest source, prune
+each path's link set to a minimal instance, and attach one path solver
+per path.
 
-Serving a terminal pair expands it to elementary edge requests (s up
-to the meeting vertex, then down to t).  Each still-uncovered edge is
-handed to its path's solver; every projected purchase buys the source
-link it came from.  Source purchases are global: a link bought through
-one path covers its whole tree path, so repeat purchases through other
-paths are free no-ops and global coverage, not per-path coverage,
-decides whether an edge still needs serving.
+Serving a terminal pair hands its still-uncovered edges, s up to the
+meeting vertex and then down to t, one at a time to their paths'
+solvers; every projected purchase buys the source link it came from.
+Source purchases are global: a link bought through one path covers its
+whole tree path, so repeat purchases through other paths are free
+no-ops and global coverage, not per-path coverage, decides whether an
+edge still needs serving.
+
+Coverage lives in a union-find over covered edges (Tarjan 1975):
+``up[v]`` leads to the nearest ancestor-or-self of v whose parent edge
+is still uncovered, or to the root.  A pair finds its meeting vertex
+by head jumps and lists only the uncovered edges below it; a bought
+link marks its uncovered edges and unites each with its parent, so
+every tree edge is marked once over the whole run.  The listed edges
+are re-checked as they are served, since a purchase may cover later
+ones; so the serve order and skips are those of an edge-by-edge walk.
 
 An edge no link covers is caught from its path's minimal instance
 alone.  A link covers a tree edge exactly when its projection onto the
@@ -24,11 +34,11 @@ any covering link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .decomposition import decompose, project
+from .decomposition import decompose, meet, project
 from .errors import InfeasibleInstanceError
-from .instance import Request, TreeInstance
+from .instance import TreeInstance
 from .path_online import PathSolver
 from .pruning import PathLink, build_minimal_instance
 
@@ -37,10 +47,15 @@ from .pruning import PathLink, build_minimal_instance
 class PairReport:
     s: int
     t: int
-    elementary: tuple           # edge ids in serve order
-    served: tuple               # subset actually routed to solvers
+    served: tuple               # edge ids routed to solvers, serve order
     bought_sources: tuple       # original link ids bought, purchase order
     incremental_cost: int
+    inst: TreeInstance = field(repr=False, compare=False)
+
+    @property
+    def elementary(self) -> tuple:
+        """Edge ids of the pair's tree path from s to t, walked on access."""
+        return self.inst.tree_path(self.s, self.t).edges
 
 
 class TreeSolver:
@@ -80,39 +95,68 @@ class TreeSolver:
             self.prune_records.append(record)
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
-        # edge id -> (path id, position of the edge on that path)
-        pid_above = self.decomp.pid_above
-        pos_above = self.decomp.pos_above
-        self.edge_pos = [(pid_above[child], pos_above[child] - 1)
-                         for child in inst.child_of_edge]
-
         self.bought_sources = set()
         self.purchase_order = []
         self.cost_total = 0
         self.covered = [False] * (inst.n - 1)
+        # union-find over covered edges: up[v] leads to the nearest
+        # ancestor-or-self whose parent edge is uncovered (or the root)
+        self.up = list(range(inst.n))
         self.reports = []
 
+    def _uncovered_below(self, v: int, top: int) -> list:
+        """Child ends of the uncovered edges from v up to its ancestor top.
+
+        Each step finds the nearest ancestor-or-self whose parent edge is
+        uncovered, halving the union-find path it follows.
+        """
+        depth, parent, up = self.inst.depth, self.inst.parent, self.up
+        stop = depth[top]
+        out = []
+        while True:
+            while up[v] != v:
+                up[v] = up[up[v]]
+                v = up[v]
+            if depth[v] <= stop:
+                return out
+            out.append(v)
+            v = parent[v]
+
     def _buy_source(self, link_id: int) -> int:
-        """Buy an original link once; repeats cost nothing."""
+        """Buy an original link once; repeats cost nothing.
+
+        Marks the link's still-uncovered edges and unites each with its
+        parent, so every tree edge is marked once over the whole run.
+        """
         if link_id in self.bought_sources:
             return 0
         self.bought_sources.add(link_id)
         self.purchase_order.append(link_id)
         link = self.inst.links[link_id]
-        for e in self.inst.link_edges(link.id):
-            self.covered[e] = True
+        top = meet(self.inst, self.decomp, link.u, link.v)
+        edge_of_child, parent = self.inst.edge_of_child, self.inst.parent
+        for end in (link.u, link.v):
+            for v in self._uncovered_below(end, top):
+                self.covered[edge_of_child[v]] = True
+                self.up[v] = parent[v]
         self.cost_total += link.cost
         return link.cost
 
     def serve_pair(self, s: int, t: int) -> PairReport:
-        elementary = tuple(self.inst.expand_request(Request(s=s, t=t)))
+        top = meet(self.inst, self.decomp, s, t)
+        pending = (self._uncovered_below(s, top)
+                   + self._uncovered_below(t, top)[::-1])
+        edge_of_child = self.inst.edge_of_child
+        pid_above, pos_above = self.decomp.pid_above, self.decomp.pos_above
+        covered = self.covered
         served = []
         bought = []
         inc = 0
-        for e in elementary:
-            if self.covered[e]:
+        for v in pending:
+            e = edge_of_child[v]
+            if covered[e]:              # bought earlier in this pair
                 continue
-            pid, pos = self.edge_pos[e]
+            pid, pos = pid_above[v], pos_above[v] - 1
             if not self.minimal[pid].cov_ids[pos]:
                 raise InfeasibleInstanceError(
                     f"request edge {e} has no covering link")
@@ -130,12 +174,12 @@ class TreeSolver:
                 if spent:
                     bought.append(src)
                     inc += spent
-            if not self.covered[e]:
+            if not covered[e]:
                 raise InfeasibleInstanceError(
                     f"serving edge {e} failed to cover it")
-        report = PairReport(s=s, t=t, elementary=elementary,
-                            served=tuple(served), bought_sources=tuple(bought),
-                            incremental_cost=inc)
+        report = PairReport(s=s, t=t, served=tuple(served),
+                            bought_sources=tuple(bought),
+                            incremental_cost=inc, inst=self.inst)
         self.reports.append(report)
         return report
 

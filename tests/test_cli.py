@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import random
 
-from wtap.cli import main
+from wtap.cli import _uncovered_requested_edges, main
+from wtap.decomposition import decompose
+from wtap.generators import gen_random
+from wtap.instance import parse_instance
 
 PATH_INSTANCE = """\
 n 4 root 0
@@ -131,6 +135,27 @@ def test_run_tree_report_and_verify(tmp_path, capsys):
     assert summary["algorithm"] == "tree-online"
     assert summary["invariants_ok"] is True
     assert main(["verify", report, "--quiet"]) == 0
+
+
+def test_coverage_check_counts_paths_through_each_edge():
+    inst = parse_instance(STAR_INSTANCE)     # request 1 2 needs edges 0, 1
+    decomp = decompose(inst)
+    assert _uncovered_requested_edges(inst, decomp, []) == [0, 1]
+    assert _uncovered_requested_edges(inst, decomp, [1]) == [0]
+    assert _uncovered_requested_edges(inst, decomp, [2, 1]) == [0]
+    assert _uncovered_requested_edges(inst, decomp, [0]) == []
+
+
+def test_coverage_check_matches_walked_paths():
+    for seed in range(20):
+        inst, _ = gen_random("tree", 25, 10, 8.0, seed=seed, feasible=False,
+                             request_count=6)
+        rng = random.Random(seed)
+        bought = rng.sample(range(len(inst.links)), rng.randrange(11))
+        covered = {e for i in bought for e in inst.link_edges(i)}
+        asked = {e for r in inst.requests for e in inst.expand_request(r)}
+        assert _uncovered_requested_edges(inst, decompose(inst), bought) == (
+            sorted(asked - covered))
 
 
 def test_run_frac_summary(tmp_path, capsys):

@@ -152,7 +152,6 @@ def test_expand_request_orders_edges_from_s():
     assert inst.expand_request(Request(s=0, t=3)) == [0, 1, 2]
     assert inst.expand_request(Request(s=3, t=0)) == [2, 1, 0]
     assert inst.expand_request(Request(s=1, t=1)) == []
-    assert inst.expand_request(Request(edge=1)) == [1]
 
 
 # -- construction errors ----------------------------------------------------

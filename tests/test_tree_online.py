@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtap.decomposition import width
+from wtap.cli import run_report
+from wtap.decomposition import ProjectedLink, meet, project, width
 from wtap.errors import InfeasibleInstanceError
-from wtap.generators import gen_random
+from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
-from wtap.oracles import opt_tree_enum
+from wtap.oracles import TREE_ENUM_LINK_CAP, opt_tree_enum
 from wtap.tree_online import TreeSolver
 
 
@@ -154,3 +155,128 @@ def test_random_trees_keep_per_path_duals_feasible(seed, n):
     for ps, minimal in zip(solver.solvers, solver.minimal):
         ok, bad = verify_dual_feasible(ps.y, minimal.links)
         assert ok, bad
+
+
+# -- the head-jump pipeline against the path-walking design it replaced --
+
+
+def walked_projection(inst, decomp, link):
+    """Projections read off every edge of the link's tree path."""
+    by_pid = {}
+    for e in inst.tree_path(link.u, link.v).edges:
+        child = inst.child_of_edge[e]
+        by_pid.setdefault(decomp.pid_above[child], []).append(
+            decomp.pos_above[child])
+    out = []
+    for pid in sorted(by_pid):
+        lo, hi = min(by_pid[pid]), max(by_pid[pid])
+        assert hi - lo + 1 == len(by_pid[pid])
+        verts = decomp.paths[pid].vertices
+        out.append(ProjectedLink(source=link.id, path_id=pid, u=verts[lo - 1],
+                                 v=verts[hi], left=lo - 1, right=hi,
+                                 rooted=lo == 1))
+    return out
+
+
+def walked_serve(solver, pairs):
+    """Serve pairs on a fresh solver's path solvers, expanding every pair
+    and every bought link edge by edge.  Returns one
+    ``(served, bought, incremental cost)`` triple per pair (or the error
+    message that ended the run) and the final covered, purchase order
+    and total cost."""
+    inst = solver.inst
+    covered = [False] * (inst.n - 1)
+    order = []
+    total = 0
+    outcomes = []
+    for s, t in pairs:
+        served, bought, inc = [], [], 0
+        try:
+            for e in inst.tree_path(s, t).edges:
+                if covered[e]:
+                    continue
+                child = inst.child_of_edge[e]
+                pid = solver.decomp.pid_above[child]
+                pos = solver.decomp.pos_above[child] - 1
+                if not solver.minimal[pid].cov_ids[pos]:
+                    raise InfeasibleInstanceError(
+                        f"request edge {e} has no covering link")
+                rec = solver.solvers[pid].serve(pos)
+                served.append(e)
+                new_ids = [i for i in (rec.type1, rec.type2) if i is not None]
+                for plid in new_ids + list(rec.type3):
+                    src = solver.minimal[pid].kept_from[plid]
+                    if src in order:
+                        continue
+                    order.append(src)
+                    link = inst.links[src]
+                    for f in inst.tree_path(link.u, link.v).edges:
+                        covered[f] = True
+                    bought.append(src)
+                    inc += link.cost
+                    total += link.cost
+                assert covered[e]
+        except InfeasibleInstanceError as exc:
+            outcomes.append(str(exc))
+            break
+        outcomes.append((tuple(served), tuple(bought), inc))
+    return outcomes, covered, order, total
+
+
+@given(st.data())
+def test_head_jumps_and_union_find_match_the_walked_paths(data):
+    n = data.draw(st.integers(2, 30), label="n")
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                             max_size=n - 2), label="prufer")
+    vertex = st.integers(0, n - 1)
+    ends = data.draw(st.lists(st.tuples(vertex, vertex).filter(
+        lambda e: e[0] != e[1]), max_size=2 * n), label="links")
+    costs = data.draw(st.lists(st.sampled_from([1, 2, 3, 5, 8]),
+                               min_size=len(ends), max_size=len(ends)))
+    pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=n),
+                      label="pairs")
+    root = data.draw(vertex, label="root")
+    inst = TreeInstance(n=n, edges=prufer_decode(seq, n), root=root,
+                        raw_links=[(u, v, c) for (u, v), c in zip(ends, costs)])
+    solver = TreeSolver(inst)
+
+    # (a) projection and meeting vertex
+    for ln in inst.links:
+        assert project(inst, solver.decomp, ln) == walked_projection(
+            inst, solver.decomp, ln)
+    for s, t in pairs:
+        on_path = inst.tree_path(s, t).vertices
+        assert meet(inst, solver.decomp, s, t) == min(
+            on_path, key=inst.depth.__getitem__)
+
+    # (b) serving
+    expected, covered, order, total = walked_serve(TreeSolver(inst), pairs)
+    outcomes = []
+    for s, t in pairs:
+        try:
+            rep = solver.serve_pair(s, t)
+        except InfeasibleInstanceError as exc:
+            outcomes.append(str(exc))
+            break
+        outcomes.append((rep.served, rep.bought_sources, rep.incremental_cost))
+    assert outcomes == expected
+    assert solver.covered == covered
+    assert solver.purchase_order == order
+    assert solver.cost_total == total
+
+
+def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
+    inst, pairs = gen_random("tree", 60, 40, 16.0, seed=3, request_count=60)
+    # above the cap, run_report skips opt_tree_enum, which does walk paths
+    assert len(inst.links) > TREE_ENUM_LINK_CAP
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the run pipeline walked a tree path")
+
+    for name in ("tree_path", "link_edges", "expand_request"):
+        monkeypatch.setattr(TreeInstance, name, walk)
+    solver = TreeSolver(inst)
+    assert len(solver.run(pairs)) == len(pairs)
+    report = run_report("tree-online", inst)
+    assert all(r.ok for r in report.invariants)
+    assert report.final_cost == str(solver.cost_total)
