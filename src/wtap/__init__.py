@@ -1,7 +1,6 @@
 """Online weighted tree augmentation: solvers, oracles, and harness."""
 
-from .decomposition import (DecompPath, ProjectedLink,
-                            RootedPathDecomposition, decompose,
+from .decomposition import (RootedPathDecomposition, decompose,
                             default_width_bound, project, width)
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError, OracleSizeError, WtapError)
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadInputError",
-    "DecompPath",
     "FractionalPathSolver",
     "InfeasibleInstanceError",
     "InvariantViolationError",
@@ -32,7 +30,6 @@ __all__ = [
     "PairReport",
     "PathLink",
     "PathSolver",
-    "ProjectedLink",
     "PruneRecord",
     "Request",
     "RootedPathDecomposition",

@@ -44,9 +44,12 @@ class HierarchicalInstance:
             raise BadInputError("block factor B must be at least 2")
         if k < 1:
             raise BadInputError("depth k must be at least 1")
-        n = (2 * B) ** k
-        if n > self.SIZE_GUARD:
-            raise BadInputError(f"path length {n} exceeds the memory guard")
+        n = 1
+        for _ in range(k):      # (2B)^k itself may have thousands of digits
+            n *= 2 * B
+            if n > self.SIZE_GUARD:
+                raise BadInputError(f"path length (2B)^k for B = {B}, k = {k} "
+                                    f"exceeds the guard {self.SIZE_GUARD}")
         self.B = B
         self.k = k
         self.n = n

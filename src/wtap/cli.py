@@ -22,7 +22,7 @@ import sys
 import time
 
 from .adversary import CONTESTANTS, HierarchicalInstance, adversary_drive
-from .decomposition import decompose, meet, width
+from .decomposition import decompose, default_width_bound, meet, width
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError)
 from .fractional import FractionalPathSolver
@@ -301,20 +301,21 @@ def cmd_decompose(args) -> int:
     inst = load_instance(args.instance)
     decomp = decompose(inst)
     w = width(inst, decomp)
+    bound = default_width_bound(inst.n)
     payload = {
         "n": inst.n,
         "root": inst.root,
         "width": w,
-        "width_bound": decomp.width_bound,
+        "width_bound": bound,
         "paths": [
-            {"id": p.id, "root": p.root, "vertices": list(p.vertices)}
-            for p in decomp.paths
+            {"id": pid, "root": verts[0], "vertices": list(verts)}
+            for pid, verts in enumerate(decomp.paths)
         ],
-        "edge_to_path": list(decomp.edge_to_path),
+        "edge_to_path": [decomp.pid_above[c] for c in inst.child_of_edge],
     }
     print(json.dumps(payload, indent=2))
-    if w > decomp.width_bound:
-        _note(args, f"width {w} exceeds bound {decomp.width_bound}")
+    if w > bound:
+        _note(args, f"width {w} exceeds bound {bound}")
         return 2
     return 0
 
@@ -345,7 +346,7 @@ def cmd_prune(args) -> int:
     payload = {
         "path": pid,
         "edge_count": minimal.edge_count,
-        "vertices": list(minimal.path.vertices) if minimal.path else None,
+        "vertices": list(solver.decomp.paths[pid]),
         "kept": kept,
         "removed": removed,
     }

@@ -11,22 +11,25 @@ u-v path meets at most ``2*ceil(log2 n) + 1`` decomposition paths.
 Two layers:
 
 * array layer (``decompose_arrays``, ``width_arrays``) works on plain
-  parent/children arrays with no object overhead; the exhaustive small
-  tree sweeps run through it.
-* object layer (``decompose``, ``width``, ``project``, ``meet``) wraps a
-  ``TreeInstance`` and produces ``RootedPathDecomposition`` /
-  ``ProjectedLink`` values for everything downstream.
+  parent/children arrays; the exhaustive small tree sweeps run through
+  it.
+* instance layer (``decompose``, ``width``, ``project``, ``meet``) takes
+  a ``TreeInstance``.  ``decompose`` returns the arrays frozen in a
+  ``RootedPathDecomposition``, and ``project`` returns a link's spans as
+  ``(path_id, left, right)`` triples.
 
-The decomposition stores one per-vertex index: ``pid_above[v]``, the
-path owning the edge from v to its parent, and ``pos_above[v]``, v's
-position on that path.  Every edge is addressed by its child vertex, so
-``width`` and ``project`` (and the tree solver's edge routing) read
-these arrays instead of rebuilding vertex-to-position maps.
+A ``RootedPathDecomposition`` holds three arrays.  ``paths[p]`` is path
+p's vertex tuple, from its head (the vertex closest to the tree root)
+downward.  ``pid_above[v]`` is the path owning the edge from v to its
+parent, and ``pos_above[v]`` is v's position on that path.  Every edge
+is addressed by its child vertex, so ``width`` and ``project`` (and the
+tree solver's edge routing) read these arrays instead of rebuilding
+vertex-to-position maps.
 
 ``meet`` and ``project`` never walk a tree path edge by edge.  ``meet``
 finds the lowest common ancestor by jumping from each endpoint to the
-head of the path above it (``paths[pid].vertices[0]``), always moving
-the endpoint whose head is deeper, as in heavy-light decomposition
+head of the path above it (``paths[pid][0]``), always moving the
+endpoint whose head is deeper, as in heavy-light decomposition
 (Sleator-Tarjan 1983), until both sit on one path.  ``project`` then
 climbs from each endpoint to that vertex one path segment at a time.
 So a pair's meeting vertex and a link's projections each cost O(width)
@@ -44,39 +47,10 @@ from .instance import Link, TreeInstance
 
 
 @dataclass(frozen=True)
-class DecompPath:
-    id: int
-    vertices: tuple     # ordered from the path's root downward
-    root: int
-
-
-@dataclass(frozen=True)
 class RootedPathDecomposition:
-    paths: tuple
-    edge_to_path: tuple      # edge id -> path id
-    width_bound: int         # 2*ceil(log2 n) + 1
-    n: int
-    root: int
+    paths: tuple             # path id -> vertex tuple, head first
     pid_above: tuple         # vertex -> id of the path owning its parent edge
     pos_above: tuple         # vertex -> its position on that path (root: -1)
-
-
-@dataclass(frozen=True)
-class ProjectedLink:
-    """Image of a link on one decomposition path.
-
-    ``left``/``right`` are vertex positions along the path (root = 0);
-    the projection covers path edges ``left .. right-1``.  Rooted means
-    the upper endpoint is the path's root.
-    """
-
-    source: int
-    path_id: int
-    u: int
-    v: int
-    left: int
-    right: int
-    rooted: bool
 
 
 def tree_children(inst: TreeInstance) -> list:
@@ -229,20 +203,12 @@ def default_width_bound(n: int) -> int:
 def decompose(inst: TreeInstance) -> RootedPathDecomposition:
     children = tree_children(inst)
     paths, pid_above = decompose_arrays(inst.n, inst.root, inst.parent, children)
-    edge_to_path = tuple(pid_above[child] for child in inst.child_of_edge)
     pos_above = [-1] * inst.n
     for p in paths:
         for i in range(1, len(p)):
             pos_above[p[i]] = i
-    dpaths = tuple(
-        DecompPath(id=i, vertices=tuple(p), root=p[0]) for i, p in enumerate(paths)
-    )
     return RootedPathDecomposition(
-        paths=dpaths,
-        edge_to_path=edge_to_path,
-        width_bound=default_width_bound(inst.n),
-        n=inst.n,
-        root=inst.root,
+        paths=tuple(map(tuple, paths)),
         pid_above=tuple(pid_above),
         pos_above=tuple(pos_above),
     )
@@ -268,34 +234,37 @@ def meet(inst: TreeInstance, decomp: RootedPathDecomposition,
         if pu == pv:
             return u if depth[u] <= depth[v] else v
         if pv < 0 or (pu >= 0
-                      and depth[paths[pu].root] >= depth[paths[pv].root]):
-            u = paths[pu].root
+                      and depth[paths[pu][0]] >= depth[paths[pv][0]]):
+            u = paths[pu][0]
         else:
-            v = paths[pv].root
+            v = paths[pv][0]
 
 
 def project(inst: TreeInstance, decomp: RootedPathDecomposition,
             link: Link) -> list:
-    """All per-path projections of one link, path id ascending.
+    """The link's spans ``(path_id, left, right)``, path id ascending.
 
-    Find the meeting vertex by ``meet``, then climb from each endpoint
-    to it a path at a time: from x the climb takes the segment
-    ``.. pos_above[x]`` of path ``pid_above[x]``, up to that path's head,
-    or to the meeting vertex when it lies inside the path.  So a link
-    costs O(width), not O(length of its tree path).  Paths meeting the
-    link's tree path in zero edges contribute nothing; among the rest at
-    most one projection is non-rooted.  A path met twice, or a segment
-    end not at its stated position, means the decomposition's arrays
-    disagree and raises ``InvariantViolationError``.
+    ``left``/``right`` are vertex positions on path ``path_id`` (head =
+    0); the span covers that path's edges ``left .. right-1`` and is
+    rooted exactly when ``left == 0``.  Find the meeting vertex by
+    ``meet``, then climb from each endpoint to it a path at a time: from
+    x the climb takes the segment ``.. pos_above[x]`` of path
+    ``pid_above[x]``, up to that path's head, or to the meeting vertex
+    when it lies inside the path.  So a link costs O(width), not
+    O(length of its tree path).  Paths meeting the link's tree path in
+    zero edges contribute nothing; among the rest at most one span is
+    non-rooted.  A path met twice, or a segment end not at its stated
+    position, means the decomposition's arrays disagree and raises
+    ``InvariantViolationError``.
     """
     pid_above, pos_above = decomp.pid_above, decomp.pos_above
     paths, depth = decomp.paths, inst.depth
     top = meet(inst, decomp, link.u, link.v)
-    spans = {}                      # path id -> (left, right)
+    spans = {}                      # path id -> (path id, left, right)
     for x in (link.u, link.v):
         while x != top:
             pid = pid_above[x]
-            verts = paths[pid].vertices
+            verts = paths[pid]
             if depth[verts[0]] >= depth[top]:
                 y, left = verts[0], 0
             else:
@@ -306,19 +275,6 @@ def project(inst: TreeInstance, decomp: RootedPathDecomposition,
                 raise InvariantViolationError(
                     f"projection of link {link.id} onto path {pid} "
                     f"is not contiguous")
-            spans[pid] = (left, right)
+            spans[pid] = (pid, left, right)
             x = y
-    out = []
-    for pid in sorted(spans):
-        left, right = spans[pid]
-        verts = paths[pid].vertices
-        out.append(ProjectedLink(
-            source=link.id,
-            path_id=pid,
-            u=verts[left],
-            v=verts[right],
-            left=left,
-            right=right,
-            rooted=(left == 0),
-        ))
-    return out
+    return [spans[pid] for pid in sorted(spans)]

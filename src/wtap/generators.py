@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -76,6 +77,8 @@ def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
     """
     if n < 2:
         raise BadInputError("need at least two vertices")
+    if not math.isfinite(cost_spread * 4096):
+        raise BadInputError(f"cost spread {cost_spread} times 4096 is not finite")
     rng = random.Random(seed)
     root = 0
     if kind == "tree":

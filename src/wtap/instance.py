@@ -81,20 +81,15 @@ def round_costs(raw_costs: Sequence[Fraction]) -> list:
                 f"link {i} cost is not positive; buy zero-cost links up "
                 f"front and drop them", ("link", i))
     lo = min(raw_costs)
+    lo_num, lo_den = lo.numerator, lo.denominator
     out = []
     for c in raw_costs:
-        j = _ceil_pow2_class(Fraction(c, 1) / lo)
+        # smallest j with c / lo <= 2**j, by cross-multiplication: with
+        # q = ceil(c / lo) >= 1 that is the bit length of q - 1
+        q = -(-c.numerator * lo_den // (c.denominator * lo_num))
+        j = (q - 1).bit_length()
         out.append((1 << j, j))
     return out
-
-
-def _ceil_pow2_class(f: Fraction) -> int:
-    # smallest j >= 0 with 2**j >= f, assuming f >= 1
-    num, den = f.numerator, f.denominator
-    j = max(0, (num // den).bit_length() - 1)
-    while (1 << j) * den < num:
-        j += 1
-    return j
 
 
 def _check_ends(n: int, kind: str, i: int, u: int, v: int):

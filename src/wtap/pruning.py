@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .decomposition import DecompPath
 from .errors import BadInputError, InvariantViolationError
 from .instance import TreeInstance
 
@@ -54,7 +53,6 @@ class MinimalPathInstance:
     edge_count: int
     links: tuple                      # kept PathLinks, ascending id
     kept_from: dict                   # kept link id -> source link id
-    path: Optional[DecompPath] = None
     by_id: dict = field(init=False, repr=False, compare=False)
     cov_ids: list = field(init=False, repr=False, compare=False)
 
@@ -254,8 +252,7 @@ def replacement_cover(link: PathLink, kept_same_class) -> list:
     return out
 
 
-def build_minimal_instance(edge_count: int, links, kept_from=None,
-                           path: Optional[DecompPath] = None):
+def build_minimal_instance(edge_count: int, links, kept_from=None):
     """Run both prune stages; returns (MinimalPathInstance, PruneRecord)."""
     for l in links:
         if not (0 <= l.left < l.right <= edge_count):
@@ -288,7 +285,6 @@ def build_minimal_instance(edge_count: int, links, kept_from=None,
         edge_count=edge_count,
         links=tuple(kept),
         kept_from=kept_from,
-        path=path,
     )
     record = PruneRecord(edge_count=edge_count, kept=kept, removed=removed)
     return minimal, record

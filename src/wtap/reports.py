@@ -63,6 +63,8 @@ class RunReport:
             raise ValueError(f"unsupported report version {version!r}")
         invariants = [InvariantRecord(**inv) for inv in data.pop("invariants", [])]
         report = RunReport(format_version=version, invariants=invariants, **data)
+        if not isinstance(report.instance_text, str):
+            raise TypeError("instance_text is not a string")
         return report
 
 

@@ -66,14 +66,11 @@ class TreeSolver:
 
         # cheapest source per identical projected span
         spans = [dict() for _ in range(n_paths)]
-        self.projections_of = {ln.id: [] for ln in inst.links}
         for ln in inst.links:
-            for pr in project(inst, self.decomp, ln):
-                self.projections_of[ln.id].append(pr)
-                key = (pr.left, pr.right)
-                cur = spans[pr.path_id].get(key)
+            for pid, left, right in project(inst, self.decomp, ln):
+                cur = spans[pid].get((left, right))
                 if cur is None or (ln.cost, ln.id) < (cur.cost, cur.id):
-                    spans[pr.path_id][key] = ln
+                    spans[pid][(left, right)] = ln
 
         self.minimal = []
         self.prune_records = []
@@ -86,10 +83,9 @@ class TreeSolver:
                                        cls=src.cls, id=idx))
                 kept_from[idx] = src.id
             minimal, record = build_minimal_instance(
-                edge_count=len(self.decomp.paths[pid].vertices) - 1,
+                edge_count=len(self.decomp.paths[pid]) - 1,
                 links=plinks,
                 kept_from=kept_from,
-                path=self.decomp.paths[pid],
             )
             self.minimal.append(minimal)
             self.prune_records.append(record)

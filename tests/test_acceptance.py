@@ -179,7 +179,7 @@ def test_criterion_5_decomposition_width():
         decomp = decompose(inst)
         for link in inst.links:
             projs = project(inst, decomp, link)
-            assert sum(not p.rooted for p in projs) <= 1
+            assert sum(left != 0 for _, left, _ in projs) <= 1
             projected += 1
     elapsed = time.perf_counter() - start
     ok = projected == 10000 and elapsed < 60

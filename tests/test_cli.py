@@ -3,6 +3,8 @@ import io
 import json
 import random
 
+import pytest
+
 from wtap.cli import _uncovered_requested_edges, main
 from wtap.decomposition import decompose
 from wtap.generators import gen_random
@@ -262,3 +264,27 @@ def test_exit_codes(tmp_path, capsys):
                  write(tmp_path, "u.txt", UNCOVERABLE), "--quiet"]) == 3
     assert main(["run-tree", write(tmp_path, "j.txt",
                                    "n 2 root 0\nedge 0 1 junk\n")]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "10", "--cost-spread", "inf"],
+    ["gen", "--n", "10", "--cost-spread", "nan"],
+    ["gen", "--n", "10", "--links", "2000", "--cost-spread", "1e308"],
+    ["sweep", "--kind", "tree", "--cost-spread", "inf"],
+    ["lowerbound", "--k", "8000"],
+    ["verify", 5],                  # a report with this instance_text
+    ["verify", None],
+])
+def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
+    if argv[0] == "verify":
+        report = str(tmp_path / "run.json")
+        main(["run-path", write(tmp_path, "i.txt", PATH_INSTANCE),
+              "--report", report, "--quiet"])
+        data = json.loads(open(report).read())
+        data["instance_text"] = argv[1]
+        open(report, "w").write(json.dumps(data))
+        argv = ["verify", report]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err

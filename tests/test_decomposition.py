@@ -29,9 +29,9 @@ def test_path_from_endpoint_is_one_path():
     inst = make(8, [(i, i + 1) for i in range(7)])
     d = decompose(inst)
     assert len(d.paths) == 1
-    assert d.paths[0].vertices == tuple(range(8))
+    assert d.paths[0] == tuple(range(8))
     assert width(inst, d) == 1
-    assert d.width_bound == 7
+    assert default_width_bound(inst.n) == 7
 
 
 def test_path_from_interior_root_splits_once():
@@ -45,7 +45,7 @@ def test_star_from_center():
     inst = make(4, [(0, 1), (0, 2), (0, 3)])
     d = decompose(inst)
     assert len(d.paths) == 3
-    assert sorted(p.vertices for p in d.paths) == [(0, 1), (0, 2), (0, 3)]
+    assert sorted(d.paths) == [(0, 1), (0, 2), (0, 3)]
     assert width(inst, d) == 2
 
 
@@ -60,7 +60,7 @@ def test_complete_binary_tree_width_within_bound():
     edges = [((i - 1) // 2, i) for i in range(1, 15)]
     inst = make(15, edges)
     d = decompose(inst)
-    assert width(inst, d) <= d.width_bound == 9
+    assert width(inst, d) <= default_width_bound(inst.n) == 9
 
 
 def test_single_vertex_decomposes_to_nothing():
@@ -68,7 +68,7 @@ def test_single_vertex_decomposes_to_nothing():
     d = decompose(inst)
     assert d.paths == ()
     assert width(inst, d) == 0
-    assert d.width_bound == 0
+    assert default_width_bound(inst.n) == 0
 
 
 def test_width_bound_values():
@@ -83,22 +83,24 @@ def test_width_bound_values():
 
 def assert_well_formed(inst, d):
     # every tree edge belongs to exactly one path, via its child endpoint
+    # and sits at its stated position there
     owner = {}
-    for p in d.paths:
-        for a, b in zip(p.vertices, p.vertices[1:]):
+    for pid, verts in enumerate(d.paths):
+        for i, (a, b) in enumerate(zip(verts, verts[1:]), start=1):
             assert inst.parent[b] == a, "paths must descend parent to child"
             assert b not in owner
-            owner[b] = p.id
+            owner[b] = pid
+            assert d.pos_above[b] == i
     assert len(owner) == inst.n - 1
-    for eid in range(inst.n - 1):
-        assert d.edge_to_path[eid] == owner[inst.child_of_edge[eid]]
+    for child in inst.child_of_edge:
+        assert d.pid_above[child] == owner[child]
+    assert d.pid_above[inst.root] == d.pos_above[inst.root] == -1
     # each later path hangs off a vertex of an earlier one
-    for p in d.paths:
-        assert p.root == p.vertices[0]
-        if p.id > 0:
-            assert any(p.root in q.vertices for q in d.paths[:p.id])
+    for pid, verts in enumerate(d.paths):
+        if pid > 0:
+            assert any(verts[0] in q for q in d.paths[:pid])
     if d.paths:
-        assert d.paths[0].root == inst.root
+        assert d.paths[0][0] == inst.root
 
 
 @given(st.data())
@@ -109,7 +111,7 @@ def test_random_tree_decompositions_are_well_formed(data):
     inst = make(n, prufer_decode(seq, n))
     d = decompose(inst)
     assert_well_formed(inst, d)
-    assert width(inst, d) <= d.width_bound
+    assert width(inst, d) <= default_width_bound(inst.n)
 
 
 @settings(max_examples=40)
@@ -147,14 +149,12 @@ def test_tree_children_sorted():
 def test_projection_example():
     inst = make(4, [(0, 1), (1, 2), (1, 3)], raw_links=[(3, 2, 1)])
     d = decompose(inst)
-    assert [p.vertices for p in d.paths] == [(0, 1, 2), (1, 3)]
+    assert d.paths == ((0, 1, 2), (1, 3))
     prs = project(inst, d, inst.links[0])
-    by_pid = {pr.path_id: pr for pr in prs}
-    assert len(prs) == 2
-    p0 = by_pid[0]
-    assert (p0.u, p0.v, p0.left, p0.right, p0.rooted) == (1, 2, 1, 2, False)
-    p1 = by_pid[1]
-    assert (p1.u, p1.v, p1.left, p1.right, p1.rooted) == (1, 3, 0, 1, True)
+    assert prs == [(0, 1, 2), (1, 0, 1)]
+    # endpoint vertices of each span, upper end first
+    assert [(d.paths[pid][left], d.paths[pid][right])
+            for pid, left, right in prs] == [(1, 2), (1, 3)]
 
 
 def test_projection_of_in_path_link_is_rooted_iff_at_path_root():
@@ -162,8 +162,8 @@ def test_projection_of_in_path_link_is_rooted_iff_at_path_root():
     d = decompose(inst)
     pr0 = project(inst, d, inst.links[0])
     pr1 = project(inst, d, inst.links[1])
-    assert len(pr0) == 1 and pr0[0].rooted
-    assert len(pr1) == 1 and not pr1[0].rooted
+    assert pr0 == [(0, 0, 2)]           # rooted: starts at the path's head
+    assert pr1 == [(0, 1, 3)]
 
 
 def test_non_contiguous_projection_is_an_invariant_violation():
@@ -187,12 +187,12 @@ def test_projections_partition_link_path(data):
     inst = make(n, prufer_decode(seq, n), raw_links=[(u, v, 1)])
     d = decompose(inst)
     prs = project(inst, d, inst.links[0])
-    assert sum(pr.right - pr.left for pr in prs) == len(inst.link_edges(0))
-    assert sum(1 for pr in prs if not pr.rooted) <= 1
+    assert sum(right - left for _, left, right in prs) == len(inst.link_edges(0))
+    assert sum(1 for _, left, _ in prs if left != 0) <= 1
     assert len(prs) <= max(1, width(inst, d))
-    for pr in prs:
-        verts = d.paths[pr.path_id].vertices
-        for e in range(pr.left, pr.right):
+    assert [pid for pid, _, _ in prs] == sorted({pid for pid, _, _ in prs})
+    for pid, left, right in prs:
+        verts = d.paths[pid]
+        for e in range(left, right):
             child = verts[e + 1]
             assert inst.edge_of_child[child] in inst.link_edges(0)
-        assert pr.rooted == (pr.left == 0)

@@ -56,6 +56,36 @@ def test_round_costs_within_factor_two(raws):
         assert cost < 2 * norm
 
 
+def fraction_round_costs(raws):
+    """Reference: smallest j >= 0 with 2**j >= c / lo, in Fractions."""
+    lo = min(raws)
+    out = []
+    for c in raws:
+        f = Fraction(c, 1) / lo
+        j = 0
+        while (1 << j) < f:
+            j += 1
+        out.append((1 << j, j))
+    return out
+
+
+positive_costs = st.one_of(
+    st.integers(1, 10 ** 30),
+    st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12,
+                 max_denominator=10 ** 12))
+
+
+@given(st.lists(positive_costs, min_size=1, max_size=12),
+       st.lists(st.integers(0, 70), max_size=6))
+def test_round_costs_matches_the_fraction_formulation(raws, shifts):
+    # power-of-two multiples of the minimum sit on class boundaries; a
+    # hair above one must move up a class
+    lo = min(raws)
+    raws = raws + [lo * (1 << s) + d for s in shifts
+                   for d in (0, Fraction(1, 10 ** 40))]
+    assert round_costs(raws) == fraction_round_costs(raws)
+
+
 # -- tree structure ---------------------------------------------------------
 
 def path3():

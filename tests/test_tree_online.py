@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtap.cli import run_report
-from wtap.decomposition import ProjectedLink, meet, project, width
+from wtap.decomposition import meet, project, width
 from wtap.errors import InfeasibleInstanceError
 from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
@@ -24,7 +24,7 @@ def test_star_leaf_pair_covers_both_edges_with_one_purchase():
     inst = TreeInstance(n=3, edges=[(0, 1), (0, 2)], root=0,
                         raw_links=[(1, 2, 1)])
     solver = TreeSolver(inst)
-    assert len(solver.projections_of[0]) == 2
+    assert len(project(inst, solver.decomp, inst.links[0])) == 2
     report = solver.serve_pair(1, 2)
     assert report.elementary == (0, 1)
     assert report.served == (0,)          # the second edge came along for free
@@ -125,9 +125,10 @@ def test_projection_multiplicity_bounded_by_width():
     for seed in range(20):
         inst, solver, _ = run_random(seed, n=24, extras=20, pairs=4)
         w = max(1, width(inst, solver.decomp))
-        for lid, prs in solver.projections_of.items():
+        for ln in inst.links:
+            prs = project(inst, solver.decomp, ln)
             assert len(prs) <= w
-            assert sum(1 for p in prs if not p.rooted) <= 1
+            assert sum(1 for _, left, _ in prs if left != 0) <= 1
 
 
 def test_matches_offline_on_fixed_small_instance():
@@ -161,7 +162,8 @@ def test_random_trees_keep_per_path_duals_feasible(seed, n):
 
 
 def walked_projection(inst, decomp, link):
-    """Projections read off every edge of the link's tree path."""
+    """Spans ``(path_id, left, right)`` read off every edge of the link's
+    tree path."""
     by_pid = {}
     for e in inst.tree_path(link.u, link.v).edges:
         child = inst.child_of_edge[e]
@@ -171,10 +173,7 @@ def walked_projection(inst, decomp, link):
     for pid in sorted(by_pid):
         lo, hi = min(by_pid[pid]), max(by_pid[pid])
         assert hi - lo + 1 == len(by_pid[pid])
-        verts = decomp.paths[pid].vertices
-        out.append(ProjectedLink(source=link.id, path_id=pid, u=verts[lo - 1],
-                                 v=verts[hi], left=lo - 1, right=hi,
-                                 rooted=lo == 1))
+        out.append((pid, lo - 1, hi))
     return out
 
 
