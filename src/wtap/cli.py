@@ -16,6 +16,7 @@ invariants and compute the offline optimum when one is in reach.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -47,8 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise BadInputError(message)
 
 
-def _parse_int_range(text: str) -> list:
-    out = []
+def _parse_int_range(text: str, most=None):
+    """Iterate the integers of ``a``, ``a..b`` and comma-separated lists
+    of them.
+
+    Every part is checked before the first value is yielded, and no
+    range is built as a list.  With ``most`` set, a value or range end
+    above it is rejected.
+    """
+    spans = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -61,15 +69,21 @@ def _parse_int_range(text: str) -> list:
                 raise BadInputError(f"bad range {part!r}") from exc
             if hi_i < lo_i:
                 raise BadInputError(f"empty range {part!r}")
-            out.extend(range(lo_i, hi_i + 1))
         else:
             try:
-                out.append(int(part))
+                lo_i = hi_i = int(part)
             except ValueError as exc:
                 raise BadInputError(f"bad integer {part!r}") from exc
-    if not out:
+        if most is not None and hi_i > most:
+            raise BadInputError(f"{part!r} goes past the largest allowed value {most}")
+        spans.append(range(lo_i, hi_i + 1))
+    if not spans:
         raise BadInputError(f"empty range {text!r}")
-    return out
+    return itertools.chain.from_iterable(spans)
+
+
+# (2B)^k >= 4^k, so a depth k past log2 of the guard is always over it
+_K_MOST = HierarchicalInstance.SIZE_GUARD.bit_length() - 1
 
 
 def _note(args, text: str):
@@ -402,7 +416,7 @@ def cmd_lowerbound(args) -> int:
     if args.algo not in CONTESTANTS:
         raise BadInputError(f"unknown contestant {args.algo!r}")
     rows = []
-    for k in _parse_int_range(args.k):
+    for k in _parse_int_range(args.k, _K_MOST):
         inst = HierarchicalInstance(args.B, k)
         rep = adversary_drive(inst, args.algo)
         rows.append({
@@ -440,8 +454,7 @@ def cmd_sweep(args) -> int:
     rows = []
     points = []
     if args.kind == "tree":
-        sizes = _parse_int_range(args.n)
-        for n in sizes:
+        for n in _parse_int_range(args.n):
             extras = max(0, args.links - (n - 1))
             for s in range(args.seeds):
                 cell_seed = args.seed + 10007 * n + s
@@ -466,7 +479,7 @@ def cmd_sweep(args) -> int:
         fields = ("n", "seed", "cost", "opt", "ratio", "invariants_ok", "error")
         group_key = "n"
     elif args.kind == "lowerbound":
-        for k in _parse_int_range(args.k):
+        for k in _parse_int_range(args.k, _K_MOST):
             inst = HierarchicalInstance(args.B, k)
             row = {"algo": args.algo, "B": args.B, "k": k, "n": inst.n,
                    "alg_cost": None, "opt": None, "ratio": None,

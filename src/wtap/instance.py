@@ -12,8 +12,13 @@ line.
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
 every link cost is an integer ``2**cls``.  Only the raw input costs are
-rational (``fractions.Fraction``); the path solvers' duals are exact
-ints, and the fractional solver's ``x`` is a float.
+rational, held exactly as an ``int`` or a ``fractions.Fraction``: the
+parser turns a digit string into an ``int`` and an ``a.b`` or ``p/q``
+token into one reduced ``Fraction`` built from ints, and only other
+tokens (signs, exponents, underscores) go through ``Fraction(token)``.
+``str()`` of either reads as ``str(Fraction(token))`` would.  The path
+solvers' duals are exact ints, and the fractional solver's ``x`` is a
+float.
 """
 
 from __future__ import annotations
@@ -66,27 +71,30 @@ MAX_COST_CHARS = 1000
 _COST_BOUND = 10 ** (2 * MAX_COST_CHARS)
 
 
-def round_costs(raw_costs: Sequence[Fraction]) -> list:
+def round_costs(raw_costs: Sequence) -> list:
     """Normalize by the minimum, then round each cost up to a power of 2.
 
-    Returns one ``(cost, cls)`` pair per input, ``cost == 2**cls`` with
-    ``cls >= 0``.  Rejects nonpositive entries, naming the ``("link", i)``
-    entry at fault.
+    ``raw_costs`` holds ints or rationals.  Returns one ``(cost, cls)``
+    pair per input, ``cost == 2**cls`` with ``cls >= 0``.  Rejects
+    nonpositive entries, naming the ``("link", i)`` entry at fault.
     """
     if not raw_costs:
         return []
-    for i, c in enumerate(raw_costs):
-        if c <= 0:
+    pairs = [(c, 1) if type(c) is int else (c.numerator, c.denominator)
+             for c in raw_costs]
+    lo_num, lo_den = pairs[0]
+    for i, (num, den) in enumerate(pairs):
+        if num <= 0:
             raise BadInputError(
                 f"link {i} cost is not positive; buy zero-cost links up "
                 f"front and drop them", ("link", i))
-    lo = min(raw_costs)
-    lo_num, lo_den = lo.numerator, lo.denominator
+        if num * lo_den < lo_num * den:
+            lo_num, lo_den = num, den
     out = []
-    for c in raw_costs:
+    for num, den in pairs:
         # smallest j with c / lo <= 2**j, by cross-multiplication: with
         # q = ceil(c / lo) >= 1 that is the bit length of q - 1
-        q = -(-c.numerator * lo_den // (c.denominator * lo_num))
+        q = -(-num * lo_den // (den * lo_num))
         j = (q - 1).bit_length()
         out.append((1 << j, j))
     return out
@@ -168,7 +176,8 @@ class TreeInstance:
         self.raw_costs = []
         for i, (u, v, c) in enumerate(raw_links):
             _check_ends(n, "link", i, int(u), int(v))
-            c = Fraction(c)
+            if type(c) is not int and type(c) is not Fraction:
+                c = Fraction(c)
             if max(abs(c.numerator), c.denominator) >= _COST_BOUND:
                 raise BadInputError(f"link {i} cost has a numerator or denominator "
                                     f"over {2 * MAX_COST_CHARS} digits", ("link", i))
@@ -240,10 +249,24 @@ class TreeInstance:
         return hashlib.sha256(format_instance(self).encode()).hexdigest()
 
 
-def _parse_cost(token: str) -> Fraction:
+def _parse_cost(token: str) -> int | Fraction:
+    """An ``int`` for a digit string, one reduced ``Fraction`` built from
+    ints for ``a.b`` or ``p/q``; any other token is ``Fraction(token)``
+    once its length and exponent are within ``MAX_COST_CHARS``."""
     if len(token) > MAX_COST_CHARS:
         raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
-    exponent = token.lower().partition("e")[2]
+    if token.isdecimal():
+        return int(token)
+    whole, dot, digits = token.partition(".")
+    if dot:
+        if whole.isdecimal() and digits.isdecimal():
+            return Fraction(int(whole + digits), 10 ** len(digits))
+    else:
+        p, slash, q = token.partition("/")
+        if slash and p.isdecimal() and q.isdecimal():
+            return Fraction(int(p), int(q))
+    # Fraction reads "_" between digits, so "1e30_000" is a 30000 exponent
+    exponent = token.lower().partition("e")[2].replace("_", "")
     if (exponent.lstrip("+-").isdecimal()
             and abs(int(exponent)) > MAX_COST_CHARS):
         raise ValueError(f"cost exponent beyond {MAX_COST_CHARS}")
@@ -257,6 +280,7 @@ _LINE_SHAPES = {
     "link": "link u v cost",
     "request": "request s t",
 }
+_ARITY = {kind: len(shape.split()) for kind, shape in _LINE_SHAPES.items()}
 
 
 def parse_instance(text: str) -> TreeInstance:
@@ -276,20 +300,20 @@ def parse_instance(text: str) -> TreeInstance:
     n = root = header = None
     entries = {"edge": [], "link": [], "request": []}
     lines = {"edge": [], "link": [], "request": []}   # line of each entry
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
-        shape = _LINE_SHAPES.get(kind)
-        if shape is None:
+        arity = _ARITY.get(kind)
+        if arity is None:
             raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
-        if (len(parts) != len(shape.split())
-                or (kind == "n" and parts[2] != "root")):
-            raise BadInputError(f"line {lineno}: expected {shape!r}")
+        if len(parts) != arity or (kind == "n" and parts[2] != "root"):
+            raise BadInputError(f"line {lineno}: expected {_LINE_SHAPES[kind]!r}")
         if kind == "n" and n is not None:
-            raise BadInputError(f"line {lineno}: second {shape!r} header")
+            raise BadInputError(f"line {lineno}: second {_LINE_SHAPES['n']!r} header")
         if kind != "n" and n is None:
             raise BadInputError(
                 f"line {lineno}: {kind!r} before the {_LINE_SHAPES['n']!r} header")

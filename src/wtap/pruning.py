@@ -313,21 +313,17 @@ def check_minimal(minimal: MinimalPathInstance) -> list:
 
 
 def path_positions(inst: TreeInstance) -> Optional[list]:
-    """Vertex order along the tree when it is a path rooted at one end."""
-    if inst.n == 1:
-        return [inst.root]
-    degree = [len(a) for a in inst.adjacency]
-    if max(degree) > 2 or degree[inst.root] != 1:
+    """Vertex order along the tree when it is a path rooted at one end.
+
+    The tree is connected, so it is such a path exactly when some vertex
+    lies n - 1 edges below the root, and each vertex's position is then
+    its depth.
+    """
+    if max(inst.depth) != inst.n - 1:
         return None
-    order = [inst.root]
-    prev = -1
-    cur = inst.root
-    while len(order) < inst.n:
-        nxt = [w for w, _ in inst.adjacency[cur] if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev, cur = cur, nxt[0]
-        order.append(cur)
+    order = [0] * inst.n
+    for v, d in enumerate(inst.depth):
+        order[d] = v
     return order
 
 
@@ -338,19 +334,19 @@ def path_instance_from_tree(inst: TreeInstance):
     must be a path with the root at an endpoint, so that every link is
     rooted or internal in the path sense.
     """
-    order = path_positions(inst)
-    if order is None:
+    if path_positions(inst) is None:
         raise BadInputError("instance is not a path rooted at an endpoint")
-    pos = {v: i for i, v in enumerate(order)}
+    pos = inst.depth                    # a vertex's position is its depth
     plinks = []
     for ln in inst.links:
         a, b = pos[ln.u], pos[ln.v]
         left, right = min(a, b), max(a, b)
         plinks.append(PathLink(left=left, right=right, cost=ln.cost,
                                cls=ln.cls, id=ln.id))
+    # the edge above the vertex at position i sits at position i - 1, so
+    # a request's edges, in order from s, are a run of consecutive positions
     request_edges = []
     for req in inst.requests:
-        for e in inst.expand_request(req):
-            child = inst.child_of_edge[e]
-            request_edges.append(pos[child] - 1)
+        a, b = pos[req.s], pos[req.t]
+        request_edges.extend(range(a, b) if a < b else range(a - 1, b - 1, -1))
     return inst.n - 1, plinks, request_edges

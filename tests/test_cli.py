@@ -274,6 +274,9 @@ def test_exit_codes(tmp_path, capsys):
     ["lowerbound", "--k", "8000"],
     ["verify", 5],                  # a report with this instance_text
     ["verify", None],
+    ["lowerbound", "--k", "1..99999999999"],
+    ["sweep", "--kind", "lowerbound", "--k", "1..99999999999"],
+    ["sweep", "--kind", "tree", "--n", "1..99999999999"],
 ])
 def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
     if argv[0] == "verify":

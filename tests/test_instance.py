@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import wtap.instance as instance_module
 from wtap.cli import main
 from wtap.errors import BadInputError
 from wtap.generators import gen_random
 from wtap.instance import (
+    MAX_COST_CHARS,
     Request,
     TreeInstance,
     format_instance,
@@ -226,7 +228,7 @@ def test_rejects_bad_request_endpoint():
 def test_rejects_oversized_cost():
     # numerator and denominator must stay under 10**2000 so that the
     # cost formats back; digest() would otherwise crash in str()
-    for cost in (Fraction(10 ** 5000), Fraction(1, 10 ** 2000)):
+    for cost in (10 ** 5000, Fraction(10 ** 5000), Fraction(1, 10 ** 2000)):
         with pytest.raises(BadInputError, match="^link 0 cost has"):
             TreeInstance(2, [(0, 1)], 0, raw_links=[(0, 1, cost)])
 
@@ -343,9 +345,9 @@ def test_parse_names_the_line_of_a_bad_value(text, lineno, tmp_path, capsys):
     assert f"line {lineno}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cost", ["1e5000", "7" * 5000])
+@pytest.mark.parametrize("cost", ["1e5000", "7" * 5000, "1e30_000_000"])
 def test_huge_cost_exits_4_fast(cost, tmp_path, capsys):
-    # both parse to numbers too long for str(); the parser rejects them
+    # each parses to a number too long for str(); the parser rejects them
     # by their size, before it builds the Fraction, and does not echo them
     path = tmp_path / "huge.txt"
     path.write_text(f"n 2 root 0\nedge 0 1\nlink 0 1 {cost}\n")
@@ -369,6 +371,82 @@ def test_parse_format_round_trip(kind, n, links, requests, feasible, seed):
     assert again.links == inst.links            # endpoints, cost, cls, id
     assert again.raw_costs == inst.raw_costs
     assert again.requests == inst.requests
+
+
+def reference_cost(token):
+    """``Fraction(token)`` under the parser's size bounds, or None when
+    either rejects the token."""
+    if len(token) > MAX_COST_CHARS:
+        return None
+    exponent = token.lower().partition("e")[2].replace("_", "")
+    if (exponent.lstrip("+-").isdecimal()
+            and abs(int(exponent)) > MAX_COST_CHARS):
+        return None
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth decimals, a superscript
+# (a digit but not a decimal), and everything Fraction reads around them
+_COST_PIECES = st.sampled_from(["0", "00", "1", "7", "9", "\u0663", "\u0967",
+                                "\uff18", "\u00b2", ".", "/", "+", "-", "e",
+                                "E", "_"])
+_COST_TOKENS = st.one_of(
+    st.lists(_COST_PIECES, min_size=1, max_size=12).map("".join),
+    st.builds(lambda head, k, tail: head + "1" * k + tail,
+              st.sampled_from(["", "1.", "1/", "1e"]),
+              st.integers(MAX_COST_CHARS - 3, MAX_COST_CHARS + 2),
+              st.sampled_from(["", "0", "_1"])))
+
+
+@given(_COST_TOKENS)
+def test_parsed_cost_is_the_fraction_of_its_token(token):
+    text = f"n 2 root 0\nedge 0 1\nlink 0 1 {token}\n"
+    want = reference_cost(token)
+    if want is None or want <= 0:
+        with pytest.raises(BadInputError, match="^line 3: "):
+            parse_instance(text)
+        return
+    got = parse_instance(text).raw_costs[0]
+    assert type(got) in (int, Fraction)
+    assert got == want
+    assert str(got) == str(want)
+
+
+def test_plain_costs_never_parse_a_string_through_fraction(monkeypatch):
+    real = Fraction
+
+    def no_strings(*args):
+        if any(isinstance(a, str) for a in args):
+            raise AssertionError(f"Fraction{args!r}")
+        return real(*args)
+
+    text = ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 1 3\n"
+            "link 0 2 1.3302\nlink 1 2 10/4\nlink 0 2 007\n")
+    want = parse_instance(text)
+    monkeypatch.setattr(instance_module, "Fraction", no_strings)
+    got = parse_instance(text)
+    assert got.raw_costs == [3, Fraction(6651, 5000), Fraction(5, 2), 7]
+    assert got.links == want.links
+    assert got.digest() == want.digest()
+
+
+def test_api_and_parsed_costs_agree():
+    tokens = ["3", "1.25", "10/4", "007", "2.50"]
+    text = "n 3 root 0\nedge 0 1\nedge 1 2\n" + "".join(
+        f"link 0 {1 + i % 2} {t}\n" for i, t in enumerate(tokens))
+    parsed = parse_instance(text)
+    ends = [(ln.u, ln.v) for ln in parsed.links]
+    for costs in ([3, Fraction(5, 4), Fraction(5, 2), 7, Fraction(5, 2)],
+                  [Fraction(t) for t in tokens],
+                  tokens):
+        api = TreeInstance(3, [(0, 1), (1, 2)], 0,
+                           raw_links=[(u, v, c) for (u, v), c in zip(ends, costs)])
+        assert api.links == parsed.links
+        assert list(map(str, api.raw_costs)) == list(map(str, parsed.raw_costs))
+        assert api.digest() == parsed.digest()
 
 
 _TOKENS = st.sampled_from(["n", "root", "edge", "link", "request", "#", "0",

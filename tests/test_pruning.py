@@ -267,6 +267,21 @@ def test_path_instance_from_tree_maps_links_and_requests():
     assert request_edges == [1, 2]
 
 
+@given(n=st.integers(1, 30), seed=st.integers(0, 10 ** 6))
+def test_path_request_edges_follow_each_tree_path(n, seed):
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(12)]
+    pairs += [(order[0], order[-1]), (order[-1], order[0]), (order[0], order[0])]
+    inst = TreeInstance(n=n, edges=list(zip(order, order[1:])), root=order[0],
+                        requests=pairs)
+    pos = {v: i for i, v in enumerate(path_positions(inst))}
+    walked = [pos[inst.child_of_edge[e]] - 1
+              for r in inst.requests for e in inst.expand_request(r)]
+    assert path_instance_from_tree(inst)[2] == walked
+
+
 def test_path_instance_from_tree_rejects_star():
     star = TreeInstance(n=4, edges=[(0, 1), (0, 2), (0, 3)], root=0)
     with pytest.raises(BadInputError):

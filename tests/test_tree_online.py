@@ -264,13 +264,14 @@ def test_head_jumps_and_union_find_match_the_walked_paths(data):
     assert solver.cost_total == total
 
 
+def walk(*args, **kwargs):
+    raise AssertionError("the run pipeline walked a tree path")
+
+
 def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
     inst, pairs = gen_random("tree", 60, 40, 16.0, seed=3, request_count=60)
     # above the cap, run_report skips opt_tree_enum, which does walk paths
     assert len(inst.links) > TREE_ENUM_LINK_CAP
-
-    def walk(*args, **kwargs):
-        raise AssertionError("the run pipeline walked a tree path")
 
     for name in ("tree_path", "link_edges", "expand_request"):
         monkeypatch.setattr(TreeInstance, name, walk)
@@ -279,3 +280,15 @@ def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
     report = run_report("tree-online", inst)
     assert all(r.ok for r in report.invariants)
     assert report.final_cost == str(solver.cost_total)
+
+
+@pytest.mark.parametrize("algorithm", ["path-online", "fractional"])
+def test_path_pipelines_never_walk_a_tree_path(monkeypatch, algorithm):
+    inst, _ = gen_random("path", 60, 80, 16.0, seed=4, request_count=40)
+    want = run_report(algorithm, inst)
+    for name in ("tree_path", "link_edges", "expand_request"):
+        monkeypatch.setattr(TreeInstance, name, walk)
+    report = run_report(algorithm, inst)
+    assert all(r.ok for r in report.invariants)
+    assert report.per_request == want.per_request
+    assert report.final_cost == want.final_cost
