@@ -11,9 +11,9 @@ from .instance import (Link, Request, TreeInstance, TreePath,
 from .oracles import (OracleResult, opt_path_dp, opt_path_enum,
                       opt_tree_enum, verify_dual_feasible, verify_nice)
 from .path_online import PathSolver, ServeRecord, run_sequence
-from .pruning import (MinimalPathInstance, PathLink, PruneRecord,
-                      build_minimal_instance, check_minimal,
-                      path_instance_from_tree, replacement_cover)
+from .pruning import (MinimalPathInstance, PathLink, build_minimal_instance,
+                      check_minimal, path_instance_from_tree, replacement,
+                      replacement_cover, transfer)
 from .tree_online import PairReport, TreeSolver
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "PairReport",
     "PathLink",
     "PathSolver",
-    "PruneRecord",
     "Request",
     "RootedPathDecomposition",
     "ServeRecord",
@@ -52,9 +51,11 @@ __all__ = [
     "path_instance_from_tree",
     "phase_of",
     "project",
+    "replacement",
     "replacement_cover",
     "round_costs",
     "run_sequence",
+    "transfer",
     "verify_dual_feasible",
     "verify_nice",
     "width",

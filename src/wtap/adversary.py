@@ -26,16 +26,6 @@ from .path_online import PathSolver
 from .pruning import PathLink, build_minimal_instance
 
 
-@dataclass(frozen=True)
-class HLink:
-    level: int
-    index: int
-    left: int
-    right: int
-    cost: int
-    id: int
-
-
 class HierarchicalInstance:
     SIZE_GUARD = 1 << 20
 
@@ -59,16 +49,15 @@ class HierarchicalInstance:
         for j in range(k + 1):
             span = (2 * B) ** j
             cost = B ** j
-            row = []
+            row = []                # level j is cost class j
             for i in range(n // span):
-                row.append(HLink(level=j, index=i, left=i * span,
-                                 right=(i + 1) * span, cost=cost, id=next_id))
+                row.append(PathLink(left=i * span, right=(i + 1) * span,
+                                    cost=cost, cls=j, id=next_id))
                 next_id += 1
             self.levels.append(row)
-
             self.links.extend(row)
 
-    def link_at(self, level: int, edge: int) -> HLink:
+    def link_at(self, level: int, edge: int) -> PathLink:
         span = (2 * self.B) ** level
         return self.levels[level][edge // span]
 
@@ -87,7 +76,7 @@ class CanonicalWrapper:
         self.cost = 0
         self.covered = [False] * inst.n
 
-    def _buy(self, link: HLink):
+    def _buy(self, link: PathLink):
         if link.id in self.bought:
             return
         self.bought.add(link.id)
@@ -100,7 +89,7 @@ class CanonicalWrapper:
             link = self.inst.links[lid]           # ids are list positions
             self._buy(link)
             if self.canonical and link.left <= e < link.right:
-                for j in range(link.level):
+                for j in range(link.cls):
                     self._buy(self.inst.link_at(j, e))
 
 
@@ -145,10 +134,8 @@ class PathAlgContestant:
     def __init__(self, inst: HierarchicalInstance):
         if inst.B != 2:
             raise BadInputError("the path solver contestant needs B = 2")
-        plinks = [PathLink(left=l.left, right=l.right, cost=l.cost,
-                           cls=l.level, id=l.id) for l in inst.links]
-        minimal, _ = build_minimal_instance(inst.n, plinks)
-        if len(minimal.links) != len(plinks):
+        minimal, _ = build_minimal_instance(inst.n, inst.links)
+        if len(minimal.links) != len(inst.links):
             raise InvariantViolationError(
                 "hierarchical instance should already be minimal")
         self.solver = PathSolver(minimal, n_global=inst.n + 1)

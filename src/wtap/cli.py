@@ -32,7 +32,8 @@ from .instance import format_instance, load_instance, parse_instance
 from .oracles import (TREE_ENUM_LINK_CAP, opt_path_dp, opt_tree_enum,
                       verify_dual_feasible)
 from .path_online import PathSolver
-from .pruning import build_minimal_instance, path_instance_from_tree
+from .pruning import (build_minimal_instance, path_instance_from_tree,
+                      replacement)
 from .reports import (ExperimentSpec, InvariantRecord, RunReport,
                       rows_to_csv, rows_to_json)
 from .tree_online import TreeSolver
@@ -338,25 +339,23 @@ def cmd_prune(args) -> int:
     inst = load_instance(args.instance)
     solver = TreeSolver(inst)
     pid = args.path
+    if not solver.minimal:
+        raise BadInputError("instance has no tree edges, so no "
+                            "decomposition paths to prune")
     if not 0 <= pid < len(solver.minimal):
         raise BadInputError(f"path id {pid} out of range "
                             f"(0..{len(solver.minimal) - 1})")
-    record = solver.prune_records[pid]
     minimal = solver.minimal[pid]
 
     def link_row(l):
         return {"id": l.id, "left": l.left, "right": l.right,
-                "cls": l.cls, "cost": l.cost,
-                "source": minimal.kept_from.get(l.id)}
+                "cls": l.cls, "cost": l.cost}
 
-    kept = [link_row(l) for l in record.kept]
-    removed = []
-    for l, reason in record.removed:
-        removed.append({
-            "id": l.id, "left": l.left, "right": l.right,
-            "cls": l.cls, "cost": l.cost, "reason": reason,
-            "replacement": [r.id for r in record.replacement(l.id)],
-        })
+    kept = [{**link_row(l), "source": minimal.kept_from[l.id]}
+            for l in minimal.links]
+    removed = [{**link_row(l), "reason": reason,
+                "replacement": [r.id for r in replacement(minimal, l)]}
+               for l, reason in solver.removed[pid]]
     payload = {
         "path": pid,
         "edge_count": minimal.edge_count,

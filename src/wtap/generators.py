@@ -126,6 +126,7 @@ def random_minimal_path_instance(rng: random.Random, max_edges: int = 64,
 
     A full-span rooted link guarantees feasibility; roughly a third of
     the rest start at the root so dominance pruning has work to do.
+    Returns (minimal, removed, raw links).
     """
     m = rng.randint(2, max_edges)
     count = rng.randint(1, max_links - 1)
@@ -135,5 +136,5 @@ def random_minimal_path_instance(rng: random.Random, max_edges: int = 64,
         right = rng.randint(left + 1, m)
         cls = rng.randint(0, max_cls)
         raw.append(PathLink(left=left, right=right, cost=2 ** cls, cls=cls, id=i))
-    minimal, record = build_minimal_instance(m, raw)
-    return minimal, record, raw
+    minimal, removed = build_minimal_instance(m, raw)
+    return minimal, removed, raw

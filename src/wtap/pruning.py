@@ -7,12 +7,15 @@ and is rooted exactly when ``left == 0``.
 A minimal instance has, per cost class, at most one rooted link and at
 most two links over any edge, and its rooted links are strictly nested
 by class.  Pruning happens in two stages, rooted dominance first, then
-a per-class minimum interval cover; both stages record what they
-removed so that any pruned link can be handed a same-class replacement
-cover of at most three kept links, and any feasible solution over the
-original links transfers to the kept links with bounded cost loss
-(single rooted substitute at no extra cost, triples at 3x for the
-rest).
+a per-class minimum interval cover.  ``build_minimal_instance``
+returns the minimal instance and the removed links with the stage
+that removed each.  ``replacement`` hands any link a cover by kept
+links: itself if kept, one kept rooted link of no higher class if it
+is a removed rooted link, else at most three kept links of its own
+class.  ``transfer`` maps any feasible solution over the original
+links onto kept links with bounded cost loss: the rooted part at no
+extra cost, the rest at most 3x (after Gupta, Krishnaswamy and Ravi
+2012).
 """
 
 from __future__ import annotations
@@ -129,117 +132,65 @@ REMOVED_DOMINATED = "dominated-rooted"
 REMOVED_REDUNDANT = "redundant-cover"
 
 
-@dataclass
-class PruneRecord:
-    """Everything the prune threw away, plus replacement lookups."""
+def replacement(minimal: MinimalPathInstance, link: PathLink) -> list:
+    """Kept links covering the given link's span.
 
-    edge_count: int
-    kept: list
-    removed: list                    # (PathLink, reason) pairs
-    kept_by_class: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for l in self.kept:
-            self.kept_by_class.setdefault(l.cls, []).append(l)
-        self._kept_ids = {l.id for l in self.kept}
-        self._by_id = {l.id: l for l in self.kept}
-        for l, _ in self.removed:
-            self._by_id[l.id] = l
-
-    def replacement(self, link_id: int) -> list:
-        """Kept links covering the given link's span.
-
-        A kept link replaces itself; a dominated rooted link gets its
-        single dominating survivor; a class-pruned link gets a chain of
-        at most three same-class survivors.
-        """
-        link = self._by_id.get(link_id)
-        if link is None:
-            raise BadInputError(f"unknown link id {link_id}")
-        if link_id in self._kept_ids:
-            return [link]
-        if link.rooted:
-            candidates = [k for k in self.kept
-                          if k.rooted and k.cls <= link.cls and k.right >= link.right]
-            if not candidates:
-                raise InvariantViolationError(
-                    f"dominated rooted link {link_id} has no kept dominator")
-            candidates.sort(key=lambda l: (l.cls, l.id))
-            return [candidates[0]]
-        return replacement_cover(link, self.kept_by_class.get(link.cls, []))
-
-    def transfer(self, solution_ids) -> "TransferResult":
-        """Map a feasible solution over the original links to kept links.
-
-        The rooted part collapses to one survivor covering the deepest
-        rooted member; every non-rooted member is replaced by its
-        (at most three) same-class survivors.
-        """
-        rooted = []
-        nonrooted = []
-        for lid in solution_ids:
-            link = self._by_id.get(lid)
-            if link is None:
-                raise BadInputError(f"unknown link id {lid}")
-            (rooted if link.rooted else nonrooted).append(link)
-        cover_rooted = []
-        if rooted:
-            deepest = max(rooted, key=lambda l: (l.right, -l.cls, -l.id))
-            cover_rooted = self.replacement(deepest.id)
-            if len(cover_rooted) != 1:
-                raise InvariantViolationError(
-                    "rooted replacement must be a single link")
-        cover_nonrooted = {}
-        for link in nonrooted:
-            for rep in self.replacement(link.id):
-                cover_nonrooted[rep.id] = rep
-        return TransferResult(
-            rooted_input=rooted,
-            nonrooted_input=nonrooted,
-            cover_for_rooted=cover_rooted,
-            cover_for_nonrooted=sorted(cover_nonrooted.values(), key=lambda l: l.id),
-        )
+    A kept link replaces itself; a removed rooted link gets the kept
+    rooted link of smallest (class, id) among those with class no higher
+    reaching at least as far; any other link gets a chain of at most
+    three same-class kept links.  Both read the coverage index: a kept
+    rooted link reaches as far exactly when it covers the link's last
+    edge.
+    """
+    if minimal.by_id.get(link.id) == link:
+        return [link]
+    if link.rooted:
+        dominators = [k for k in map(minimal.by_id.get,
+                                     minimal.cov_ids[link.right - 1])
+                      if k.rooted and k.cls <= link.cls]
+        if not dominators:
+            raise InvariantViolationError(
+                f"dominated rooted link {link.id} has no kept dominator")
+        return [min(dominators, key=lambda l: (l.cls, l.id))]
+    return replacement_cover(link, minimal)
 
 
-@dataclass
-class TransferResult:
-    rooted_input: list
-    nonrooted_input: list
-    cover_for_rooted: list
-    cover_for_nonrooted: list
+def transfer(minimal: MinimalPathInstance, links) -> tuple:
+    """Map a feasible solution over the original links to kept links.
 
-    @property
-    def rooted_input_cost(self) -> int:
-        return sum(l.cost for l in self.rooted_input)
-
-    @property
-    def nonrooted_input_cost(self) -> int:
-        return sum(l.cost for l in self.nonrooted_input)
-
-    @property
-    def cover_for_rooted_cost(self) -> int:
-        return sum(l.cost for l in self.cover_for_rooted)
-
-    @property
-    def cover_for_nonrooted_cost(self) -> int:
-        return sum(l.cost for l in self.cover_for_nonrooted)
-
-    def all_links(self) -> list:
-        merged = {l.id: l for l in self.cover_for_rooted}
-        for l in self.cover_for_nonrooted:
-            merged[l.id] = l
-        return sorted(merged.values(), key=lambda l: l.id)
+    Returns (rooted_cover, nonrooted_cover), each ascending by id.  The
+    rooted members collapse to the single replacement of the deepest
+    one, costing no more than it; every non-rooted member is replaced by
+    its at most three same-class kept links, so that part costs at most
+    three times its input.
+    """
+    rooted = [l for l in links if l.rooted]
+    rooted_cover = []
+    if rooted:
+        deepest = max(rooted, key=lambda l: (l.right, -l.cls, -l.id))
+        rooted_cover = replacement(minimal, deepest)
+    nonrooted_cover = {}
+    for link in links:
+        if not link.rooted:
+            for rep in replacement(minimal, link):
+                nonrooted_cover[rep.id] = rep
+    return rooted_cover, sorted(nonrooted_cover.values(), key=lambda l: l.id)
 
 
-def replacement_cover(link: PathLink, kept_same_class) -> list:
-    """At most three kept same-class links whose spans cover the link."""
+def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
+    """At most three kept links of the link's class covering its span.
+
+    Greedy from the link's left end: at each uncovered edge take the
+    same-class kept link over it reaching furthest right (ties by
+    smaller id), found in the coverage index.
+    """
     out = []
     pos = link.left
     while pos < link.right:
         best = None
-        for l in kept_same_class:
-            if l.left <= pos < l.right and (best is None or l.right > best.right
-                                            or (l.right == best.right and l.id < best.id)):
+        for l in map(minimal.by_id.get, minimal.cov_ids[pos]):
+            if l.cls == link.cls and (best is None or l.right > best.right
+                                      or (l.right == best.right and l.id < best.id)):
                 best = l
         if best is None:
             raise InvariantViolationError(
@@ -253,7 +204,11 @@ def replacement_cover(link: PathLink, kept_same_class) -> list:
 
 
 def build_minimal_instance(edge_count: int, links, kept_from=None):
-    """Run both prune stages; returns (MinimalPathInstance, PruneRecord)."""
+    """Run both prune stages; returns (minimal, removed).
+
+    ``removed`` lists (PathLink, reason) pairs ascending by id, the
+    reason being ``REMOVED_DOMINATED`` or ``REMOVED_REDUNDANT``.
+    """
     for l in links:
         if not (0 <= l.left < l.right <= edge_count):
             raise BadInputError(f"link {l.id} positions out of range")
@@ -286,8 +241,7 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
         links=tuple(kept),
         kept_from=kept_from,
     )
-    record = PruneRecord(edge_count=edge_count, kept=kept, removed=removed)
-    return minimal, record
+    return minimal, removed
 
 
 def check_minimal(minimal: MinimalPathInstance) -> list:

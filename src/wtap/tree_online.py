@@ -73,7 +73,7 @@ class TreeSolver:
                     spans[pid][(left, right)] = ln
 
         self.minimal = []
-        self.prune_records = []
+        self.removed = []           # per path: (PathLink, reason), ascending id
         self.solvers = []
         for pid in range(n_paths):
             plinks = []
@@ -82,13 +82,13 @@ class TreeSolver:
                 plinks.append(PathLink(left=left, right=right, cost=src.cost,
                                        cls=src.cls, id=idx))
                 kept_from[idx] = src.id
-            minimal, record = build_minimal_instance(
+            minimal, removed = build_minimal_instance(
                 edge_count=len(self.decomp.paths[pid]) - 1,
                 links=plinks,
                 kept_from=kept_from,
             )
             self.minimal.append(minimal)
-            self.prune_records.append(record)
+            self.removed.append(removed)
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
         self.bought_sources = set()
@@ -98,7 +98,6 @@ class TreeSolver:
         # union-find over covered edges: up[v] leads to the nearest
         # ancestor-or-self whose parent edge is uncovered (or the root)
         self.up = list(range(inst.n))
-        self.reports = []
 
     def _uncovered_below(self, v: int, top: int) -> list:
         """Child ends of the uncovered edges from v up to its ancestor top.
@@ -173,11 +172,9 @@ class TreeSolver:
             if not covered[e]:
                 raise InfeasibleInstanceError(
                     f"serving edge {e} failed to cover it")
-        report = PairReport(s=s, t=t, served=tuple(served),
-                            bought_sources=tuple(bought),
-                            incremental_cost=inc, inst=self.inst)
-        self.reports.append(report)
-        return report
+        return PairReport(s=s, t=t, served=tuple(served),
+                          bought_sources=tuple(bought),
+                          incremental_cost=inc, inst=self.inst)
 
     def run(self, pairs) -> list:
         return [self.serve_pair(s, t) for s, t in pairs]

@@ -28,7 +28,7 @@ from wtap.generators import (
 )
 from wtap.oracles import opt_path_dp, opt_path_enum, opt_tree_enum, verify_nice
 from wtap.path_online import PathSolver, run_sequence
-from wtap.pruning import PathLink, build_minimal_instance
+from wtap.pruning import build_minimal_instance, replacement, transfer
 from wtap.tree_online import TreeSolver
 
 from conftest import PL, tree_arrays
@@ -54,10 +54,10 @@ def batch():
     out = []
     scales = [{}] * 250 + [dict(max_edges=16, max_links=16, max_cls=4)] * 250
     for kw in scales:
-        minimal, record, raw = random_minimal_path_instance(rng, **kw)
+        minimal, _, raw = random_minimal_path_instance(rng, **kw)
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
-        out.append((minimal, record, raw, run_sequence(minimal, edges)))
+        out.append((minimal, raw, run_sequence(minimal, edges)))
     _build_seconds = time.perf_counter() - start
     return out
 
@@ -66,7 +66,7 @@ def test_criterion_1_rooted_link_load(batch):
     start = time.perf_counter()
     worst = 0.0
     checked = 0
-    for minimal, _, _, solver in batch:
+    for minimal, _, solver in batch:
         for link in minimal.links:
             if not link.rooted:
                 continue
@@ -84,7 +84,7 @@ def test_criterion_2_purchase_accounting(batch):
     start = time.perf_counter()
     t2_runs = 0
     t3_runs = 0
-    for _, _, _, solver in batch:
+    for _, _, solver in batch:
         c1, c2, c3 = solver.bought_cost_by_type()
         paid = solver.charge_weighted_total()
         assert paid <= c1
@@ -206,9 +206,7 @@ def test_criterion_7_fractional_ratio():
     worst = 0.0
     for k in range(2, 7):
         inst = HierarchicalInstance(2, k)
-        plinks = [PathLink(left=l.left, right=l.right, cost=l.cost,
-                           cls=l.level, id=l.id) for l in inst.links]
-        minimal, _ = build_minimal_instance(inst.n, plinks)
+        minimal, _ = build_minimal_instance(inst.n, inst.links)
         solver = FractionalPathSolver(minimal)
         snapshot = {}
         for e in range(inst.n):
@@ -220,7 +218,7 @@ def test_criterion_7_fractional_ratio():
                 snapshot = dict(solver.x)
         for e in range(inst.n):
             assert solver.coverage(e) >= 1 - 1e-9
-        opt = opt_path_dp(inst.n, plinks, list(range(inst.n))).opt_cost
+        opt = opt_path_dp(inst.n, inst.links, list(range(inst.n))).opt_cost
         cap = 6 * math.log2(math.log2(inst.n))
         ratio = solver.total_cost / opt
         assert ratio <= cap, (k, ratio, cap)
@@ -283,10 +281,10 @@ def test_criterion_8_oracle_cross_check():
 def test_criterion_9_replacement_certificates(batch):
     start = time.perf_counter()
     replacements = 0
-    for minimal, record, raw, _ in batch:
+    for minimal, raw, _ in batch:
         kept = {l.id for l in minimal.links}
         for link in raw:
-            reps = record.replacement(link.id)
+            reps = replacement(minimal, link)
             assert 1 <= len(reps) <= 3
             assert {r.id for r in reps} <= kept
             span = {e for r in reps for e in range(r.left, r.right)}
@@ -295,16 +293,18 @@ def test_criterion_9_replacement_certificates(batch):
 
     rng = random.Random(3301)
     transfers = 0
-    for minimal, record, raw, _ in batch[:200]:
-        ids = [l.id for l in raw if rng.random() < 0.4]
-        covered = {e for l in raw if l.id in set(ids)
-                   for e in range(l.left, l.right)}
+    for minimal, raw, _ in batch[:200]:
+        chosen = [l for l in raw if rng.random() < 0.4]
+        covered = {e for l in chosen for e in range(l.left, l.right)}
         if covered != set(range(minimal.edge_count)):
-            ids.append(raw[0].id)  # whole-path link repairs feasibility
-        tr = record.transfer(ids)
-        assert tr.cover_for_rooted_cost <= tr.rooted_input_cost
-        assert tr.cover_for_nonrooted_cost <= 3 * tr.nonrooted_input_cost
-        out_span = {e for l in tr.all_links() for e in range(l.left, l.right)}
+            chosen.append(raw[0])  # whole-path link repairs feasibility
+        rooted_cover, nonrooted_cover = transfer(minimal, chosen)
+        assert (sum(l.cost for l in rooted_cover)
+                <= sum(l.cost for l in chosen if l.rooted))
+        assert (sum(l.cost for l in nonrooted_cover)
+                <= 3 * sum(l.cost for l in chosen if not l.rooted))
+        out_span = {e for l in rooted_cover + nonrooted_cover
+                    for e in range(l.left, l.right)}
         assert out_span == set(range(minimal.edge_count))
         transfers += 1
     elapsed = _build_seconds + time.perf_counter() - start

@@ -20,7 +20,7 @@ def test_depth_one_layout():
     assert len(inst.links) == 5
     assert sorted(l.cost for l in inst.links) == [1, 1, 1, 1, 2]
     assert inst.link_at(0, 2).left == 2
-    assert [l.level for l in inst.cov(3)] == [0, 1]
+    assert [l.cls for l in inst.cov(3)] == [0, 1]
 
 
 def test_depth_two_layout():

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from wtap.cli import _uncovered_requested_edges, main
-from wtap.decomposition import decompose
+from wtap.decomposition import decompose, project
 from wtap.generators import gen_random
-from wtap.instance import parse_instance
+from wtap.instance import format_instance, parse_instance
 
 PATH_INSTANCE = """\
 n 4 root 0
@@ -68,20 +68,38 @@ def test_decompose_payload(tmp_path, capsys):
 
 
 def test_prune_payload(tmp_path, capsys):
-    rc = main(["prune", write(tmp_path, "i.txt", PATH_INSTANCE), "--path", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    data = json.loads(out)
-    kept_ids = {row["id"] for row in data["kept"]}
-    for row in data["removed"]:
-        assert row["reason"] in ("dominated-rooted", "redundant-cover")
-        assert set(row["replacement"]) <= kept_ids
-        assert 1 <= len(row["replacement"]) <= 3
+    gen, _ = gen_random("tree", 30, 40, 16.0, seed=5)
+    text = format_instance(gen)
+    inst = parse_instance(text)
+    decomp = decompose(inst)
+    spans = [set() for _ in decomp.paths]
+    for ln in inst.links:
+        for pid, left, right in project(inst, decomp, ln):
+            spans[pid].add((left, right))
+    path = write(tmp_path, "i.txt", text)
+    assert len(decomp.paths) > 1
+    for pid in range(len(decomp.paths)):
+        rc = main(["prune", path, "--path", str(pid)])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert data["path"] == pid
+        assert len(data["kept"]) + len(data["removed"]) == len(spans[pid])
+        kept_ids = {row["id"] for row in data["kept"]}
+        for row in data["removed"]:
+            assert row["reason"] in ("dominated-rooted", "redundant-cover")
+            assert set(row["replacement"]) <= kept_ids
+            assert 1 <= len(row["replacement"]) <= 3
 
 
 def test_prune_path_out_of_range(tmp_path, capsys):
     rc = main(["prune", write(tmp_path, "i.txt", PATH_INSTANCE), "--path", "9"])
     assert rc == 4
+    capsys.readouterr()
+    # with no tree edges there is no path id to name a range of
+    rc = main(["prune", write(tmp_path, "j.txt", "n 1 root 0\n"), "--path", "0"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "no decomposition paths" in err and "out of range" not in err
 
 
 def test_run_path_trace_keys(tmp_path, capsys):

@@ -13,7 +13,7 @@ from wtap.generators import (
     random_tree,
 )
 from wtap.instance import format_instance
-from wtap.pruning import check_minimal
+from wtap.pruning import check_minimal, replacement
 
 
 def is_spanning_tree(n, edges):
@@ -128,7 +128,7 @@ def test_gen_random_path_kind_is_a_path():
 def test_random_minimal_path_instance_shape():
     rng = random.Random(60)
     for _ in range(25):
-        mp, record, raw = random_minimal_path_instance(rng)
+        mp, _, raw = random_minimal_path_instance(rng)
         assert check_minimal(mp) == []
         assert mp.edge_count <= 64
         assert len(mp.links) <= 40
@@ -136,7 +136,7 @@ def test_random_minimal_path_instance_shape():
         # every raw link must have a replacement inside the kept set
         kept = {l.id for l in mp.links}
         for l in raw:
-            assert {x.id for x in record.replacement(l.id)} <= kept
+            assert {x.id for x in replacement(mp, l)} <= kept
         full = [l for l in mp.links if l.left == 0 and l.right == mp.edge_count]
         assert full, "whole-path link must survive pruning"
         for l in mp.links:

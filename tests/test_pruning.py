@@ -8,6 +8,7 @@ from wtap.instance import TreeInstance
 from wtap.pruning import (
     REMOVED_DOMINATED,
     REMOVED_REDUNDANT,
+    MinimalPathInstance,
     PathLink,
     build_minimal_instance,
     check_minimal,
@@ -15,7 +16,9 @@ from wtap.pruning import (
     path_positions,
     prune_class,
     prune_rooted,
+    replacement,
     replacement_cover,
+    transfer,
 )
 
 from conftest import PL
@@ -23,6 +26,10 @@ from conftest import PL
 
 def spans(links):
     return sorted((l.left, l.right) for l in links)
+
+
+def cost(links):
+    return sum(l.cost for l in links)
 
 
 # -- rooted dominance -------------------------------------------------------
@@ -120,8 +127,8 @@ def test_build_minimal_validates_inputs():
 
 def test_build_minimal_records_reasons():
     raw = [PL(0, 4, 1, 0), PL(0, 2, 1, 1), PL(1, 3, 1, 2)]
-    minimal, record = build_minimal_instance(4, raw)
-    reasons = {l.id: why for l, why in record.removed}
+    minimal, removed = build_minimal_instance(4, raw)
+    reasons = {l.id: why for l, why in removed}
     assert reasons[1] == REMOVED_DOMINATED
     assert reasons[2] == REMOVED_REDUNDANT
     assert [l.id for l in minimal.links] == [0]
@@ -137,7 +144,7 @@ def test_build_minimal_shape_and_coverage(data):
         right = data.draw(st.integers(left + 1, m))
         cls = data.draw(st.integers(0, 4))
         links.append(PL(left, right, cls, i))
-    minimal, record = build_minimal_instance(m, links)
+    minimal, removed = build_minimal_instance(m, links)
     assert check_minimal(minimal) == []
     union_raw = set()
     for l in links:
@@ -149,49 +156,64 @@ def test_build_minimal_shape_and_coverage(data):
     kept_ids = {l.id for l in minimal.links}
     assert kept_ids <= {l.id for l in links}
     assert minimal.kept_from == {i: i for i in sorted(kept_ids)}
+    assert [l.id for l, _ in removed] == sorted({l.id for l in links} - kept_ids)
+    for link in links:
+        reps = replacement(minimal, link)
+        if link.id in kept_ids:
+            assert reps == [link]
+        elif link.rooted:
+            assert len(reps) == 1
+            rep = reps[0]
+            assert rep in minimal.links and rep.rooted
+            assert rep.cls <= link.cls and rep.right >= link.right
+        else:
+            assert 1 <= len(reps) <= 3
+            assert all(r in minimal.links and r.cls == link.cls for r in reps)
+            span = {e for r in reps for e in range(r.left, r.right)}
+            assert span >= set(range(link.left, link.right))
 
 
 # -- replacements and transfer ----------------------------------------------
 
 def test_replacement_of_kept_link_is_itself():
-    minimal, record = build_minimal_instance(3, [PL(0, 3, 0, 0)])
-    assert record.replacement(0) == [minimal.links[0]]
+    link = PL(0, 3, 0, 0)
+    minimal, _ = build_minimal_instance(3, [link])
+    assert replacement(minimal, link) == [minimal.links[0]]
 
 
 def test_replacement_of_dominated_rooted_is_single_dominator():
     raw = [PL(0, 4, 1, 0), PL(0, 3, 1, 1)]
-    _, record = build_minimal_instance(4, raw)
-    rep = record.replacement(1)
-    assert [l.id for l in rep] == [0]
+    minimal, _ = build_minimal_instance(4, raw)
+    assert [l.id for l in replacement(minimal, raw[1])] == [0]
 
 
 def test_replacement_of_redundant_link():
     raw = [PL(0, 4, 1, 0), PL(1, 3, 1, 1)]
-    _, record = build_minimal_instance(4, raw)
-    assert [l.id for l in record.replacement(1)] == [0]
+    minimal, _ = build_minimal_instance(4, raw)
+    assert [l.id for l in replacement(minimal, raw[1])] == [0]
+
+
+def kept_only(edge_count, kept):
+    """A minimal instance holding exactly the given links."""
+    return MinimalPathInstance(edge_count, tuple(kept), {})
 
 
 def test_replacement_chain_of_three():
     link = PL(1, 5, 0, 9)
-    kept = [PL(0, 2, 0, 0), PL(2, 4, 0, 1), PL(4, 6, 0, 2)]
-    assert [l.id for l in replacement_cover(link, kept)] == [0, 1, 2]
+    kept = [PL(0, 2, 0, 0), PL(2, 4, 0, 1), PL(4, 6, 0, 2), PL(1, 6, 1, 3)]
+    assert [l.id for l in replacement_cover(link, kept_only(6, kept))] == [0, 1, 2]
 
 
 def test_replacement_cover_rejects_gap():
     with pytest.raises(InvariantViolationError):
-        replacement_cover(PL(1, 6, 0, 9), [PL(0, 2, 0, 0), PL(4, 6, 0, 1)])
+        replacement_cover(PL(1, 6, 0, 9),
+                          kept_only(6, [PL(0, 2, 0, 0), PL(4, 6, 0, 1)]))
 
 
 def test_replacement_cover_rejects_long_chain():
     kept = [PL(2 * i, 2 * i + 2, 0, i) for i in range(4)]
     with pytest.raises(InvariantViolationError):
-        replacement_cover(PL(1, 8, 0, 9), kept)
-
-
-def test_replacement_unknown_id():
-    _, record = build_minimal_instance(3, [PL(0, 3, 0, 0)])
-    with pytest.raises(BadInputError):
-        record.replacement(17)
+        replacement_cover(PL(1, 8, 0, 9), kept_only(8, kept))
 
 
 def random_universe(rng, m, count):
@@ -209,7 +231,7 @@ def test_transfer_bounds_and_coverage():
     for trial in range(120):
         m = rng.randint(3, 24)
         links = random_universe(rng, m, rng.randint(2, 16))
-        _, record = build_minimal_instance(m, links)
+        minimal, _ = build_minimal_instance(m, links)
         # random feasible solution over the original universe
         star = {l.id: l for l in links if rng.random() < 0.5}
         covered = set()
@@ -221,26 +243,21 @@ def test_transfer_bounds_and_coverage():
         if covered != union:
             star[0] = links[0]  # full-span link repairs feasibility
         star = list(star.values())
-        result = record.transfer([l.id for l in star])
-        if result.rooted_input:
-            assert len(result.cover_for_rooted) == 1
-            assert result.cover_for_rooted_cost <= result.rooted_input_cost
+        rooted_cover, nonrooted_cover = transfer(minimal, star)
+        rooted = [l for l in star if l.rooted]
+        if rooted:
+            assert len(rooted_cover) == 1
+            assert cost(rooted_cover) <= cost(rooted)
         else:
-            assert result.cover_for_rooted == []
-        assert result.cover_for_nonrooted_cost <= 3 * result.nonrooted_input_cost
+            assert rooted_cover == []
+        assert cost(nonrooted_cover) <= 3 * cost(l for l in star if not l.rooted)
         want = set()
         for l in star:
             want.update(range(l.left, l.right))
         got = set()
-        for l in result.all_links():
+        for l in rooted_cover + nonrooted_cover:
             got.update(range(l.left, l.right))
         assert want <= got
-
-
-def test_transfer_unknown_id():
-    _, record = build_minimal_instance(3, [PL(0, 3, 0, 0)])
-    with pytest.raises(BadInputError):
-        record.transfer([5])
 
 
 # -- path-shaped tree instances ----------------------------------------------

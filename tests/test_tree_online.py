@@ -90,27 +90,26 @@ def run_random(seed, n=9, extras=10, pairs=8):
         if s != t:
             req.append((s, t))
     solver = TreeSolver(inst)
-    solver.run(req)
-    return inst, solver, req
+    return inst, solver, solver.run(req)
 
 
 def test_random_runs_cover_requested_paths():
     for seed in range(30):
-        inst, solver, req = run_random(seed)
-        for s, t in req:
-            for e in inst.tree_path(s, t).edges:
+        inst, solver, reports = run_random(seed)
+        for r in reports:
+            for e in inst.tree_path(r.s, r.t).edges:
                 assert solver.covered[e]
 
 
 def test_random_runs_account_costs_exactly():
     for seed in range(30):
-        inst, solver, _ = run_random(seed)
+        inst, solver, reports = run_random(seed)
         assert len(set(solver.purchase_order)) == len(solver.purchase_order)
         assert set(solver.purchase_order) == solver.bought_sources
         assert solver.cost_total == sum(
             inst.links[i].cost for i in solver.bought_sources)
         assert solver.cost_total == sum(
-            r.incremental_cost for r in solver.reports)
+            r.incremental_cost for r in reports)
 
 
 def test_source_cost_never_below_path_accounting():
