@@ -453,6 +453,10 @@ def cmd_sweep(args) -> int:
     rows = []
     points = []
     if args.kind == "tree":
+        if min(args.seeds, args.links, args.requests) < 0:
+            raise BadInputError(
+                f"negative count: {args.seeds} seeds, {args.links} links, "
+                f"{args.requests} requests")
         for n in _parse_int_range(args.n):
             extras = max(0, args.links - (n - 1))
             for s in range(args.seeds):

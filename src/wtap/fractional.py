@@ -12,6 +12,18 @@ the new position go stale.  Otherwise the DP resumes from the leftmost
 stale position.  Sorted arrivals extend it by one entry each, and a
 repeated edge costs nothing.
 
+The DP reads tables, not searches.  Each link's cost and left end sit
+in lists indexed by id, and a per-left table holds g_at[x] =
+g[#requested < x] at every link left end x, so a covering link of
+position p offers cost + g_at[left] in two list reads.  As the resumed
+DP reaches the j-th requested position it rewrites g_at for the left
+ends in (pos[j-1], pos[j]] with g[j]; left ends at or left of the last
+position before the resume point keep their values, for the same
+reason the DP entries up to it stay valid.  The choice behind g[k] is
+a link id only, so the witness walk back from the last position makes
+one binary search per witness link, to the first position at or right
+of that link's left end.
+
 A request an ultra-cheap link can cover (cost * edge_count <= current
 optimum) is served by setting that link's variable to 1 outright.
 Otherwise the update runs only over the band of links covering the
@@ -29,7 +41,7 @@ applies and buys that link outright.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,11 +89,22 @@ class FractionalPathSolver:
         self.total_cost = 0.0
         self.records = []
         self.opt_history = []
+        # per-link tables, indexed by link id
+        top = max((l.id for l in minimal.links), default=-1) + 1
+        self._cost_of = cost_of = [0] * top
+        self._left_of = left_of = [0] * top
+        for l in minimal.links:
+            cost_of[l.id] = l.cost
+            left_of[l.id] = l.left
+        # the links' distinct left ends, ascending, closed by a sentinel
+        # right of every edge
+        self._lefts = sorted({l.left for l in minimal.links}) + [m]
         # the exact optimum of the requests so far, kept incrementally
         self.requested = set()
         self._sorted = []          # requested positions, ascending
         self._g = [0]              # _g[k] = optimum over the first k of them
-        self._choice = [None]      # (link id, back index) behind _g[k]
+        self._g_at = [0] * m       # _g_at[x] = _g[#requested < x], x a left end
+        self._choice = [None]      # id of the last link behind _g[k]
         self._stale = None         # _g[k] is out of date for k > _stale
         self._opt = 0
         self._witness = frozenset()
@@ -92,32 +115,47 @@ class FractionalPathSolver:
         if e in self.requested:
             return
         self.requested.add(e)
-        k = bisect_left(self._sorted, e)
-        self._sorted.insert(k, e)
+        pos = self._sorted
+        k = bisect_left(pos, e)
+        pos.insert(k, e)
         d = k if self._stale is None else min(self._stale, k)
-        if not self._witness.isdisjoint(self.minimal.cov_ids[e]):
+        cov_ids = self.minimal.cov_ids
+        if not self._witness.isdisjoint(cov_ids[e]):
             # the witness covers e too, so by monotonicity it stays optimal
             self._stale = d
             return
-        g, choice, pos = self._g, self._choice, self._sorted
+        g, choice, g_at, lefts = self._g, self._choice, self._g_at, self._lefts
+        cost_of, left_of = self._cost_of, self._left_of
         del g[d + 1:], choice[d + 1:]
+        # _g_at still holds at the left ends up to pos[d-1]: neither their
+        # count of requests left of them nor _g[:d+1] has changed
+        r = bisect_right(lefts, pos[d - 1]) if d else 0
         for j in range(d, len(pos)):
-            best = None
-            for lid in self.minimal.cov_ids[pos[j]]:
-                l = self.links[lid]
-                back = bisect_left(pos, l.left)
-                cand = l.cost + g[back]
-                if best is None or cand < best[0] or (cand == best[0] and lid < best[1]):
-                    best = (cand, lid, back)
-            g.append(best[0])
-            choice.append((best[1], best[2]))
+            p = pos[j]
+            gj = g[j]
+            x = lefts[r]
+            while x <= p:
+                g_at[x] = gj
+                r += 1
+                x = lefts[r]
+            cov = cov_ids[p]
+            best_lid = cov[0]
+            best = cost_of[best_lid] + g_at[left_of[best_lid]]
+            for lid in cov:
+                cand = cost_of[lid] + g_at[left_of[lid]]
+                # ids ascend, so the strict test keeps the lowest id on ties
+                if cand < best:
+                    best, best_lid = cand, lid
+            g.append(best)
+            choice.append(best_lid)
         self._stale = None
         self._opt = g[-1]
         witness = set()
         k = len(pos)
         while k > 0:
-            lid, k = choice[k]
+            lid = choice[k]
             witness.add(lid)
+            k = bisect_left(pos, left_of[lid])
         self._witness = frozenset(witness)
 
     def current_opt(self) -> int:
@@ -146,12 +184,13 @@ class FractionalPathSolver:
             self.records.append(rec)
             return rec
 
-        cheap = [lid for lid in cov
-                 if self.links[lid].cost * self.m <= opt_i]
+        cost_of, x = self._cost_of, self.x
+        cheap = [lid for lid in cov if cost_of[lid] * self.m <= opt_i]
         if cheap:
-            lid = min(cheap, key=lambda i: (self.links[i].cost, i))
-            inc = self.links[lid].cost * (1.0 - self.x[lid])
-            self.x[lid] = 1.0
+            # ids ascend, so min keeps the lowest id among the cheapest
+            lid = min(cheap, key=cost_of.__getitem__)
+            inc = cost_of[lid] * (1.0 - x[lid])
+            x[lid] = 1.0
             self.total_cost += inc
             rec = FracRecord(request=e, opt_i=opt_i, kind="small",
                              t_star=0.0, incremental_cost=inc, band_size=0)
@@ -159,8 +198,7 @@ class FractionalPathSolver:
             return rec
 
         band = [lid for lid in cov
-                if self.links[lid].cost * self.m >= opt_i
-                and self.links[lid].cost <= 2 * opt_i]
+                if cost_of[lid] * self.m >= opt_i and cost_of[lid] <= 2 * opt_i]
         if not band:
             raise InvariantViolationError(
                 f"no band link for edge {e} at optimum {opt_i}")
@@ -169,18 +207,18 @@ class FractionalPathSolver:
                 f"band size {len(band)} exceeds cap {band_cap(self.m):.3f}")
 
         theta = self.theta
-        x0 = {lid: self.x[lid] for lid in band}
-        costs = {lid: float(self.links[lid].cost) for lid in band}
+        exp = math.exp
+        # (x0 + theta, cost) per band link, in band order
+        terms = [(x[lid] + theta, float(cost_of[lid])) for lid in band]
 
         def f(t: float) -> float:
             s = 0.0
-            for lid in band:
-                v = (x0[lid] + theta) * math.exp(t / costs[lid]) - theta
+            for a, c in terms:
+                v = a * exp(t / c) - theta
                 s += v if v < 1.0 else 1.0
             return s
 
-        hi = min(costs[lid] * math.log((1.0 + theta) / (x0[lid] + theta))
-                 for lid in band)
+        hi = min(c * math.log((1.0 + theta) / a) for a, c in terms)
         lo = 0.0
         guard = 0
         while f(hi) > 1.0 + COVERAGE_TOL:
@@ -195,13 +233,13 @@ class FractionalPathSolver:
         t_star = hi
 
         inc = 0.0
-        for lid in band:
-            new = (x0[lid] + theta) * math.exp(t_star / costs[lid]) - theta
+        for lid, (a, c) in zip(band, terms):
+            new = a * exp(t_star / c) - theta
             if new > 1.0:
                 new = 1.0
-            if new > self.x[lid]:
-                inc += costs[lid] * (new - self.x[lid])
-                self.x[lid] = new
+            if new > x[lid]:
+                inc += c * (new - x[lid])
+                x[lid] = new
         self.total_cost += inc
         if self.coverage(e) < 1.0 - COVERAGE_TOL:
             raise InvariantViolationError(

@@ -77,6 +77,9 @@ def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
     """
     if n < 2:
         raise BadInputError("need at least two vertices")
+    if link_count < 0 or request_count < 0:
+        raise BadInputError(f"negative count: {link_count} links, "
+                            f"{request_count} requests")
     if not math.isfinite(cost_spread * 4096):
         raise BadInputError(f"cost spread {cost_spread} times 4096 is not finite")
     rng = random.Random(seed)

@@ -58,6 +58,8 @@ class RunReport:
     @staticmethod
     def from_json(text: str) -> "RunReport":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError("top level is not a JSON object")
         version = data.pop("format_version", None)
         if version != REPORT_FORMAT_VERSION:
             raise ValueError(f"unsupported report version {version!r}")

@@ -7,6 +7,7 @@ import pytest
 
 from wtap.cli import _uncovered_requested_edges, main
 from wtap.decomposition import decompose, project
+from wtap.errors import BadInputError
 from wtap.generators import gen_random
 from wtap.instance import format_instance, parse_instance
 
@@ -143,6 +144,14 @@ def test_verify_flags_tampering(tmp_path, capsys):
 def test_verify_rejects_garbage(tmp_path, capsys):
     bad = write(tmp_path, "r.json", "not a report")
     assert main(["verify", bad]) == 4
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '"report"', "null", "3"])
+def test_verify_rejects_non_object_report(tmp_path, capsys, payload):
+    bad = write(tmp_path, "r.json", payload)
+    assert main(["verify", bad]) == 4
+    assert capsys.readouterr().err == (
+        "error: malformed report: top level is not a JSON object\n")
 
 
 def test_run_tree_report_and_verify(tmp_path, capsys):
@@ -309,3 +318,25 @@ def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "path", "--n", "5", "--links", "-3", "--requests", "-4"],
+    ["gen", "--kind", "tree", "--n", "5", "--links", "-1"],
+    ["gen", "--kind", "tree", "--n", "5", "--requests", "-1"],
+    ["sweep", "--kind", "tree", "--seeds", "-2"],
+    ["sweep", "--kind", "tree", "--links", "-1"],
+    ["sweep", "--kind", "tree", "--requests", "-1"],
+])
+def test_negative_counts_exit_4(capsys, argv):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: negative count") and err.count("\n") == 1
+
+
+def test_gen_random_rejects_negative_counts():
+    with pytest.raises(BadInputError):
+        gen_random("path", 5, -3, 16.0, 1)
+    with pytest.raises(BadInputError):
+        gen_random("tree", 5, 0, 16.0, 1, request_count=-4)

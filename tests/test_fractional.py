@@ -171,6 +171,19 @@ def test_serve_never_reruns_the_offline_dp(monkeypatch):
     assert calls == []
 
 
+def assert_exact_optimum(sol):
+    minimal = sol.minimal
+    opt = sol.current_opt()
+    assert opt == opt_path_dp(minimal.edge_count, minimal.links,
+                              sol.requested).opt_cost
+    witness = sol.opt_witness()
+    covered = set()
+    for lid in witness:
+        covered.update(range(sol.links[lid].left, sol.links[lid].right))
+    assert sol.requested <= covered
+    assert sum(sol.links[lid].cost for lid in witness) == opt
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_incremental_optimum_is_exact_after_every_serve(data):
@@ -183,14 +196,7 @@ def test_incremental_optimum_is_exact_after_every_serve(data):
     sol = FractionalPathSolver(minimal)
     for e in arrivals:
         sol.serve(e)
-        opt = sol.current_opt()
-        assert opt == opt_path_dp(m, minimal.links, sol.requested).opt_cost
-        witness = sol.opt_witness()
-        covered = set()
-        for lid in witness:
-            covered.update(range(sol.links[lid].left, sol.links[lid].right))
-        assert sol.requested <= covered
-        assert sum(sol.links[lid].cost for lid in witness) == opt
+        assert_exact_optimum(sol)
 
 
 def test_phases_never_decrease_along_a_run():
@@ -222,3 +228,110 @@ def test_restricted_solution_certificate():
 def test_band_discipline_never_trips(seed):
     # serving never raises the band-size guard on generated instances
     random_fracrun(seed, max_edges=24, max_links=18)
+
+
+def wide_minimal_instance(rng, m):
+    """A minimal path instance of m edges with many short links, so many
+    left ends fall between requested positions."""
+    raw = [PL(0, m, 6, 0)]
+    for i in range(1, rng.randint(m // 2, 2 * m) + 1):
+        left = 0 if rng.random() < 0.2 else rng.randrange(m)
+        right = rng.randint(left + 1, min(m, left + rng.randint(1, m // 4)))
+        raw.append(PL(left, right, rng.randint(0, 6), i))
+    minimal, _ = build_minimal_instance(m, raw)
+    return minimal
+
+
+def traced_runs(sol):
+    """Wrap sol._note_request; return a list that gets, per new edge,
+    (stale position before, insertion index, DP ran, witness size)."""
+    events = []
+    note = sol._note_request
+
+    def traced(e):
+        new = e not in sol.requested
+        stale = sol._stale
+        note(e)
+        if new:
+            ran = sol._stale is None
+            events.append((stale, sol._sorted.index(e), ran,
+                           len(sol.opt_witness()) if ran else 0))
+
+    sol._note_request = traced
+    return events
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incremental_optimum_is_exact_on_wide_paths(data):
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    m = data.draw(st.integers(60, 150))
+    minimal = wide_minimal_instance(rng, m)
+    arrivals = data.draw(st.lists(st.integers(0, m - 1), min_size=m // 2,
+                                  max_size=2 * m))
+    sol = FractionalPathSolver(minimal)
+    for e in arrivals:
+        sol.serve(e)
+        assert_exact_optimum(sol)
+
+
+def test_dp_resumes_from_a_stale_position():
+    """A seeded random-order run in which a DP run starts from a stale
+    position strictly left of the new one, so left ends between the two
+    are rewritten while those left of the stale position are kept."""
+    rng = random.Random(11)
+    m = 120
+    minimal = wide_minimal_instance(rng, m)
+    sol = FractionalPathSolver(minimal)
+    events = traced_runs(sol)
+    order = list(range(m))
+    rng.shuffle(order)
+    for e in order:
+        sol.serve(e)
+        assert_exact_optimum(sol)
+    resumed = [ev for ev in events if ev[2] and ev[0] is not None
+               and 0 < ev[0] < ev[1]]
+    assert resumed
+
+
+def test_dp_makes_no_search_per_covering_link(monkeypatch):
+    """Binary searches: one per new edge (its insertion) plus, per DP run,
+    one to find the resume point among the left ends and one per witness
+    link on the walk back."""
+    count = [0]
+
+    def counting(search):
+        def wrapped(*a):
+            count[0] += 1
+            return search(*a)
+        return wrapped
+
+    monkeypatch.setattr(fractional, "bisect_left",
+                        counting(fractional.bisect_left))
+    monkeypatch.setattr(fractional, "bisect_right",
+                        counting(fractional.bisect_right))
+    rng = random.Random(5)
+    m = 150
+    minimal = wide_minimal_instance(rng, m)
+    sol = FractionalPathSolver(minimal)
+    events = traced_runs(sol)
+    sol.run([rng.randrange(m) for _ in range(2 * m)])
+    runs = [ev for ev in events if ev[2]]
+    assert len(runs) > 5
+    assert count[0] <= len(events) + sum(w + 1 for _, _, _, w in runs)
+
+
+@pytest.mark.parametrize("long_id, short_id, want", [
+    (0, 2, {0}),        # the long link has the lower id: it alone
+    (2, 0, {0, 1}),     # the short one does: it and the link over edge 0
+])
+def test_dp_tie_breaks_to_the_lower_id(long_id, short_id, want):
+    # covering edges 0 and 4 costs 2 either by the long link or by the two
+    # unit links; the DP ties at edge 4 and keeps the lower id
+    minimal, _ = build_minimal_instance(5, [
+        PL(0, 5, 1, long_id), PL(0, 1, 0, 1), PL(4, 5, 0, short_id)])
+    sol = FractionalPathSolver(minimal)
+    sol.serve(0)
+    sol.serve(4)
+    assert sol.current_opt() == 2
+    assert sol.opt_witness() == want
