@@ -162,12 +162,9 @@ class LowerBoundReport:
     k: int
     n: int
     algo: str
-    request_count: int
     alg_cost: int
     opt: int
     ratio: float
-    level_cover_costs: list = field(default_factory=list)
-    level_cover_total: int = 0
     cert_ok: bool = False
     requests: list = field(default_factory=list)
 
@@ -194,7 +191,6 @@ def adversary_drive(inst: HierarchicalInstance, algo_name: str) -> LowerBoundRep
             raise InvariantViolationError(
                 f"request {cursor} still uncovered after serve")
 
-    level_costs = []
     total = 0
     for j in range(inst.k + 1):
         chosen = {inst.link_at(j, r).id for r in requests}
@@ -203,15 +199,12 @@ def adversary_drive(inst: HierarchicalInstance, algo_name: str) -> LowerBoundRep
             link = inst.link_at(j, r)
             if not (link.left <= r < link.right):
                 raise InvariantViolationError("level cover misses a request")
-        level_costs.append(cost_j)
         total += cost_j
     cert_ok = total <= 2 * wrapper.cost
 
     opt = opt_path_dp(inst.n, inst.links, requests).opt_cost
     ratio = wrapper.cost / opt if opt else float("inf")
     return LowerBoundReport(
-        B=inst.B, k=inst.k, n=inst.n, algo=algo_name,
-        request_count=len(requests), alg_cost=wrapper.cost, opt=opt,
-        ratio=ratio, level_cover_costs=level_costs, level_cover_total=total,
-        cert_ok=cert_ok, requests=requests,
+        B=inst.B, k=inst.k, n=inst.n, algo=algo_name, alg_cost=wrapper.cost,
+        opt=opt, ratio=ratio, cert_ok=cert_ok, requests=requests,
     )

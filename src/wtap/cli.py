@@ -16,6 +16,7 @@ invariants and compute the offline optimum when one is in reach.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import math
@@ -159,10 +160,11 @@ def _uncovered_requested_edges(inst, decomp, bought) -> list:
     links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
     asked = paths_through((r.s, r.t) for r in inst.requests)
     parent = inst.parent
-    for v in sorted(range(inst.n), key=inst.depth.__getitem__, reverse=True):
-        if v != inst.root:
-            links[parent[v]] += links[v]
-            asked[parent[v]] += asked[v]
+    for v in reversed(inst.order):
+        p = parent[v]
+        if p >= 0:
+            links[p] += links[v]
+            asked[p] += asked[v]
     return sorted(inst.edge_of_child[v] for v in range(inst.n)
                   if asked[v] and not links[v])
 
@@ -266,10 +268,11 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
     start = time.perf_counter()
     per_request, cost, invariants, opt = run(inst)
     spec = ExperimentSpec(algorithm=algorithm, seed=seed)
+    text = format_instance(inst)        # hashed as inst.digest() does
     return RunReport(
         algorithm=algorithm,
-        instance_digest=inst.digest(),
-        instance_text=format_instance(inst),
+        instance_digest=hashlib.sha256(text.encode()).hexdigest(),
+        instance_text=text,
         per_request=per_request,
         final_cost=str(cost),
         opt=None if opt is None else str(opt),
@@ -480,8 +483,9 @@ def cmd_sweep(args) -> int:
                     row["error"] = str(exc)
                 rows.append(row)
         fields = ("n", "seed", "cost", "opt", "ratio", "invariants_ok", "error")
-        group_key = "n"
     elif args.kind == "lowerbound":
+        if args.algo not in CONTESTANTS:
+            raise BadInputError(f"unknown contestant {args.algo!r}")
         for k in _parse_int_range(args.k, _K_MOST):
             inst = HierarchicalInstance(args.B, k)
             row = {"algo": args.algo, "B": args.B, "k": k, "n": inst.n,
@@ -492,25 +496,22 @@ def cmd_sweep(args) -> int:
                 row.update(alg_cost=rep.alg_cost, opt=rep.opt,
                            ratio=rep.ratio, cert_ok=rep.cert_ok)
                 points.append((math.log2(inst.n), rep.ratio))
-            except (BadInputError, InvariantViolationError) as exc:
+            except InvariantViolationError as exc:
                 row["error"] = str(exc)
             rows.append(row)
         fields = ("algo", "B", "k", "n", "alg_cost", "opt", "ratio",
                   "cert_ok", "error")
-        group_key = "n"
     else:
         raise BadInputError(f"unknown sweep kind {args.kind!r}")
 
     _emit_table(args, fields, rows, out_path=args.out)
     if not args.quiet:
-        by_group = {}
+        by_n = {}
         for row in rows:
             if row["ratio"] is not None:
-                g = row[group_key]
-                by_group[g] = max(by_group.get(g, 0.0), row["ratio"])
-        for g in sorted(by_group):
-            print(f"max ratio at {group_key}={g}: {by_group[g]:.4f}",
-                  file=sys.stderr)
+                by_n[row["n"]] = max(by_n.get(row["n"], 0.0), row["ratio"])
+        for n in sorted(by_n):
+            print(f"max ratio at n={n}: {by_n[n]:.4f}", file=sys.stderr)
         if points:
             print(f"fitted ratio/log2(n) slope: "
                   f"{_slope_through_origin(points):.4f}", file=sys.stderr)

@@ -11,8 +11,9 @@ u-v path meets at most ``2*ceil(log2 n) + 1`` decomposition paths.
 Two layers:
 
 * array layer (``decompose_arrays``, ``width_arrays``) works on plain
-  parent/children arrays; the exhaustive small tree sweeps run through
-  it.
+  ``parent``/``children`` arrays and a top-down ``order`` (the root
+  first, each vertex after its parent), as ``TreeInstance`` keeps them;
+  the exhaustive small tree sweeps run through it.
 * instance layer (``decompose``, ``width``, ``project``, ``meet``) takes
   a ``TreeInstance``.  ``decompose`` returns the arrays frozen in a
   ``RootedPathDecomposition``, and ``project`` returns a link's spans as
@@ -53,32 +54,19 @@ class RootedPathDecomposition:
     pos_above: tuple         # vertex -> its position on that path (root: -1)
 
 
-def tree_children(inst: TreeInstance) -> list:
-    children = [[] for _ in range(inst.n)]
-    for v in range(inst.n):
-        p = inst.parent[v]
-        if p >= 0:
-            children[p].append(v)
-    for c in children:
-        c.sort()
-    return children
-
-
-def decompose_arrays(n: int, root: int, parent: list, children: list):
+def decompose_arrays(parent: list, children: list, order: list):
     """Core decomposition on plain arrays.
 
     ``children[v]`` must be sorted ascending (determinism of all tie
-    breaks depends on it).  Returns ``(paths, pid_above)`` where each
+    breaks depends on it), and ``order`` lists every vertex after its
+    parent, the root first.  Returns ``(paths, pid_above)`` where each
     path is a vertex list starting at its root and ``pid_above[v]`` is
     the id of the path owning the edge between v and its parent (-1 for
     the tree root).
     """
+    n = len(parent)
+    root = order[0]
     size = [1] * n
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
     for w in reversed(order):
         p = parent[w]
         if p >= 0:
@@ -143,7 +131,7 @@ def decompose_arrays(n: int, root: int, parent: list, children: list):
     return paths, pid_above
 
 
-def width_arrays(n: int, root: int, parent: list, children: list,
+def width_arrays(parent: list, children: list, order: list,
                  pid_above: list) -> int:
     """Exact width in O(n).
 
@@ -155,14 +143,10 @@ def width_arrays(n: int, root: int, parent: list, children: list,
     the width is the best single downward count or the best sum of two
     at a common top vertex.
     """
+    n = len(parent)
     if n <= 1:
         return 0
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
-
+    root = order[0]
     dcount = [0] * n
     for w in order:
         for c in children[w]:
@@ -201,8 +185,7 @@ def default_width_bound(n: int) -> int:
 
 
 def decompose(inst: TreeInstance) -> RootedPathDecomposition:
-    children = tree_children(inst)
-    paths, pid_above = decompose_arrays(inst.n, inst.root, inst.parent, children)
+    paths, pid_above = decompose_arrays(inst.parent, inst.children, inst.order)
     pos_above = [-1] * inst.n
     for p in paths:
         for i in range(1, len(p)):
@@ -215,7 +198,7 @@ def decompose(inst: TreeInstance) -> RootedPathDecomposition:
 
 
 def width(inst: TreeInstance, decomp: RootedPathDecomposition) -> int:
-    return width_arrays(inst.n, inst.root, inst.parent, tree_children(inst),
+    return width_arrays(inst.parent, inst.children, inst.order,
                         decomp.pid_above)
 
 

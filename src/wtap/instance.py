@@ -4,7 +4,9 @@ The tree is stored rooted.  Every non-root vertex has exactly one edge
 to its parent, so edges can be addressed two ways: by their input index
 (``0..n-2``, the order they appeared in the source) and by their child
 endpoint.  Both maps are built once at construction and all path and
-coverage queries go through them.  The constructor is the one place
+coverage queries go through them.  The same breadth-first walk keeps
+the rooted shape every later stage reads: ``order``, each vertex after
+its parent, and ``children``, each vertex's children ascending.  The constructor is the one place
 that checks an instance's values; the text parser only tokenizes, and
 maps the ``(kind, index)`` entry a ``BadInputError`` names back to its
 line.
@@ -129,48 +131,49 @@ class TreeInstance:
         self.n = n
         self.root = root
         self.edges = [(int(u), int(v)) for u, v in edges]
-        first = {}                  # (low, high) endpoint pair -> first edge id
+        edge_id = {}                # (low, high) endpoint pair -> edge id
         for eid, (u, v) in enumerate(self.edges):
             _check_ends(n, "edge", eid, u, v)
-            earlier = first.setdefault((min(u, v), max(u, v)), eid)
+            earlier = edge_id.setdefault((min(u, v), max(u, v)), eid)
             if earlier != eid:
                 raise BadInputError(f"edge {eid} duplicates edge {earlier}",
                                     ("edge", eid), ("edge", earlier))
         if len(self.edges) != n - 1:
             raise BadInputError(f"expected {n - 1} tree edges, got {len(self.edges)}")
 
-        adj = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        self.adjacency = adj
-
+        # each vertex's neighbours; the walk drops its parent from the
+        # list when it reaches the vertex, which leaves its children
+        children = [[] for _ in range(n)]
+        for u, v in self.edges:
+            children[u].append(v)
+            children[v].append(u)
         parent = [-1] * n
         parent_edge = [-1] * n
+        child_of_edge = [-1] * (n - 1)
         depth = [0] * n
         order = [root]
-        reached = [False] * n
-        reached[root] = True
-        i = 0
-        while i < len(order):
-            w = order[i]
-            i += 1
-            for x, eid in adj[w]:
-                if not reached[x]:
-                    reached[x] = True
-                    parent[x] = w
-                    parent_edge[x] = eid
-                    depth[x] = depth[w] + 1
-                    order.append(x)
-        if i != n:
+        for w in order:
+            kids = children[w]
+            if w != root:
+                kids.remove(parent[w])
+            kids.sort()
+            for x in kids:
+                if parent[x] >= 0 or x == root:
+                    # n - 1 edges closing a cycle leave some vertex out
+                    raise BadInputError("edges do not connect all vertices")
+                eid = edge_id[(w, x) if w < x else (x, w)]
+                parent[x] = w
+                parent_edge[x] = eid
+                child_of_edge[eid] = x
+                depth[x] = depth[w] + 1
+                order.append(x)
+        if len(order) != n:
             raise BadInputError("edges do not connect all vertices")
         self.parent = parent
         self.depth = depth
+        self.order = order                        # BFS order, root first
+        self.children = children                  # vertex -> children, ascending
         self.edge_of_child = parent_edge          # vertex -> edge id above it
-        child_of_edge = [-1] * (n - 1)
-        for v in range(n):
-            if v != root:
-                child_of_edge[parent_edge[v]] = v
         self.child_of_edge = child_of_edge        # edge id -> child endpoint
 
         self.raw_costs = []

@@ -224,7 +224,6 @@ class NicenessReport:
     enumerated: bool = False
     feasible_split_count: int = 0
     max_split_ratio: float = 0.0
-    split_cap: float = 24.0
     ok: bool = True
 
     def add(self, cid, bound, observed, ok):

@@ -270,15 +270,12 @@ def path_positions(inst: TreeInstance) -> Optional[list]:
     """Vertex order along the tree when it is a path rooted at one end.
 
     The tree is connected, so it is such a path exactly when some vertex
-    lies n - 1 edges below the root, and each vertex's position is then
-    its depth.
+    lies n - 1 edges below the root; the instance's top-down order then
+    lists the vertices by depth, which is each one's position.
     """
     if max(inst.depth) != inst.n - 1:
         return None
-    order = [0] * inst.n
-    for v, d in enumerate(inst.depth):
-        order[d] = v
-    return order
+    return inst.order
 
 
 def path_instance_from_tree(inst: TreeInstance):

@@ -65,7 +65,8 @@ def brute_cover(edge_count, links, requested):
 
 
 def tree_arrays(n, edges, root=0):
-    """(parent, children) arrays with children sorted ascending."""
+    """(parent, children, order): children sorted ascending, and the BFS
+    order from the root, each vertex after its parent."""
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
@@ -84,19 +85,15 @@ def tree_arrays(n, edges, root=0):
                 order.append(w)
     for c in children:
         c.sort()
-    return parent, children
+    return parent, children, order
 
 
 def pairwise_width(n, edges, pid_above, root=0):
     """Max number of distinct decomposition paths met by any u-v path."""
-    parent, _ = tree_arrays(n, edges, root)
+    parent, _, order = tree_arrays(n, edges, root)
     depth = [0] * n
-    order = [root]
-    for u in order:
-        for v in range(n):
-            if parent[v] == u:
-                depth[v] = depth[u] + 1
-                order.append(v)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
     best = 0
     for u in range(n):
         for v in range(u + 1, n):

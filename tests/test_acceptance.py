@@ -117,7 +117,7 @@ def test_criterion_3_solution_quality_certificate():
         rep = verify_nice(solver, n_global=minimal.edge_count + 1)
         assert rep.enumerated, "instance small enough to sweep exhaustively"
         assert rep.ok, [c for c in rep.conditions if not c.ok]
-        assert rep.max_split_ratio <= rep.split_cap
+        assert rep.max_split_ratio <= 24
         worst = max(worst, rep.max_split_ratio)
         total_splits += rep.feasible_split_count
     elapsed = time.perf_counter() - start
@@ -157,18 +157,18 @@ def test_criterion_5_decomposition_width():
     for n in range(1, 9):
         bound = default_width_bound(n)
         for edges in enumerate_trees(n):
-            parent, children = tree_arrays(n, edges)
-            paths, pid_above = decompose_arrays(n, 0, parent, children)
-            assert width_arrays(n, 0, parent, children, pid_above) <= bound
+            parent, children, order = tree_arrays(n, edges)
+            paths, pid_above = decompose_arrays(parent, children, order)
+            assert width_arrays(parent, children, order, pid_above) <= bound
             trees += 1
 
     rng = random.Random(5150)
     for _ in range(1000):
         n = rng.randint(2, 512)
         edges = random_tree(n, rng)
-        parent, children = tree_arrays(n, edges)
-        paths, pid_above = decompose_arrays(n, 0, parent, children)
-        assert width_arrays(n, 0, parent, children, pid_above) \
+        parent, children, order = tree_arrays(n, edges)
+        paths, pid_above = decompose_arrays(parent, children, order)
+        assert width_arrays(parent, children, order, pid_above) \
             <= default_width_bound(n)
 
     projected = 0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wtap import cli, instance
 from wtap.cli import _uncovered_requested_edges, main
 from wtap.decomposition import decompose, project
 from wtap.errors import BadInputError
@@ -166,6 +167,22 @@ def test_run_tree_report_and_verify(tmp_path, capsys):
     assert main(["verify", report, "--quiet"]) == 0
 
 
+def test_run_report_formats_the_instance_once(monkeypatch):
+    inst = parse_instance(STAR_INSTANCE)
+    text, digest = format_instance(inst), inst.digest()
+    calls = []
+
+    def counting(i):
+        calls.append(i)
+        return format_instance(i)
+
+    monkeypatch.setattr(cli, "format_instance", counting)
+    monkeypatch.setattr(instance, "format_instance", counting)
+    rep = cli.run_report("tree-online", inst)
+    assert len(calls) == 1
+    assert (rep.instance_text, rep.instance_digest) == (text, digest)
+
+
 def test_coverage_check_counts_paths_through_each_edge():
     inst = parse_instance(STAR_INSTANCE)     # request 1 2 needs edges 0, 1
     decomp = decompose(inst)
@@ -304,6 +321,8 @@ def test_exit_codes(tmp_path, capsys):
     ["lowerbound", "--k", "1..99999999999"],
     ["sweep", "--kind", "lowerbound", "--k", "1..99999999999"],
     ["sweep", "--kind", "tree", "--n", "1..99999999999"],
+    ["sweep", "--kind", "lowerbound", "--algo", "nope", "--k", "1..2"],
+    ["sweep", "--kind", "lowerbound", "--algo", "alg1", "--B", "3"],
 ])
 def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
     if argv[0] == "verify":

@@ -8,7 +8,6 @@ from wtap.decomposition import (
     decompose_arrays,
     default_width_bound,
     project,
-    tree_children,
     width,
     width_arrays,
 )
@@ -121,27 +120,35 @@ def test_width_arrays_matches_pairwise_count(data):
     seq = data.draw(st.lists(st.integers(0, n - 1),
                              min_size=n - 2, max_size=n - 2))
     edges = prufer_decode(seq, n)
-    parent, children = tree_arrays(n, edges)
-    paths, pid_above = decompose_arrays(n, 0, parent, children)
-    assert width_arrays(n, 0, parent, children, pid_above) == \
+    parent, children, order = tree_arrays(n, edges)
+    paths, pid_above = decompose_arrays(parent, children, order)
+    assert width_arrays(parent, children, order, pid_above) == \
         pairwise_width(n, edges, pid_above)
 
 
 def test_width_arrays_exhaustive_small():
     for n in range(2, 7):
         for edges in enumerate_trees(n):
-            parent, children = tree_arrays(n, edges)
-            paths, pid_above = decompose_arrays(n, 0, parent, children)
-            got = width_arrays(n, 0, parent, children, pid_above)
+            parent, children, order = tree_arrays(n, edges)
+            paths, pid_above = decompose_arrays(parent, children, order)
+            got = width_arrays(parent, children, order, pid_above)
             assert got == pairwise_width(n, edges, pid_above)
             assert got <= default_width_bound(n)
 
 
-def test_tree_children_sorted():
-    inst = make(5, [(0, 3), (0, 1), (1, 4), (1, 2)])
-    ch = tree_children(inst)
-    assert ch[0] == [1, 3]
-    assert ch[1] == [2, 4]
+def test_instance_order_and_children():
+    # edges in neither sorted nor BFS order, root inside the tree
+    edges = [(6, 2), (4, 0), (2, 5), (3, 2), (0, 6), (2, 1), (4, 7)]
+    inst = make(8, edges, root=6)
+    order = inst.order
+    assert sorted(order) == list(range(8))
+    assert order[0] == 6
+    seen = {v: i for i, v in enumerate(order)}
+    assert all(seen[inst.parent[v]] < seen[v] for v in order[1:])
+    for v in range(8):
+        assert inst.children[v] == sorted(inst.children[v])
+        assert inst.children[v] == [c for c in range(8) if inst.parent[c] == v]
+    assert inst.children[2] == [1, 3, 5]
 
 
 # -- projections ------------------------------------------------------------

@@ -204,8 +204,10 @@ def test_rejects_duplicate_edge():
 
 
 def test_rejects_disconnected():
-    with pytest.raises(BadInputError):
-        TreeInstance(n=4, edges=[(0, 1), (1, 2), (0, 2)], root=0)
+    # the cycle in the root's part of the tree, then away from it
+    for edges in ([(0, 1), (1, 2), (0, 2)], [(0, 1), (2, 3), (3, 4), (4, 2)]):
+        with pytest.raises(BadInputError, match="do not connect all vertices"):
+            TreeInstance(n=len(edges) + 1, edges=edges, root=0)
 
 
 def test_rejects_bad_root():
