@@ -24,7 +24,7 @@ import sys
 import time
 
 from .adversary import CONTESTANTS, HierarchicalInstance, adversary_drive
-from .decomposition import decompose, default_width_bound, meet, width
+from .decomposition import decompose, default_width_bound, width
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError)
 from .fractional import FractionalPathSolver
@@ -140,32 +140,75 @@ def _solver_invariants(solvers, dual_id: str) -> list:
     ]
 
 
-def _uncovered_requested_edges(inst, decomp, bought) -> list:
+def _uncovered_requested_edges(inst, bought) -> list:
     """Requested edges no bought link covers, by tree difference counts.
 
     Each bought link, and in a second count each request, adds +1 at
     both endpoints and -2 at their meeting vertex; summing every subtree
     then leaves at v the number of link (or request) paths through the
-    edge above v.  This reads only the bought link ids, never the tree
-    solver's coverage state, so it is an independent check of it.
-    """
-    def paths_through(ends):
-        counts = [0] * inst.n
-        for u, v in ends:
-            counts[u] += 1
-            counts[v] += 1
-            counts[meet(inst, decomp, u, v)] -= 2
-        return counts
+    edge above v.  This reads only the instance and the bought link ids,
+    never the tree solver's coverage state or decomposition, so it is an
+    independent check of it.
 
-    links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
-    asked = paths_through((r.s, r.t) for r in inst.requests)
-    parent = inst.parent
+    The meeting vertices come from one offline lowest-common-ancestor
+    pass (Tarjan 1979) with its own union-find.  The walk finishes the
+    vertices in postorder, each after its subtree, and a finished vertex
+    points to its parent, so the root of a finished vertex's set is its
+    deepest unfinished ancestor.  Each path is filed under its end that
+    finishes later; when that end comes up, the root of the other end's
+    set is the path's meeting vertex.
+    """
+    n, parent, children = inst.n, inst.parent, inst.children
+    # a reversed depth-first preorder is a postorder
+    post, stack = [], [inst.root]
+    while stack:
+        v = stack.pop()
+        post.append(v)
+        stack.extend(children[v])
+    post.reverse()
+    finish = [0] * n
+    for k, v in enumerate(post):
+        finish[v] = k
+
+    # the paths' ends, bought links first, then requests
+    us = [inst.links[i].u for i in bought]
+    vs = [inst.links[i].v for i in bought]
+    n_links = len(us)
+    us += [r.s for r in inst.requests]
+    vs += [r.t for r in inst.requests]
+    filed = [-1] * n                # v -> the last path filed under v
+    next_filed = [-1] * len(us)     # path -> the path filed before it there
+    early = us[:]                   # path -> its end that finishes first
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if finish[u] > finish[v]:
+            early[i] = v
+            v = u
+        next_filed[i] = filed[v]
+        filed[v] = i
+
+    links = [0] * n
+    asked = [0] * n
+    up = list(range(n))
+    for v in post:
+        i = filed[v]
+        while i >= 0:
+            counts = links if i < n_links else asked
+            w = early[i]
+            counts[w] += 1
+            counts[v] += 1
+            while up[w] != w:
+                up[w] = up[up[w]]
+                w = up[w]
+            counts[w] -= 2
+            i = next_filed[i]
+        up[v] = parent[v]       # the root comes last, so its -1 is never read
+
     for v in reversed(inst.order):
         p = parent[v]
         if p >= 0:
             links[p] += links[v]
             asked[p] += asked[v]
-    return sorted(inst.edge_of_child[v] for v in range(inst.n)
+    return sorted(inst.edge_of_child[v] for v in range(n)
                   if asked[v] and not links[v])
 
 
@@ -180,8 +223,7 @@ def _run_tree(inst):
             "incremental_cost": rep.incremental_cost,
             "bought": list(rep.bought_sources),
         })
-    missing = _uncovered_requested_edges(inst, solver.decomp,
-                                         solver.purchase_order)
+    missing = _uncovered_requested_edges(inst, solver.purchase_order)
     invariants = [InvariantRecord(
         id="requested-paths-covered", ok=not missing,
         detail=f"uncovered edges {missing}" if missing else "")]

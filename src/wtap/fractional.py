@@ -52,8 +52,14 @@ from .pruning import MinimalPathInstance
 COVERAGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FracRecord:
+    """What serving one edge request fractionally did.
+
+    Immutable by convention: nothing assigns to a record after it is
+    built.
+    """
+
     request: int
     opt_i: int
     kind: str                  # "small" | "large" | "skip"
@@ -179,8 +185,8 @@ class FractionalPathSolver:
         opt_i = self.current_opt()
         self.opt_history.append(opt_i)
         if self.coverage(e) >= 1.0 - COVERAGE_TOL:
-            rec = FracRecord(request=e, opt_i=opt_i, kind="skip",
-                             t_star=0.0, incremental_cost=0.0, band_size=0)
+            # (request, opt_i, kind, t_star, incremental_cost, band_size)
+            rec = FracRecord(e, opt_i, "skip", 0.0, 0.0, 0)
             self.records.append(rec)
             return rec
 
@@ -192,8 +198,7 @@ class FractionalPathSolver:
             inc = cost_of[lid] * (1.0 - x[lid])
             x[lid] = 1.0
             self.total_cost += inc
-            rec = FracRecord(request=e, opt_i=opt_i, kind="small",
-                             t_star=0.0, incremental_cost=inc, band_size=0)
+            rec = FracRecord(e, opt_i, "small", 0.0, inc, 0)
             self.records.append(rec)
             return rec
 
@@ -244,9 +249,7 @@ class FractionalPathSolver:
         if self.coverage(e) < 1.0 - COVERAGE_TOL:
             raise InvariantViolationError(
                 f"edge {e} left uncovered after growth step")
-        rec = FracRecord(request=e, opt_i=opt_i, kind="large",
-                         t_star=t_star, incremental_cost=inc,
-                         band_size=len(band))
+        rec = FracRecord(e, opt_i, "large", t_star, inc, len(band))
         self.records.append(rec)
         return rec
 

@@ -33,9 +33,12 @@ from typing import Sequence
 from .errors import BadInputError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Link:
-    """An extra edge with a power-of-two cost (``cost == 2**cls``)."""
+    """An extra edge with a power-of-two cost (``cost == 2**cls``).
+
+    Immutable by convention: nothing assigns to a link after it is built.
+    """
 
     u: int
     v: int
@@ -44,9 +47,13 @@ class Link:
     id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Request:
-    """A terminal pair; its tree path is the set of edges to cover."""
+    """A terminal pair; its tree path is the set of edges to cover.
+
+    Immutable by convention: nothing assigns to a request after it is
+    built.
+    """
 
     s: int
     t: int
@@ -185,7 +192,7 @@ class TreeInstance:
                 raise BadInputError(f"link {i} cost has a numerator or denominator "
                                     f"over {2 * MAX_COST_CHARS} digits", ("link", i))
             self.raw_costs.append(c)
-        self.links = [Link(u=int(u), v=int(v), cost=cost, cls=cls, id=i)
+        self.links = [Link(int(u), int(v), cost, cls, i)
                       for i, ((u, v, _), (cost, cls))
                       in enumerate(zip(raw_links, round_costs(self.raw_costs)))]
 
@@ -193,7 +200,7 @@ class TreeInstance:
         for i, r in enumerate(requests):
             if not isinstance(r, Request):
                 s, t = r
-                r = Request(s=int(s), t=int(t))
+                r = Request(int(s), int(t))
             _check_ends(n, "request", i, r.s, r.t)
             self.requests.append(r)
 
@@ -324,8 +331,10 @@ def parse_instance(text: str) -> TreeInstance:
             a = int(parts[1])                  # count, or first endpoint
             b = int(parts[3] if kind == "n" else parts[2])   # root, or second
             cost = _parse_cost(parts[3]) if kind == "link" else None
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise BadInputError(f"line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise BadInputError(f"line {lineno}: cost has a zero denominator") from exc
         if kind == "n":
             n, root, header = a, b, lineno
             continue
@@ -358,8 +367,11 @@ def format_instance(inst: TreeInstance) -> str:
 
 
 def load_instance(path: str) -> TreeInstance:
+    """Parse the instance file at ``path``; a file that cannot be opened
+    or is not UTF-8 text raises ``BadInputError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise BadInputError(f"cannot read {path}: {exc}") from exc
+    return parse_instance(text)

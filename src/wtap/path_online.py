@@ -47,8 +47,14 @@ from .errors import (BadInputError, InfeasibleInstanceError,
 from .pruning import MinimalPathInstance
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ServeRecord:
+    """What serving one edge request did.
+
+    Immutable by convention: nothing assigns to a record after it is
+    built.
+    """
+
     request: int
     y_raise: int
     type1: Optional[int]
@@ -121,9 +127,8 @@ class PathSolver:
             raise BadInputError(f"edge {e} out of range")
         self.requested.add(e)
         if self.covered[e]:
-            rec = ServeRecord(request=e, y_raise=0, type1=None,
-                              type2=None, type3=(), skipped=True,
-                              frontier_right=self.frontier)
+            # (request, y_raise, type1, type2, type3, frontier_right, skipped)
+            rec = ServeRecord(e, 0, None, None, (), self.frontier, True)
             self.records.append(rec)
             return rec
         cands = self.minimal.cov_ids[e]
@@ -187,9 +192,8 @@ class PathSolver:
 
         if not self.covered[e]:
             raise InvariantViolationError(f"edge {e} left uncovered by serve")
-        rec = ServeRecord(request=e, y_raise=delta, type1=pick.id,
-                          type2=bought2, type3=tuple(swept),
-                          frontier_right=self.frontier)
+        rec = ServeRecord(e, delta, pick.id, bought2, tuple(swept),
+                          self.frontier)
         self.records.append(rec)
         return rec
 

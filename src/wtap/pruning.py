@@ -27,9 +27,12 @@ from .errors import BadInputError, InvariantViolationError
 from .instance import TreeInstance
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PathLink:
-    """A link on a rooted path; covers edges ``left .. right-1``."""
+    """A link on a rooted path; covers edges ``left .. right-1``.
+
+    Immutable by convention: nothing assigns to a link after it is built.
+    """
 
     left: int
     right: int
@@ -292,8 +295,7 @@ def path_instance_from_tree(inst: TreeInstance):
     for ln in inst.links:
         a, b = pos[ln.u], pos[ln.v]
         left, right = min(a, b), max(a, b)
-        plinks.append(PathLink(left=left, right=right, cost=ln.cost,
-                               cls=ln.cls, id=ln.id))
+        plinks.append(PathLink(left, right, ln.cost, ln.cls, ln.id))
     # the edge above the vertex at position i sits at position i - 1, so
     # a request's edges, in order from s, are a run of consecutive positions
     request_edges = []

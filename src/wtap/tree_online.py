@@ -43,8 +43,15 @@ from .path_online import PathSolver
 from .pruning import PathLink, build_minimal_instance
 
 
-@dataclass
+@dataclass(slots=True, unsafe_hash=True)
 class PairReport:
+    """What serving one terminal pair did.
+
+    Immutable by convention: nothing assigns to a report after it is
+    built.  ``inst`` is kept only for ``elementary`` and takes no part
+    in equality or hashing.
+    """
+
     s: int
     t: int
     served: tuple               # edge ids routed to solvers, serve order
@@ -79,8 +86,7 @@ class TreeSolver:
             plinks = []
             kept_from = {}
             for idx, ((left, right), src) in enumerate(sorted(spans[pid].items())):
-                plinks.append(PathLink(left=left, right=right, cost=src.cost,
-                                       cls=src.cls, id=idx))
+                plinks.append(PathLink(left, right, src.cost, src.cls, idx))
                 kept_from[idx] = src.id
             minimal, removed = build_minimal_instance(
                 edge_count=len(self.decomp.paths[pid]) - 1,
@@ -172,9 +178,7 @@ class TreeSolver:
             if not covered[e]:
                 raise InfeasibleInstanceError(
                     f"serving edge {e} failed to cover it")
-        return PairReport(s=s, t=t, served=tuple(served),
-                          bought_sources=tuple(bought),
-                          incremental_cost=inc, inst=self.inst)
+        return PairReport(s, t, tuple(served), tuple(bought), inc, self.inst)
 
     def run(self, pairs) -> list:
         return [self.serve_pair(s, t) for s, t in pairs]

@@ -4,13 +4,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wtap import cli, instance
 from wtap.cli import _uncovered_requested_edges, main
-from wtap.decomposition import decompose, project
+from wtap.decomposition import decompose, meet, project
 from wtap.errors import BadInputError
 from wtap.generators import gen_random
-from wtap.instance import format_instance, parse_instance
+from wtap.instance import TreeInstance, format_instance, parse_instance
 
 PATH_INSTANCE = """\
 n 4 root 0
@@ -185,11 +187,10 @@ def test_run_report_formats_the_instance_once(monkeypatch):
 
 def test_coverage_check_counts_paths_through_each_edge():
     inst = parse_instance(STAR_INSTANCE)     # request 1 2 needs edges 0, 1
-    decomp = decompose(inst)
-    assert _uncovered_requested_edges(inst, decomp, []) == [0, 1]
-    assert _uncovered_requested_edges(inst, decomp, [1]) == [0]
-    assert _uncovered_requested_edges(inst, decomp, [2, 1]) == [0]
-    assert _uncovered_requested_edges(inst, decomp, [0]) == []
+    assert _uncovered_requested_edges(inst, []) == [0, 1]
+    assert _uncovered_requested_edges(inst, [1]) == [0]
+    assert _uncovered_requested_edges(inst, [2, 1]) == [0]
+    assert _uncovered_requested_edges(inst, [0]) == []
 
 
 def test_coverage_check_matches_walked_paths():
@@ -200,8 +201,55 @@ def test_coverage_check_matches_walked_paths():
         bought = rng.sample(range(len(inst.links)), rng.randrange(11))
         covered = {e for i in bought for e in inst.link_edges(i)}
         asked = {e for r in inst.requests for e in inst.expand_request(r)}
-        assert _uncovered_requested_edges(inst, decompose(inst), bought) == (
+        assert _uncovered_requested_edges(inst, bought) == (
             sorted(asked - covered))
+
+
+def uncovered_by_meet(inst, bought) -> list:
+    """The coverage check with one ``meet`` per path: the reference for
+    the offline lowest-common-ancestor pass."""
+    decomp = decompose(inst)
+
+    def paths_through(ends):
+        counts = [0] * inst.n
+        for u, v in ends:
+            counts[u] += 1
+            counts[v] += 1
+            counts[meet(inst, decomp, u, v)] -= 2
+        return counts
+
+    links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
+    asked = paths_through((r.s, r.t) for r in inst.requests)
+    for v in reversed(inst.order):
+        p = inst.parent[v]
+        if p >= 0:
+            links[p] += links[v]
+            asked[p] += asked[v]
+    return sorted(inst.edge_of_child[v] for v in range(inst.n)
+                  if asked[v] and not links[v])
+
+
+@given(n=st.integers(2, 40), links=st.integers(0, 30),
+       requests=st.integers(0, 12), feasible=st.booleans(),
+       kind=st.sampled_from(["tree", "path"]), seed=st.integers(0, 10 ** 6))
+def test_offline_coverage_check_matches_one_meet_per_path(
+        n, links, requests, feasible, kind, seed):
+    # without the feasibility layer some requested edges have no link at
+    # all; the extra requests repeat a vertex as both ends
+    gen, _ = gen_random(kind, n, links, 8.0, seed, feasible=feasible,
+                        request_count=requests)
+    rng = random.Random(seed)
+    pairs = [(r.s, r.t) for r in gen.requests]
+    pairs += [(v, v) for v in rng.sample(range(n), min(n, 3))]
+    rng.shuffle(pairs)
+    inst = TreeInstance(gen.n, gen.edges, gen.root,
+                        [(l.u, l.v, c) for l, c in zip(gen.links, gen.raw_costs)],
+                        pairs)
+    for bought in ([], range(len(inst.links)),
+                   rng.sample(range(len(inst.links)),
+                              rng.randrange(len(inst.links) + 1))):
+        assert _uncovered_requested_edges(inst, bought) == (
+            uncovered_by_meet(inst, bought))
 
 
 def test_run_frac_summary(tmp_path, capsys):
@@ -308,6 +356,17 @@ def test_exit_codes(tmp_path, capsys):
                  write(tmp_path, "u.txt", UNCOVERABLE), "--quiet"]) == 3
     assert main(["run-tree", write(tmp_path, "j.txt",
                                    "n 2 root 0\nedge 0 1 junk\n")]) == 4
+
+
+@pytest.mark.parametrize("command", ["run-tree", "run-path", "run-frac",
+                                     "oracle", "decompose", "prune"])
+def test_instance_file_not_utf8_exits_4_with_one_line(tmp_path, capsys, command):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -304,6 +304,20 @@ def test_parse_bad_cost():
         parse_instance("n 2 root 0\nedge 0 1\nlink 0 1 zero\n")
 
 
+@pytest.mark.parametrize("token", ["1/0", "0/0", "7/000", "-3/0", "+1/0"])
+def test_zero_denominator_cost_says_so(token, tmp_path, capsys):
+    # the fast p/q path and Fraction(token) both divide by zero here
+    text = f"n 2 root 0\nedge 0 1\n# a comment\nlink 0 1 {token}\n"
+    with pytest.raises(BadInputError,
+                       match="^line 4: cost has a zero denominator$"):
+        parse_instance(text)
+    path = tmp_path / "zero.txt"
+    path.write_text(text)
+    assert main(["run-tree", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: line 4: cost has a zero denominator\n")
+
+
 def test_parse_short_link_line():
     with pytest.raises(BadInputError):
         parse_instance("n 2 root 0\nedge 0 1\nlink 0 1\n")

@@ -1,9 +1,16 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and the shape of its records."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import wtap
+from wtap.fractional import FracRecord
+from wtap.instance import Link, Request, TreeInstance
+from wtap.path_online import ServeRecord
+from wtap.pruning import PathLink
+from wtap.tree_online import PairReport
 
 
 def test_no_runtime_assert():
@@ -43,3 +50,27 @@ def test_path_layers_never_import_tree_layers():
         leaks += [f"{name} imports {m}" for m in sorted(
             _imported_modules(tree) & {"decomposition", "tree_online"})]
     assert not leaks, "; ".join(leaks)
+
+
+_INST = TreeInstance(3, [(0, 1), (1, 2)], 0, [(0, 2, 3)], [(0, 2)])
+_RECORDS = [
+    (Link, (0, 2, 1, 0, 0)),
+    (Request, (0, 2)),
+    (PathLink, (0, 2, 4, 2, 7)),
+    (ServeRecord, (1, 3, 0, None, (2,), 2)),
+    (FracRecord, (1, 4, "large", 0.5, 1.25, 2)),
+    (PairReport, (0, 2, (0, 1), (0,), 1, _INST)),
+]
+
+
+@pytest.mark.parametrize("cls, args", _RECORDS,
+                         ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_records_are_slotted_and_compare_by_field(cls, args):
+    # the per-entry and per-request records are slotted: no per-instance
+    # dict, and equality and hashing field by field
+    a, b = cls(*args), cls(*args)
+    assert "__slots__" in cls.__dict__
+    assert not hasattr(a, "__dict__")
+    assert a is not b and a == b and hash(a) == hash(b)
+    changed = cls(args[0] + 1, *args[1:])
+    assert changed != a
