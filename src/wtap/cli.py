@@ -1,13 +1,14 @@
 """Command line surface.
 
 Exit codes: 0 ok, 2 invariant violation, 3 infeasible instance, 4 bad
-input.  Tables (lowerbound, sweep) honor --format; everything else is
-JSON.
+input.  Tables (lowerbound, sweep) take --format; everything else is
+JSON.  Each option is offered only by the subcommands that read it,
+except --quiet, which every subcommand takes.
 
 Every solver run goes through one runner, ``run_report``: ``run-path``,
 ``run-tree`` and ``run-frac`` call it with their algorithm, ``verify``
-calls it again on a stored report's instance, and ``sweep --kind tree``
-calls it per cell.  The runner owns the report envelope (timer, ratio,
+calls it again on a stored report's instance, and ``sweep`` calls it
+per cell.  The runner owns the report envelope (timer, ratio,
 config hash); ``_ALGORITHMS`` holds what differs per algorithm: build
 the solver, serve the requests into per-request rows, check the
 invariants and compute the offline optimum when one is in reach.
@@ -40,6 +41,7 @@ from .reports import (ExperimentSpec, InvariantRecord, RunReport,
 from .tree_online import TreeSolver
 
 LOWERBOUND_FIELDS = ("B", "k", "n", "alg_cost", "opt", "ratio", "cert_ok")
+SWEEP_FIELDS = ("n", "seed", "cost", "opt", "ratio", "invariants_ok", "error")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,6 +106,23 @@ def _emit_table(args, fieldnames, rows, out_path=None):
         _note(args, f"wrote {out_path}")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
+
+
+def _ratio_summary(args, rows):
+    """Note the largest ratio at each n and the least-squares slope of
+    ratio against log2 n, forced through 0, over the rows with a ratio."""
+    points = [(row["n"], row["ratio"]) for row in rows
+              if row["ratio"] is not None]
+    by_n = {}
+    for n, ratio in points:
+        by_n[n] = max(by_n.get(n, 0.0), ratio)
+    for n in sorted(by_n):
+        _note(args, f"max ratio at n={n}: {by_n[n]:.4f}")
+    if points:
+        num = sum(r * math.log2(n) for n, r in points)
+        den = sum(math.log2(n) ** 2 for n, _ in points)
+        _note(args, f"fitted ratio/log2(n) slope: "
+                    f"{num / den if den else 0.0:.4f}")
 
 
 # -- the run pipeline (run-*, verify and sweep) ----------------------------
@@ -384,13 +403,13 @@ def cmd_prune(args) -> int:
     inst = load_instance(args.instance)
     solver = TreeSolver(inst)
     pid = args.path
-    if not solver.minimal:
+    if not solver.solvers:
         raise BadInputError("instance has no tree edges, so no "
                             "decomposition paths to prune")
-    if not 0 <= pid < len(solver.minimal):
+    if not 0 <= pid < len(solver.solvers):
         raise BadInputError(f"path id {pid} out of range "
-                            f"(0..{len(solver.minimal) - 1})")
-    minimal = solver.minimal[pid]
+                            f"(0..{len(solver.solvers) - 1})")
+    minimal = solver.solvers[pid].minimal
 
     def link_row(l):
         return {"id": l.id, "left": l.left, "right": l.right,
@@ -442,11 +461,15 @@ def cmd_verify(args) -> int:
     problems = []
     if fresh.instance_digest != stored.instance_digest:
         problems.append("instance digest mismatch")
-    if fresh.final_cost != stored.final_cost:
-        problems.append(
-            f"final cost {stored.final_cost} stored, {fresh.final_cost} rerun")
+    for name in ("final_cost", "opt", "ratio"):
+        was, now = getattr(stored, name), getattr(fresh, name)
+        if now != was:
+            label = name.replace("_", " ")
+            problems.append(f"{label} {was} stored, {now} rerun")
     if fresh.per_request != stored.per_request:
         problems.append("per-request record mismatch")
+    if fresh.invariants != stored.invariants:
+        problems.append("invariant record mismatch")
     if problems:
         for p in problems:
             print(p)
@@ -469,6 +492,7 @@ def cmd_lowerbound(args) -> int:
             "ratio": rep.ratio, "cert_ok": rep.cert_ok,
         })
     _emit_table(args, LOWERBOUND_FIELDS, rows, out_path=args.csv)
+    _ratio_summary(args, rows)
     return 0
 
 
@@ -487,76 +511,34 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _slope_through_origin(points) -> float:
-    """Least-squares slope of ratio against log2 n, forced through 0."""
-    num = sum(r * x for x, r in points)
-    den = sum(x * x for x, _ in points)
-    return num / den if den else 0.0
-
-
 def cmd_sweep(args) -> int:
+    if min(args.seeds, args.links, args.requests) < 0:
+        raise BadInputError(
+            f"negative count: {args.seeds} seeds, {args.links} links, "
+            f"{args.requests} requests")
     rows = []
-    points = []
-    if args.kind == "tree":
-        if min(args.seeds, args.links, args.requests) < 0:
-            raise BadInputError(
-                f"negative count: {args.seeds} seeds, {args.links} links, "
-                f"{args.requests} requests")
-        for n in _parse_int_range(args.n):
-            extras = max(0, args.links - (n - 1))
-            for s in range(args.seeds):
-                cell_seed = args.seed + 10007 * n + s
-                inst, _ = gen_random(kind="tree", n=n, link_count=extras,
-                                     cost_spread=args.cost_spread,
-                                     seed=cell_seed,
-                                     request_count=args.requests)
-                row = {"n": n, "seed": cell_seed, "cost": None, "opt": None,
-                       "ratio": None, "invariants_ok": None, "error": ""}
-                try:
-                    rep = run_report("tree-online", inst, seed=cell_seed)
-                    row["cost"] = rep.final_cost
-                    row["opt"] = rep.opt
-                    row["ratio"] = rep.ratio
-                    row["invariants_ok"] = all(r.ok for r in rep.invariants)
-                    if rep.ratio is not None:
-                        points.append((math.log2(n), rep.ratio))
-                except (BadInputError, InfeasibleInstanceError,
-                        InvariantViolationError) as exc:
-                    row["error"] = str(exc)
-                rows.append(row)
-        fields = ("n", "seed", "cost", "opt", "ratio", "invariants_ok", "error")
-    elif args.kind == "lowerbound":
-        if args.algo not in CONTESTANTS:
-            raise BadInputError(f"unknown contestant {args.algo!r}")
-        for k in _parse_int_range(args.k, _K_MOST):
-            inst = HierarchicalInstance(args.B, k)
-            row = {"algo": args.algo, "B": args.B, "k": k, "n": inst.n,
-                   "alg_cost": None, "opt": None, "ratio": None,
-                   "cert_ok": None, "error": ""}
+    for n in _parse_int_range(args.n):
+        extras = max(0, args.links - (n - 1))
+        for s in range(args.seeds):
+            cell_seed = args.seed + 10007 * n + s
+            inst, _ = gen_random(kind="tree", n=n, link_count=extras,
+                                 cost_spread=args.cost_spread,
+                                 seed=cell_seed,
+                                 request_count=args.requests)
+            row = {"n": n, "seed": cell_seed, "cost": None, "opt": None,
+                   "ratio": None, "invariants_ok": None, "error": ""}
             try:
-                rep = adversary_drive(inst, args.algo)
-                row.update(alg_cost=rep.alg_cost, opt=rep.opt,
-                           ratio=rep.ratio, cert_ok=rep.cert_ok)
-                points.append((math.log2(inst.n), rep.ratio))
-            except InvariantViolationError as exc:
+                rep = run_report("tree-online", inst, seed=cell_seed)
+                row["cost"] = rep.final_cost
+                row["opt"] = rep.opt
+                row["ratio"] = rep.ratio
+                row["invariants_ok"] = all(r.ok for r in rep.invariants)
+            except (BadInputError, InfeasibleInstanceError,
+                    InvariantViolationError) as exc:
                 row["error"] = str(exc)
             rows.append(row)
-        fields = ("algo", "B", "k", "n", "alg_cost", "opt", "ratio",
-                  "cert_ok", "error")
-    else:
-        raise BadInputError(f"unknown sweep kind {args.kind!r}")
-
-    _emit_table(args, fields, rows, out_path=args.out)
-    if not args.quiet:
-        by_n = {}
-        for row in rows:
-            if row["ratio"] is not None:
-                by_n[row["n"]] = max(by_n.get(row["n"], 0.0), row["ratio"])
-        for n in sorted(by_n):
-            print(f"max ratio at n={n}: {by_n[n]:.4f}", file=sys.stderr)
-        if points:
-            print(f"fitted ratio/log2(n) slope: "
-                  f"{_slope_through_origin(points):.4f}", file=sys.stderr)
+    _emit_table(args, SWEEP_FIELDS, rows, out_path=args.out)
+    _ratio_summary(args, rows)
     return 0
 
 
@@ -564,13 +546,16 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # option groups, each given only to the subcommands that read it
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for anything randomized (default 0)")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv", help="table output format")
     common.add_argument("--quiet", action="store_true",
                         help="suppress human-oriented notes on stderr")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="seed for anything randomized (default 0)")
+    table = _Parser(add_help=False)
+    table.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                       default="csv", help="table output format")
 
     parser = _Parser(prog="wtap",
                      description="online weighted tree augmentation toolkit")
@@ -590,7 +575,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prune)
 
     for name, (algorithm, help_text) in _RUN_COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=[common, seeded], help=help_text)
         p.add_argument("instance")
         if name == "run-path":
             p.add_argument("--trace", action="store_true",
@@ -609,7 +594,7 @@ def build_parser() -> _Parser:
     p.add_argument("report")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("lowerbound", parents=[common],
+    p = sub.add_parser("lowerbound", parents=[common, table],
                        help="adaptive adversary on hierarchical instances")
     p.add_argument("--B", type=int, default=2)
     p.add_argument("--k", default="1..4", help="depth or range, e.g. 1..6")
@@ -618,7 +603,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write the table to this file")
     p.set_defaults(func=cmd_lowerbound)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[common, seeded],
                        help="generate a random instance")
     p.add_argument("--kind", choices=("tree", "path"), default="tree")
     p.add_argument("--n", type=int, required=True)
@@ -631,19 +616,15 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--out", help="write to this file instead of stdout")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="grid of runs with a ratio summary")
-    p.add_argument("--kind", choices=("tree", "lowerbound"), default="tree")
+    p = sub.add_parser("sweep", parents=[common, seeded, table],
+                       help="grid of random tree runs with a ratio summary")
     p.add_argument("--n", default="5..8", help="tree sizes, e.g. 5..10")
     p.add_argument("--seeds", type=int, default=20,
-                   help="instances per size (tree sweep)")
+                   help="instances per size")
     p.add_argument("--links", type=int, default=20,
-                   help="total link budget per instance (tree sweep)")
+                   help="total link budget per instance")
     p.add_argument("--requests", type=int, default=8)
     p.add_argument("--cost-spread", type=float, default=16.0)
-    p.add_argument("--B", type=int, default=2)
-    p.add_argument("--k", default="1..4")
-    p.add_argument("--algo", default="greedy")
     p.add_argument("-o", "--out", help="write the table to this file")
     p.set_defaults(func=cmd_sweep)
 

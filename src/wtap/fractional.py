@@ -74,9 +74,9 @@ def band_cap(edge_count: int) -> float:
     return 2.0 * (math.log2(2 * edge_count) + 1.0)
 
 
-def phase_of(i: int, opt_history) -> Optional[int]:
-    """floor(log2(OPT_i)), or None before the first positive optimum."""
-    v = opt_history[i]
+def phase_of(i: int, opts) -> Optional[int]:
+    """floor(log2(opts[i])), or None before the first positive optimum."""
+    v = opts[i]
     if v <= 0:
         return None
     return v.bit_length() - 1
@@ -90,11 +90,8 @@ class FractionalPathSolver:
             raise BadInputError("need at least one edge")
         self.m = m
         self.theta = 1.0 / math.log2(m) if m >= 2 else None
-        self.links = minimal.by_id
         self.x = {l.id: 0.0 for l in minimal.links}
         self.total_cost = 0.0
-        self.records = []
-        self.opt_history = []
         # per-link tables, indexed by link id
         top = max((l.id for l in minimal.links), default=-1) + 1
         self._cost_of = cost_of = [0] * top
@@ -183,12 +180,9 @@ class FractionalPathSolver:
             raise InfeasibleInstanceError(f"edge {e} has no covering link")
         self._note_request(e)
         opt_i = self.current_opt()
-        self.opt_history.append(opt_i)
         if self.coverage(e) >= 1.0 - COVERAGE_TOL:
             # (request, opt_i, kind, t_star, incremental_cost, band_size)
-            rec = FracRecord(e, opt_i, "skip", 0.0, 0.0, 0)
-            self.records.append(rec)
-            return rec
+            return FracRecord(e, opt_i, "skip", 0.0, 0.0, 0)
 
         cost_of, x = self._cost_of, self.x
         cheap = [lid for lid in cov if cost_of[lid] * self.m <= opt_i]
@@ -198,9 +192,7 @@ class FractionalPathSolver:
             inc = cost_of[lid] * (1.0 - x[lid])
             x[lid] = 1.0
             self.total_cost += inc
-            rec = FracRecord(e, opt_i, "small", 0.0, inc, 0)
-            self.records.append(rec)
-            return rec
+            return FracRecord(e, opt_i, "small", 0.0, inc, 0)
 
         band = [lid for lid in cov
                 if cost_of[lid] * self.m >= opt_i and cost_of[lid] <= 2 * opt_i]
@@ -249,9 +241,7 @@ class FractionalPathSolver:
         if self.coverage(e) < 1.0 - COVERAGE_TOL:
             raise InvariantViolationError(
                 f"edge {e} left uncovered after growth step")
-        rec = FracRecord(e, opt_i, "large", t_star, inc, len(band))
-        self.records.append(rec)
-        return rec
+        return FracRecord(e, opt_i, "large", t_star, inc, len(band))
 
     def run(self, requests) -> list:
         return [self.serve(e) for e in requests]

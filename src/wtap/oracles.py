@@ -236,27 +236,27 @@ def _width_term(n_global: int) -> float:
     return 2 * math.log2(max(2, n_global)) + 1
 
 
-def verify_nice(solver, n_global: int,
-                enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
+def verify_nice(solver, enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
     """Check the purchased solution against the quality certificate.
 
     Three direct conditions (total cost vs the scaled hat dual, per
     non-rooted hat load, per rooted full load) plus, on instances with
     at most ``enum_cap`` links, an exhaustive sweep over every feasible
     solution of the pruned universe checking
-    ``c(F) <= 24*c(rooted part) + 24*(2 log2 n + 1)*c(non-rooted part)``.
+    ``c(F) <= 24*c(rooted part) + 24*(2 log2 n + 1)*c(non-rooted part)``,
+    with n the solver's ``n_global``.
     """
     report = NicenessReport()
     minimal = solver.minimal
     links = minimal.links
-    hat = solver.hat_dual(n_global)
+    hat = solver.hat_dual()
     hat_total = sum(hat)
     total = solver.cost
 
     ok_a = total <= 24 * hat_total
     report.add("cost-vs-hat-dual", f"<= 24*{hat_total}", str(total), ok_a)
 
-    wterm = _width_term(n_global)
+    wterm = _width_term(solver.n_global)
     hat_prefix = [0]
     for v in hat:
         hat_prefix.append(hat_prefix[-1] + v)

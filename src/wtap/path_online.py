@@ -21,15 +21,16 @@ by an owned rooted link and receive no further charges.
 All dual arithmetic is exact in plain ints.  Link costs are powers of
 two, so every residual starts as an int; a raise ``delta`` is the
 minimum of integer residuals, and subtracting it from integer
-residuals leaves them integral; ``product`` only ever adds integer
-duals.  So ``y``, ``residual`` and ``product`` never leave the
-integers.
+residuals leaves them integral.  So ``y`` and ``residual`` never leave
+the integers, and neither does the charge-weighted dual
+``charge[e] * y[e]``.
 
-The trigger scan asks one prefix sum of ``product`` per rooted link.
-A Fenwick tree (binary indexed tree, Fenwick 1994) over ``product``
-answers each in O(log m), and a minimal instance has at most one
-rooted link per class, so a serve scans in O(#classes * log m) rather
-than walking the whole prefix.
+The trigger scan asks one prefix sum of the charge-weighted dual per
+rooted link.  It is not stored edge by edge: a Fenwick tree (binary
+indexed tree, Fenwick 1994) holds it and answers each prefix in
+O(log m), and a minimal instance has at most one rooted link per
+class, so a serve scans in O(#classes * log m) rather than walking the
+whole prefix.
 
 Deviations from the obvious literal reading (strict trigger, triggers
 on owned links advancing the frontier without payment, sweeping only
@@ -75,8 +76,7 @@ class PathSolver:
         self.links = minimal.by_id
         self.y = [0] * m
         self.charge = [0] * m
-        self.product = [0] * m                # charge[e] * y[e]
-        self.fenwick = [0] * (m + 1)          # Fenwick tree over product
+        self.fenwick = [0] * (m + 1)          # over charge[e] * y[e]
         self.frontier = 0
         self.bought = set()
         self.type1 = []
@@ -87,16 +87,13 @@ class PathSolver:
         self.residual = {l.id: l.cost for l in minimal.links}
         self.rooted_by_right = sorted(
             (l for l in minimal.links if l.rooted), key=lambda l: l.right)
-        self.last_type2 = None
         self.cost = 0
-        self.records = []
         self.requested = set()
 
     # -- prefix index -----------------------------------------------------
 
     def _add_product(self, i, v):
-        """Add ``v`` to ``product[i]`` and to the tree over it."""
-        self.product[i] += v
+        """Add ``v`` to the charge-weighted dual at edge ``i``."""
         tree = self.fenwick
         i += 1
         while i <= self.m:
@@ -104,7 +101,7 @@ class PathSolver:
             i += i & -i
 
     def _prefix(self, k):
-        """Sum of ``product[0:k]``."""
+        """Charge-weighted dual over edges ``0..k-1``."""
         tree = self.fenwick
         s = 0
         while k:
@@ -128,9 +125,7 @@ class PathSolver:
         self.requested.add(e)
         if self.covered[e]:
             # (request, y_raise, type1, type2, type3, frontier_right, skipped)
-            rec = ServeRecord(e, 0, None, None, (), self.frontier, True)
-            self.records.append(rec)
-            return rec
+            return ServeRecord(e, 0, None, None, (), self.frontier, True)
         cands = self.minimal.cov_ids[e]
         if not cands:
             raise InfeasibleInstanceError(f"edge {e} has no covering link")
@@ -180,7 +175,6 @@ class PathSolver:
             if trig.id not in self.bought:
                 self._buy(trig)
                 self.type2.append(trig.id)
-                self.last_type2 = trig.id
                 bought2 = trig.id
                 for l in self.minimal.links:
                     if (l.id not in self.bought and l.cls < trig.cls
@@ -192,10 +186,8 @@ class PathSolver:
 
         if not self.covered[e]:
             raise InvariantViolationError(f"edge {e} left uncovered by serve")
-        rec = ServeRecord(e, delta, pick.id, bought2, tuple(swept),
-                          self.frontier)
-        self.records.append(rec)
-        return rec
+        return ServeRecord(e, delta, pick.id, bought2, tuple(swept),
+                           self.frontier)
 
     # -- analysis views ---------------------------------------------------
 
@@ -204,16 +196,16 @@ class PathSolver:
         return self._prefix(link.right) - self._prefix(link.left)
 
     def charge_weighted_total(self) -> int:
-        return sum(self.product)
+        return self._prefix(self.m)
 
-    def hat_dual(self, n_global: Optional[int] = None) -> list:
+    def hat_dual(self) -> list:
         """Cost-floored variant of the charge-weighted dual.
 
         Only type-1 links costing at least (max type-1 cost)/n**2
         contribute their charges; everything cheaper is noise the
-        analysis can afford to drop.
+        analysis can afford to drop; n is ``n_global``.
         """
-        n = n_global if n_global is not None else self.n_global
+        n = self.n_global
         hat = [0] * self.m
         if not self.type1:
             return hat

@@ -16,10 +16,11 @@ edge still needs serving.
 
 Coverage lives in a union-find over covered edges (Tarjan 1975):
 ``up[v]`` leads to the nearest ancestor-or-self of v whose parent edge
-is still uncovered, or to the root.  A pair finds its meeting vertex
-by head jumps and lists only the uncovered edges below it; a bought
-link marks its uncovered edges and unites each with its parent, so
-every tree edge is marked once over the whole run.  The listed edges
+is still uncovered, or to the root, so the edge above v is covered
+exactly when ``up[v] != v``.  A pair finds its meeting vertex by head
+jumps and lists only the uncovered edges below it; a bought link
+unites the child end of each of its uncovered edges with its parent,
+so every tree edge is covered once over the whole run.  The listed edges
 are re-checked as they are served, since a purchase may cover later
 ones; so the serve order and skips are those of an edge-by-edge walk.
 
@@ -71,15 +72,16 @@ class TreeSolver:
         self.decomp = decompose(inst)
         n_paths = len(self.decomp.paths)
 
-        # cheapest source per identical projected span
+        # cheapest source per identical projected span; links come in
+        # ascending id and project onto a path at most once, so a strict
+        # cost test keeps the lowest id among equal costs
         spans = [dict() for _ in range(n_paths)]
         for ln in inst.links:
             for pid, left, right in project(inst, self.decomp, ln):
                 cur = spans[pid].get((left, right))
-                if cur is None or (ln.cost, ln.id) < (cur.cost, cur.id):
+                if cur is None or ln.cost < cur.cost:
                     spans[pid][(left, right)] = ln
 
-        self.minimal = []
         self.removed = []           # per path: (PathLink, reason), ascending id
         self.solvers = []
         for pid in range(n_paths):
@@ -93,16 +95,13 @@ class TreeSolver:
                 links=plinks,
                 kept_from=kept_from,
             )
-            self.minimal.append(minimal)
             self.removed.append(removed)
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
         self.bought_sources = set()
         self.purchase_order = []
         self.cost_total = 0
-        self.covered = [False] * (inst.n - 1)
-        # union-find over covered edges: up[v] leads to the nearest
-        # ancestor-or-self whose parent edge is uncovered (or the root)
+        # the union-find over covered edges (see the module docstring)
         self.up = list(range(inst.n))
 
     def _uncovered_below(self, v: int, top: int) -> list:
@@ -126,8 +125,9 @@ class TreeSolver:
     def _buy_source(self, link_id: int) -> int:
         """Buy an original link once; repeats cost nothing.
 
-        Marks the link's still-uncovered edges and unites each with its
-        parent, so every tree edge is marked once over the whole run.
+        Covers the link's still-uncovered edges by uniting each child
+        end with its parent, so every tree edge is covered once over the
+        whole run.
         """
         if link_id in self.bought_sources:
             return 0
@@ -135,10 +135,9 @@ class TreeSolver:
         self.purchase_order.append(link_id)
         link = self.inst.links[link_id]
         top = meet(self.inst, self.decomp, link.u, link.v)
-        edge_of_child, parent = self.inst.edge_of_child, self.inst.parent
+        parent = self.inst.parent
         for end in (link.u, link.v):
             for v in self._uncovered_below(end, top):
-                self.covered[edge_of_child[v]] = True
                 self.up[v] = parent[v]
         self.cost_total += link.cost
         return link.cost
@@ -149,33 +148,33 @@ class TreeSolver:
                    + self._uncovered_below(t, top)[::-1])
         edge_of_child = self.inst.edge_of_child
         pid_above, pos_above = self.decomp.pid_above, self.decomp.pos_above
-        covered = self.covered
+        up = self.up
         served = []
         bought = []
         inc = 0
         for v in pending:
-            e = edge_of_child[v]
-            if covered[e]:              # bought earlier in this pair
+            if up[v] != v:              # bought earlier in this pair
                 continue
+            e = edge_of_child[v]
             pid, pos = pid_above[v], pos_above[v] - 1
-            if not self.minimal[pid].cov_ids[pos]:
+            solver = self.solvers[pid]
+            if not solver.minimal.cov_ids[pos]:
                 raise InfeasibleInstanceError(
                     f"request edge {e} has no covering link")
-            solver = self.solvers[pid]
             rec = solver.serve(pos)
             served.append(e)
             new_ids = ([] if rec.type1 is None else [rec.type1])
             if rec.type2 is not None:
                 new_ids.append(rec.type2)
             new_ids.extend(rec.type3)
-            kept_from = self.minimal[pid].kept_from
+            kept_from = solver.minimal.kept_from
             for plid in new_ids:
                 src = kept_from[plid]
                 spent = self._buy_source(src)
                 if spent:
                     bought.append(src)
                     inc += spent
-            if not covered[e]:
+            if up[v] == v:
                 raise InfeasibleInstanceError(
                     f"serving edge {e} failed to cover it")
         return PairReport(s, t, tuple(served), tuple(bought), inc, self.inst)

@@ -90,7 +90,7 @@ def test_criterion_2_purchase_accounting(batch):
         assert paid <= c1
         if solver.type2:
             t2_runs += 1
-            trigger = solver.links[solver.last_type2]
+            trigger = solver.links[solver.type2[-1]]
             assert c2 <= 2 * solver.full_load(trigger)
         if solver.type3:
             t3_runs += 1
@@ -114,7 +114,7 @@ def test_criterion_3_solution_quality_certificate():
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
         solver = run_sequence(minimal, edges)
-        rep = verify_nice(solver, n_global=minimal.edge_count + 1)
+        rep = verify_nice(solver)  # n_global = edge_count + 1
         assert rep.enumerated, "instance small enough to sweep exhaustively"
         assert rep.ok, [c for c in rep.conditions if not c.ok]
         assert rep.max_split_ratio <= 24

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -142,6 +144,32 @@ def test_verify_flags_tampering(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "final cost" in out
+
+
+def _forge_invariant(key, value):
+    return lambda data: data["invariants"][0].update({key: value})
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda data: data.update(opt="1"), "opt 1 stored, 4 rerun"),
+    (lambda data: data.update(ratio=0.5), "ratio 0.5 stored, 1.25 rerun"),
+    (_forge_invariant("id", "forged"), "invariant record mismatch"),
+    (_forge_invariant("ok", False), "invariant record mismatch"),
+    (_forge_invariant("detail", "forged"), "invariant record mismatch"),
+], ids=["opt", "ratio", "invariant-id", "invariant-ok", "invariant-detail"])
+def test_verify_flags_each_forged_field(tmp_path, capsys, forge, message):
+    inst = str(Path(__file__).parent / "golden" / "path-n12.instance")
+    report = str(tmp_path / "run.json")
+    assert main(["run-path", inst, "--report", report, "--quiet"]) == 0
+    data = json.loads(open(report).read())
+    assert (data["opt"], data["ratio"]) == ("4", 1.25)
+    assert data["invariants"][0] == {"id": "dual-feasible", "ok": True,
+                                     "detail": ""}
+    forge(data)
+    open(report, "w").write(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", report]) == 2
+    assert capsys.readouterr().out.splitlines() == [message]
 
 
 def test_verify_rejects_garbage(tmp_path, capsys):
@@ -324,7 +352,7 @@ def test_gen_path_feeds_run_path(tmp_path, capsys):
 
 def test_sweep_tree_table(tmp_path, capsys):
     out_file = str(tmp_path / "sweep.csv")
-    rc = main(["sweep", "--kind", "tree", "--n", "5..6", "--seeds", "2",
+    rc = main(["sweep", "--n", "5..6", "--seeds", "2",
                "--requests", "4", "--quiet", "-o", out_file])
     assert rc == 0
     rows = list(csv.DictReader(open(out_file)))
@@ -336,14 +364,25 @@ def test_sweep_tree_table(tmp_path, capsys):
         assert r["invariants_ok"] == "True"
 
 
-def test_sweep_lowerbound_table(capsys):
-    rc = main(["sweep", "--kind", "lowerbound", "--k", "1..2",
-               "--algo", "greedy", "--format", "json", "--quiet"])
-    out = capsys.readouterr().out
+def test_lowerbound_prints_ratio_summary_on_stderr(capsys):
+    argv = ["lowerbound", "--k", "1..2", "--algo", "greedy",
+            "--format", "json"]
+    rc = main(argv)
+    out, err = capsys.readouterr()
     assert rc == 0
     rows = json.loads(out)
     assert [r["ratio"] for r in rows] == [2.0, 4.0]
     assert all(r["cert_ok"] for r in rows)
+    x = [math.log2(r["n"]) for r in rows]
+    slope = (2.0 * x[0] + 4.0 * x[1]) / (x[0] ** 2 + x[1] ** 2)
+    assert err.splitlines() == [
+        f"max ratio at n={rows[0]['n']}: 2.0000",
+        f"max ratio at n={rows[1]['n']}: 4.0000",
+        f"fitted ratio/log2(n) slope: {slope:.4f}",
+    ]
+    # --quiet drops the summary and leaves stdout as it was
+    assert main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -373,15 +412,15 @@ def test_instance_file_not_utf8_exits_4_with_one_line(tmp_path, capsys, command)
     ["gen", "--n", "10", "--cost-spread", "inf"],
     ["gen", "--n", "10", "--cost-spread", "nan"],
     ["gen", "--n", "10", "--links", "2000", "--cost-spread", "1e308"],
-    ["sweep", "--kind", "tree", "--cost-spread", "inf"],
+    ["sweep", "--cost-spread", "inf"],
     ["lowerbound", "--k", "8000"],
     ["verify", 5],                  # a report with this instance_text
     ["verify", None],
     ["lowerbound", "--k", "1..99999999999"],
-    ["sweep", "--kind", "lowerbound", "--k", "1..99999999999"],
-    ["sweep", "--kind", "tree", "--n", "1..99999999999"],
-    ["sweep", "--kind", "lowerbound", "--algo", "nope", "--k", "1..2"],
-    ["sweep", "--kind", "lowerbound", "--algo", "alg1", "--B", "3"],
+    ["lowerbound", "--k", "1..3,x"],
+    ["sweep", "--n", "1..99999999999"],
+    ["lowerbound", "--algo", "nope", "--k", "1..2"],
+    ["lowerbound", "--algo", "alg1", "--B", "3"],
 ])
 def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
     if argv[0] == "verify":
@@ -402,9 +441,9 @@ def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
     ["gen", "--kind", "path", "--n", "5", "--links", "-3", "--requests", "-4"],
     ["gen", "--kind", "tree", "--n", "5", "--links", "-1"],
     ["gen", "--kind", "tree", "--n", "5", "--requests", "-1"],
-    ["sweep", "--kind", "tree", "--seeds", "-2"],
-    ["sweep", "--kind", "tree", "--links", "-1"],
-    ["sweep", "--kind", "tree", "--requests", "-1"],
+    ["sweep", "--seeds", "-2"],
+    ["sweep", "--links", "-1"],
+    ["sweep", "--requests", "-1"],
 ])
 def test_negative_counts_exit_4(capsys, argv):
     assert main(argv) == 4

@@ -111,20 +111,22 @@ def random_fracrun(seed, max_edges=20, max_links=14):
     sol = FractionalPathSolver(minimal)
     edges = [rng.randrange(minimal.edge_count)
              for _ in range(minimal.edge_count)]
+    records = []
     for e in edges:
         before = dict(sol.x)
-        sol.serve(e)
+        records.append(sol.serve(e))
         for lid, v in sol.x.items():
             assert v >= before[lid] - 1e-15
             assert 0.0 <= v <= 1.0
         assert sol.coverage(e) >= 1.0 - COVERAGE_TOL
-    return sol
+    return sol, records
 
 
 def test_random_runs_monotone_covered_and_accounted():
     for seed in range(25):
-        sol = random_fracrun(seed)
-        rebuilt = sum(sol.links[lid].cost * v for lid, v in sol.x.items())
+        sol, _ = random_fracrun(seed)
+        by_id = sol.minimal.by_id
+        rebuilt = sum(by_id[lid].cost * v for lid, v in sol.x.items())
         assert abs(rebuilt - sol.total_cost) < 1e-9
         assert sol.total_cost <= sum(l.cost for l in sol.minimal.links) + 1e-9
 
@@ -144,7 +146,7 @@ def test_incremental_optimum_matches_dp_out_of_order():
             witness = sol.opt_witness()
             covered = set()
             for lid in witness:
-                l = sol.links[lid]
+                l = minimal.by_id[lid]
                 covered.update(range(l.left, l.right))
             assert sol.requested <= covered
 
@@ -179,9 +181,9 @@ def assert_exact_optimum(sol):
     witness = sol.opt_witness()
     covered = set()
     for lid in witness:
-        covered.update(range(sol.links[lid].left, sol.links[lid].right))
+        covered.update(range(minimal.by_id[lid].left, minimal.by_id[lid].right))
     assert sol.requested <= covered
-    assert sum(sol.links[lid].cost for lid in witness) == opt
+    assert sum(minimal.by_id[lid].cost for lid in witness) == opt
 
 
 @settings(max_examples=200)
@@ -201,8 +203,8 @@ def test_incremental_optimum_is_exact_after_every_serve(data):
 
 def test_phases_never_decrease_along_a_run():
     for seed in range(15):
-        sol = random_fracrun(seed + 100)
-        hist = sol.opt_history
+        _, records = random_fracrun(seed + 100)
+        hist = [r.opt_i for r in records]
         phases = [phase_of(i, hist) for i in range(len(hist))]
         real = [p for p in phases if p is not None]
         assert real == sorted(real)
@@ -210,14 +212,14 @@ def test_phases_never_decrease_along_a_run():
 
 def test_restricted_solution_certificate():
     for seed in range(15):
-        sol = random_fracrun(seed + 300)
-        out = restricted_solution(sol.minimal, sol.records)
+        sol, records = random_fracrun(seed + 300)
+        out = restricted_solution(sol.minimal, records)
         covered = set()
         by_id = {l.id: l for l in sol.minimal.links}
         for lid in out["links"]:
             l = by_id[lid]
             covered.update(range(l.left, l.right))
-        assert {r.request for r in sol.records} <= covered
+        assert {r.request for r in records} <= covered
         assert out["final_opt"] == sol.current_opt()
         assert out["cost"] <= 4 * out["final_opt"]
         assert out["per_phase_opt"] == sorted(out["per_phase_opt"])

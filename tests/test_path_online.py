@@ -88,7 +88,7 @@ def test_serve_leaving_its_edge_uncovered_is_an_invariant_violation():
 def test_run_sequence_empty():
     solver = run_sequence(three_vertex_minimal(), [])
     assert solver.cost == 0
-    assert solver.records == []
+    assert solver.requested == set() and solver.bought == set()
 
 
 def test_type2_purchase_and_sweep():
@@ -103,22 +103,22 @@ def test_type2_purchase_and_sweep():
     ]
     minimal, _ = build_minimal_instance(5, links)
     assert len(minimal.links) == 5
-    solver = run_sequence(minimal, [1, 0, 3, 2, 4])
+    solver = PathSolver(minimal)
+    records = [solver.serve(e) for e in [1, 0, 3, 2, 4]]
 
     assert solver.type1 == [5, 3]
     assert solver.type2 == [1]
-    assert solver.last_type2 == 1
     assert solver.type3 == [2]
     assert solver.frontier == 4
     assert solver.cost == 6
     assert solver.y == [0, 1, 0, 1, 0]
     assert solver.charge == [0, 2, 0, 1, 0]
     # the second and fourth serves were skipped as already covered
-    assert [r.skipped for r in solver.records] == [False, True, False, True, True]
+    assert [r.skipped for r in records] == [False, True, False, True, True]
     c1, c2, c3 = solver.bought_cost_by_type()
     assert (c1, c2, c3) == (3, 2, 1)
     assert solver.charge_weighted_total() == 3
-    lr = solver.links[solver.last_type2]
+    lr = solver.links[solver.type2[-1]]
     assert c2 <= 2 * solver.full_load(lr)
     assert c3 <= 2 * c2
 
@@ -130,7 +130,9 @@ def batch_instances(seed, count, **kw):
         minimal, record, raw = random_minimal_path_instance(rng, **kw)
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
-        out.append((minimal, record, raw, run_sequence(minimal, edges)))
+        solver = PathSolver(minimal)
+        records = [solver.serve(e) for e in edges]
+        out.append((minimal, record, raw, solver, records))
     return out
 
 
@@ -138,15 +140,16 @@ BATCH = batch_instances(1234, 50)
 
 
 def test_batch_dual_always_feasible():
-    for minimal, _, _, solver in BATCH:
+    for minimal, _, _, solver, _ in BATCH:
         ok, bad = verify_dual_feasible(solver.y, minimal.links)
         assert ok, bad
 
 
 def test_batch_product_identity_and_positivity():
-    for minimal, _, _, solver in BATCH:
+    for minimal, _, _, solver, _ in BATCH:
         for e in range(minimal.edge_count):
-            assert solver.product[e] == solver.charge[e] * solver.y[e]
+            assert (solver._prefix(e + 1) - solver._prefix(e)
+                    == solver.charge[e] * solver.y[e])
             if solver.y[e] > 0:
                 assert e in solver.requested
         # charges come from recorded type-1 spans and nothing else
@@ -158,34 +161,34 @@ def test_batch_product_identity_and_positivity():
 
 
 def test_batch_rooted_loads_within_contract():
-    for minimal, _, _, solver in BATCH:
+    for minimal, _, _, solver, _ in BATCH:
         for l in minimal.links:
             if l.rooted:
                 assert solver.full_load(l) <= 3 * l.cost
 
 
 def test_batch_charge_total_at_most_type1_cost():
-    for _, _, _, solver in BATCH:
+    for _, _, _, solver, _ in BATCH:
         c1, c2, c3 = solver.bought_cost_by_type()
         assert solver.charge_weighted_total() <= c1
         assert c3 <= 2 * c2
-        if solver.last_type2 is not None:
-            lr = solver.links[solver.last_type2]
+        if solver.type2:
+            lr = solver.links[solver.type2[-1]]
             assert c2 <= 2 * solver.full_load(lr)
         assert c2 + c3 <= 6 * solver.charge_weighted_total()
 
 
 def test_batch_hat_dual_supports_type1_cost():
-    for _, _, _, solver in BATCH:
+    for _, _, _, solver, _ in BATCH:
         c1, _, _ = solver.bought_cost_by_type()
         hat_total = sum(solver.hat_dual(), Fraction(0))
         assert Fraction(c1) <= 4 * hat_total
 
 
 def test_batch_frontier_monotone_and_covered():
-    for minimal, _, _, solver in BATCH:
+    for minimal, _, _, solver, records in BATCH:
         last = 0
-        for rec in solver.records:
+        for rec in records:
             assert rec.frontier_right >= last
             last = rec.frontier_right
         assert all(solver.covered[:solver.frontier])
@@ -194,7 +197,7 @@ def test_batch_frontier_monotone_and_covered():
 
 
 def test_batch_type2_strictly_deepens():
-    for _, _, _, solver in BATCH:
+    for _, _, _, solver, _ in BATCH:
         rights = [solver.links[i].right for i in solver.type2]
         classes = [solver.links[i].cls for i in solver.type2]
         assert rights == sorted(set(rights))
@@ -202,7 +205,7 @@ def test_batch_type2_strictly_deepens():
 
 
 def test_batch_purchases_disjoint_by_type():
-    for _, _, _, solver in BATCH:
+    for _, _, _, solver, _ in BATCH:
         t1, t2, t3 = set(solver.type1), set(solver.type2), set(solver.type3)
         assert not (t1 & t2) and not (t1 & t3) and not (t2 & t3)
         assert solver.cost == sum(solver.links[i].cost
@@ -210,7 +213,7 @@ def test_batch_purchases_disjoint_by_type():
 
 
 def test_weak_duality_against_offline_optimum():
-    for minimal, _, _, solver in BATCH[:20]:
+    for minimal, _, _, solver, _ in BATCH[:20]:
         opt = opt_path_dp(minimal.edge_count, minimal.links,
                           solver.requested).opt_cost
         assert sum(solver.y, Fraction(0)) <= opt
@@ -244,15 +247,17 @@ def test_hat_dual_floor_drops_tiny_purchases():
     floor = Fraction(max(solver.links[i].cost for i in solver.type1), 9)
     assert solver.links[0].cost < floor
     hat = solver.hat_dual()
-    assert solver.product[0] == 1
+    assert solver.charge[0] * solver.y[0] == 1
     assert hat[0] == 0
-    assert hat[1] == solver.product[1]
+    assert hat[1] == solver.charge[1] * solver.y[1]
 
 
 def test_larger_n_global_never_shrinks_hat():
-    for _, _, _, solver in BATCH[:10]:
+    for minimal, _, _, solver, records in BATCH[:10]:
+        edges = [r.request for r in records]
+        wide = run_sequence(minimal, edges, n_global=10 * solver.n_global)
         lo = solver.hat_dual()
-        hi = solver.hat_dual(n_global=10 * solver.n_global)
+        hi = wide.hat_dual()
         for a, b in zip(lo, hi):
             assert b >= a
 
@@ -274,13 +279,14 @@ def test_serve_keeps_dual_feasible_stepwise(data):
 
 
 def naive_trigger_frontier(solver, frontier):
-    """Frontier after the trigger scan, by a full prefix walk of product."""
+    """Frontier after the trigger scan, by a full prefix walk of the
+    charge-weighted dual."""
     trig = None
     acc = 0
     idx = 0
     for l in solver.rooted_by_right:
         while idx < l.right:
-            acc += solver.product[idx]
+            acc += solver.charge[idx] * solver.y[idx]
             idx += 1
         if l.right > frontier and acc > l.cost:
             trig = l
@@ -302,10 +308,12 @@ def test_fenwick_index_matches_product_after_every_serve(data):
         rec = solver.serve(e)
         assert type(rec.y_raise) is int
         assert all(type(v) is int for v in solver.y)
-        assert all(type(v) is int for v in solver.product)
+        assert all(type(v) is int for v in solver.charge)
         assert all(type(v) is int for v in solver.residual.values())
+        weighted = [solver.charge[i] * solver.y[i] for i in range(m)]
         for k in range(m + 1):
-            assert solver._prefix(k) == sum(solver.product[:k])
+            assert solver._prefix(k) == sum(weighted[:k])
+        assert solver.charge_weighted_total() == sum(weighted)
         for l in minimal.links:
-            assert solver.full_load(l) == sum(solver.product[l.left:l.right])
+            assert solver.full_load(l) == sum(weighted[l.left:l.right])
         assert rec.frontier_right == naive_trigger_frontier(solver, before)

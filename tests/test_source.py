@@ -1,11 +1,13 @@
 """Static checks over the package source, and the shape of its records."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
 import wtap
+from wtap.cli import build_parser
 from wtap.fractional import FracRecord
 from wtap.instance import Link, Request, TreeInstance
 from wtap.path_online import ServeRecord
@@ -74,3 +76,32 @@ def test_records_are_slotted_and_compare_by_field(cls, args):
     assert a is not b and a == b and hash(a) == hash(b)
     changed = cls(args[0] + 1, *args[1:])
     assert changed != a
+
+
+_RUN_OPTIONS = ["--quiet", "--report", "--seed"]
+_OPTIONS = {
+    "decompose": ["--quiet"],
+    "prune": ["--path", "--quiet"],
+    "run-path": ["--quiet", "--report", "--seed", "--trace"],
+    "run-tree": _RUN_OPTIONS,
+    "run-frac": _RUN_OPTIONS,
+    "oracle": ["--quiet"],
+    "verify": ["--quiet"],
+    "lowerbound": ["--B", "--algo", "--csv", "--format", "--k", "--quiet"],
+    "gen": ["--cost-spread", "--kind", "--links", "--n", "--no-feasible",
+            "--out", "--quiet", "--requests", "--seed", "-o"],
+    "sweep": ["--cost-spread", "--format", "--links", "--n", "--out",
+              "--quiet", "--requests", "--seed", "--seeds", "-o"],
+}
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    # a new option, or an option given to one more subcommand, shows up
+    # here as a change to this table
+    subs, = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    found = {name: sorted(opt for action in p._actions
+                          for opt in action.option_strings
+                          if opt not in ("-h", "--help"))
+             for name, p in subs.choices.items()}
+    assert found == _OPTIONS

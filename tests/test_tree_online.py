@@ -12,12 +12,19 @@ from wtap.oracles import TREE_ENUM_LINK_CAP, opt_tree_enum
 from wtap.tree_online import TreeSolver
 
 
+def covered_edges(solver):
+    """Per tree edge id, whether a bought link covers it: the edge above
+    v is covered exactly when the union-find has moved ``up[v]`` off v."""
+    return [solver.up[v] != v for v in solver.inst.child_of_edge]
+
+
 def test_endpoint_rooted_path_uses_one_solver():
     inst = TreeInstance(n=4, edges=[(0, 1), (1, 2), (2, 3)], root=0,
                         raw_links=[(0, 2, 1), (1, 3, 1)])
     solver = TreeSolver(inst)
     assert len(solver.solvers) == 1
-    assert [(l.left, l.right) for l in solver.minimal[0].links] == [(0, 2), (1, 3)]
+    assert [(l.left, l.right)
+            for l in solver.solvers[0].minimal.links] == [(0, 2), (1, 3)]
 
 
 def test_star_leaf_pair_covers_both_edges_with_one_purchase():
@@ -31,7 +38,7 @@ def test_star_leaf_pair_covers_both_edges_with_one_purchase():
     assert report.bought_sources == (0,)
     assert report.incremental_cost == 1
     assert solver.cost_total == 1
-    assert all(solver.covered)
+    assert all(covered_edges(solver))
 
 
 def test_identical_spans_dedup_to_cheapest_source():
@@ -41,6 +48,19 @@ def test_identical_spans_dedup_to_cheapest_source():
     report = solver.serve_pair(0, 2)
     assert report.bought_sources == (1,)
     assert solver.cost_total == 1
+
+
+def test_identical_spans_of_equal_cost_keep_the_lower_id():
+    # the second link names its ends the other way round; the third is a
+    # repeat of the first: the span keeps link 0 either way
+    inst = TreeInstance(n=3, edges=[(0, 1), (1, 2)], root=0,
+                        raw_links=[(0, 2, 2), (2, 0, 2), (0, 2, 2)])
+    solver = TreeSolver(inst)
+    assert [solver.solvers[0].minimal.kept_from[l.id]
+            for l in solver.solvers[0].minimal.links] == [0]
+    report = solver.serve_pair(0, 2)
+    assert report.bought_sources == (0,)
+    assert solver.cost_total == inst.links[0].cost
 
 
 def test_same_vertex_pair_is_a_no_op():
@@ -96,9 +116,10 @@ def run_random(seed, n=9, extras=10, pairs=8):
 def test_random_runs_cover_requested_paths():
     for seed in range(30):
         inst, solver, reports = run_random(seed)
+        covered = covered_edges(solver)
         for r in reports:
             for e in inst.tree_path(r.s, r.t).edges:
-                assert solver.covered[e]
+                assert covered[e]
 
 
 def test_random_runs_account_costs_exactly():
@@ -139,9 +160,10 @@ def test_matches_offline_on_fixed_small_instance():
     )
     solver = TreeSolver(inst)
     solver.run([(2, 4), (4, 5)])
+    covered = covered_edges(solver)
     for pair in [(2, 4), (4, 5)]:
         for e in inst.tree_path(*pair).edges:
-            assert solver.covered[e]
+            assert covered[e]
     from wtap.instance import Request
     opt = opt_tree_enum(inst, [Request(s=2, t=4), Request(s=4, t=5)]).opt_cost
     assert opt <= solver.cost_total
@@ -152,8 +174,8 @@ def test_matches_offline_on_fixed_small_instance():
 def test_random_trees_keep_per_path_duals_feasible(seed, n):
     from wtap.oracles import verify_dual_feasible
     inst, solver, _ = run_random(seed, n=n, extras=8, pairs=6)
-    for ps, minimal in zip(solver.solvers, solver.minimal):
-        ok, bad = verify_dual_feasible(ps.y, minimal.links)
+    for ps in solver.solvers:
+        ok, bad = verify_dual_feasible(ps.y, ps.minimal.links)
         assert ok, bad
 
 
@@ -196,14 +218,14 @@ def walked_serve(solver, pairs):
                 child = inst.child_of_edge[e]
                 pid = solver.decomp.pid_above[child]
                 pos = solver.decomp.pos_above[child] - 1
-                if not solver.minimal[pid].cov_ids[pos]:
+                if not solver.solvers[pid].minimal.cov_ids[pos]:
                     raise InfeasibleInstanceError(
                         f"request edge {e} has no covering link")
                 rec = solver.solvers[pid].serve(pos)
                 served.append(e)
                 new_ids = [i for i in (rec.type1, rec.type2) if i is not None]
                 for plid in new_ids + list(rec.type3):
-                    src = solver.minimal[pid].kept_from[plid]
+                    src = solver.solvers[pid].minimal.kept_from[plid]
                     if src in order:
                         continue
                     order.append(src)
@@ -258,7 +280,7 @@ def test_head_jumps_and_union_find_match_the_walked_paths(data):
             break
         outcomes.append((rep.served, rep.bought_sources, rep.incremental_cost))
     assert outcomes == expected
-    assert solver.covered == covered
+    assert covered_edges(solver) == covered
     assert solver.purchase_order == order
     assert solver.cost_total == total
 
