@@ -38,7 +38,7 @@ from .pruning import (build_minimal_instance, path_instance_from_tree,
                       replacement)
 from .reports import (ExperimentSpec, InvariantRecord, RunReport,
                       rows_to_csv, rows_to_json)
-from .tree_online import TreeSolver
+from .tree_online import TreeSolver, path_link_sets
 
 LOWERBOUND_FIELDS = ("B", "k", "n", "alg_cost", "opt", "ratio", "cert_ok")
 SWEEP_FIELDS = ("n", "seed", "cost", "opt", "ratio", "invariants_ok", "error")
@@ -401,15 +401,18 @@ def cmd_decompose(args) -> int:
 
 def cmd_prune(args) -> int:
     inst = load_instance(args.instance)
-    solver = TreeSolver(inst)
+    decomp = decompose(inst)
     pid = args.path
-    if not solver.solvers:
+    if not decomp.paths:
         raise BadInputError("instance has no tree edges, so no "
                             "decomposition paths to prune")
-    if not 0 <= pid < len(solver.solvers):
+    if not 0 <= pid < len(decomp.paths):
         raise BadInputError(f"path id {pid} out of range "
-                            f"(0..{len(solver.solvers) - 1})")
-    minimal = solver.solvers[pid].minimal
+                            f"(0..{len(decomp.paths) - 1})")
+    plinks, kept_from = next(itertools.islice(
+        path_link_sets(inst, decomp), pid, None))
+    minimal, pruned = build_minimal_instance(
+        len(decomp.paths[pid]) - 1, plinks, kept_from)
 
     def link_row(l):
         return {"id": l.id, "left": l.left, "right": l.right,
@@ -419,11 +422,11 @@ def cmd_prune(args) -> int:
             for l in minimal.links]
     removed = [{**link_row(l), "reason": reason,
                 "replacement": [r.id for r in replacement(minimal, l)]}
-               for l, reason in solver.removed[pid]]
+               for l, reason in pruned]
     payload = {
         "path": pid,
         "edge_count": minimal.edge_count,
-        "vertices": list(solver.decomp.paths[pid]),
+        "vertices": list(decomp.paths[pid]),
         "kept": kept,
         "removed": removed,
     }

@@ -1,17 +1,27 @@
 """Exact offline optima and independent verifiers.
 
-Everything here is ground truth for tests and reports: a left-to-right
-interval-cover DP (exact on paths), a brute subset enumeration to
-cross-check it, a branch-and-bound tree oracle for small link sets,
-and the dual-feasibility / solution-quality verifiers.
+Everything here is ground truth for tests and reports: the exact path
+optimum, a brute subset enumeration to cross-check it, a
+branch-and-bound tree oracle for small link sets, and the
+dual-feasibility / solution-quality verifiers.  The module reads only
+instances and errors from the package, never the pruning or solver
+code it checks.
+
+On a path the optimum is an interval set cover (the path case of
+Meyerson's parking-permit problem, FOCS 2005).  ``opt_path_dp`` solves
+it with one right-to-left sweep over the requested edges that keeps
+the links covering the current one in a lazily pruned min-heap, in
+O(edge_count + L + k log L) time for L links and k requested edges,
+so it certifies ratios at sizes the enumerations cannot reach.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import accumulate
 
 from .errors import InfeasibleInstanceError, OracleSizeError
 from .instance import TreeInstance
@@ -28,27 +38,20 @@ class OracleResult:
     method: str
 
 
-def _cover_lists(links, requests):
-    """Per requested edge (ascending), the links covering it."""
-    by_left = sorted(links, key=lambda l: l.left)
-    active = []
-    out = []
-    ptr = 0
-    for r in requests:
-        while ptr < len(by_left) and by_left[ptr].left <= r:
-            active.append(by_left[ptr])
-            ptr += 1
-        active = [l for l in active if l.right > r]
-        out.append(list(active))
-    return out
-
-
 def opt_path_dp(edge_count: int, links, requested_edges) -> OracleResult:
     """Exact minimum-cost cover of the requested path edges.
 
-    Left-to-right DP on requested positions: the link chosen for the
-    leftmost uncovered request covers a contiguous block of requests,
-    so states are request-list suffixes.
+    States are suffixes of the k ascending requested edges: ``best[i]``
+    is the cheapest cover of requests i..k-1, and the link chosen for
+    request i covers a contiguous block of requests from i on.  With
+    ``rank[x]`` the number of requested edges left of position x, a link
+    [left, right) covers requests ``rank[left] .. rank[right]-1``.  A
+    sweep from the right pushes each link onto a min-heap, keyed
+    ``(cost + best[rank[right]], id)``, at the last request it covers;
+    an entry whose first request lies right of i covers no request the
+    sweep meets later, so it is popped once it reaches the top, and the
+    top is ``best[i]``.  Time O(edge_count + L + k log L) for L links;
+    ties in value go to the lower link id.
     """
     reqs = sorted(set(requested_edges))
     for r in reqs:
@@ -56,27 +59,41 @@ def opt_path_dp(edge_count: int, links, requested_edges) -> OracleResult:
             raise InfeasibleInstanceError(f"requested edge {r} out of range")
     if not reqs:
         return OracleResult(0, frozenset(), "interval-dp")
-    covers = _cover_lists(links, reqs)
     k = len(reqs)
-    best = [None] * (k + 1)
-    best[k] = (0, None, None)
+    requested = bytearray(edge_count)
+    for r in reqs:
+        requested[r] = 1
+    rank = list(accumulate(requested, initial=0))
+    # each link in the bucket of the last request it covers
+    ending = [[] for _ in range(k)]
+    for l in links:
+        left = l.left if l.left > 0 else 0
+        right = l.right if l.right < edge_count else edge_count
+        if left < right and rank[left] < rank[right]:
+            ending[rank[right] - 1].append(l)
+    # an entry (value, id, a * stride + j) is a link covering requests
+    # a..j-1; 4-tuples would outlive the call in the interpreter's free
+    # list for that size, which little else reuses
+    stride = k + 1
+    best = [(0,)] * (k + 1)
+    heap = []
     for i in range(k - 1, -1, -1):
-        r = reqs[i]
-        pick = None
-        for l in covers[i]:
-            j = bisect_left(reqs, l.right)
-            cand = l.cost + best[j][0]
-            if pick is None or cand < pick[0] or (cand == pick[0] and l.id < pick[1]):
-                pick = (cand, l.id, j)
-        if pick is None:
-            raise InfeasibleInstanceError(f"edge {r} has no covering link")
-        best[i] = pick
+        after = best[i + 1][0]
+        for l in ending[i]:
+            a = rank[l.left] if l.left > 0 else 0
+            heappush(heap, (l.cost + after, l.id, a * stride + i + 1))
+        limit = (i + 1) * stride
+        while heap and heap[0][2] >= limit:
+            heappop(heap)
+        if not heap:
+            raise InfeasibleInstanceError(f"edge {reqs[i]} has no covering link")
+        best[i] = heap[0]
     witness = set()
     i = 0
     while i < k:
-        _, lid, j = best[i]
+        _, lid, span = best[i]
         witness.add(lid)
-        i = j
+        i = span % stride
     return OracleResult(best[0][0], frozenset(witness), "interval-dp")
 
 

@@ -66,36 +66,42 @@ class PairReport:
         return self.inst.tree_path(self.s, self.t).edges
 
 
+def path_link_sets(inst: TreeInstance, decomp):
+    """Yield each path's pruning input, in path id order.
+
+    A path's input is ``(links, kept_from)``: one PathLink per distinct
+    projected span, numbered in ascending span order, and the map from
+    those numbers to the span's cheapest source link.  Links come in
+    ascending id and project onto a path at most once, so a strict cost
+    test keeps the lowest id among equal costs.
+    """
+    spans = [dict() for _ in decomp.paths]
+    for ln in inst.links:
+        for pid, left, right in project(inst, decomp, ln):
+            cur = spans[pid].get((left, right))
+            if cur is None or ln.cost < cur.cost:
+                spans[pid][(left, right)] = ln
+    for by_span in spans:
+        links = []
+        kept_from = {}
+        for idx, ((left, right), src) in enumerate(sorted(by_span.items())):
+            links.append(PathLink(left, right, src.cost, src.cls, idx))
+            kept_from[idx] = src.id
+        yield links, kept_from
+
+
 class TreeSolver:
     def __init__(self, inst: TreeInstance):
         self.inst = inst
         self.decomp = decompose(inst)
-        n_paths = len(self.decomp.paths)
-
-        # cheapest source per identical projected span; links come in
-        # ascending id and project onto a path at most once, so a strict
-        # cost test keeps the lowest id among equal costs
-        spans = [dict() for _ in range(n_paths)]
-        for ln in inst.links:
-            for pid, left, right in project(inst, self.decomp, ln):
-                cur = spans[pid].get((left, right))
-                if cur is None or ln.cost < cur.cost:
-                    spans[pid][(left, right)] = ln
-
-        self.removed = []           # per path: (PathLink, reason), ascending id
         self.solvers = []
-        for pid in range(n_paths):
-            plinks = []
-            kept_from = {}
-            for idx, ((left, right), src) in enumerate(sorted(spans[pid].items())):
-                plinks.append(PathLink(left, right, src.cost, src.cls, idx))
-                kept_from[idx] = src.id
-            minimal, removed = build_minimal_instance(
+        for pid, (plinks, kept_from) in enumerate(
+                path_link_sets(inst, self.decomp)):
+            minimal, _ = build_minimal_instance(
                 edge_count=len(self.decomp.paths[pid]) - 1,
                 links=plinks,
                 kept_from=kept_from,
             )
-            self.removed.append(removed)
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
         self.bought_sources = set()

@@ -2,17 +2,21 @@
 
 The reference helpers here are deliberately written with different
 algorithms than the package (BFS instead of parent walks, recursive
-subset search instead of bitmask DP) so that agreement between the two
-actually means something.
+subset search instead of bitmask DP, per-request cover lists instead of
+the heap sweep) so that agreement between the two actually means
+something.
 """
 
 import random
+from bisect import bisect_left
 from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import settings
 
+from wtap.errors import InfeasibleInstanceError
+from wtap.oracles import OracleResult
 from wtap.pruning import PathLink
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -62,6 +66,58 @@ def brute_cover(edge_count, links, requested):
                     best = cost
         # cost is not monotone in subset size, so keep scanning all sizes
     return best
+
+
+def _cover_lists(links, requests):
+    """Per requested edge (ascending), the links covering it."""
+    by_left = sorted(links, key=lambda l: l.left)
+    active = []
+    out = []
+    ptr = 0
+    for r in requests:
+        while ptr < len(by_left) and by_left[ptr].left <= r:
+            active.append(by_left[ptr])
+            ptr += 1
+        active = [l for l in active if l.right > r]
+        out.append(list(active))
+    return out
+
+
+def reference_opt_path_dp(edge_count, links, requested_edges):
+    """The interval-cover DP over explicit per-request cover lists.
+
+    Time grows with the sum, over requested edges, of the links covering
+    each; the package's heap sweep must agree with it on the optimum,
+    the witness and the error text.
+    """
+    reqs = sorted(set(requested_edges))
+    for r in reqs:
+        if not 0 <= r < edge_count:
+            raise InfeasibleInstanceError(f"requested edge {r} out of range")
+    if not reqs:
+        return OracleResult(0, frozenset(), "interval-dp")
+    covers = _cover_lists(links, reqs)
+    k = len(reqs)
+    best = [None] * (k + 1)
+    best[k] = (0, None, None)
+    for i in range(k - 1, -1, -1):
+        r = reqs[i]
+        pick = None
+        for l in covers[i]:
+            j = bisect_left(reqs, l.right)
+            cand = l.cost + best[j][0]
+            if pick is None or cand < pick[0] or (cand == pick[0] and l.id < pick[1]):
+                pick = (cand, l.id, j)
+        if pick is None:
+            raise InfeasibleInstanceError(f"edge {r} has no covering link")
+        best[i] = pick
+    witness = set()
+    i = 0
+    while i < k:
+        _, lid, j = best[i]
+        witness.add(lid)
+        i = j
+    return OracleResult(best[0][0], frozenset(witness), "interval-dp")
 
 
 def tree_arrays(n, edges, root=0):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from wtap.oracles import (
 from wtap.pruning import build_minimal_instance, path_instance_from_tree
 from wtap.path_online import run_sequence
 
-from conftest import PL, brute_cover
+from conftest import PL, brute_cover, reference_opt_path_dp
 
 
 def random_links(data, m, count, max_cls=3):
@@ -98,6 +99,64 @@ def test_dp_monotone_in_requests(data):
     lo = opt_path_dp(m, links, small).opt_cost
     hi = opt_path_dp(m, links, small | extra).opt_cost
     assert lo <= hi
+
+
+def _dp_outcome(dp, m, links, reqs):
+    """(opt, witness, method), or the infeasibility text if dp raises."""
+    try:
+        res = dp(m, links, reqs)
+    except InfeasibleInstanceError as exc:
+        return str(exc)
+    return res.opt_cost, res.witness, res.method
+
+
+@given(st.data())
+def test_dp_matches_the_cover_list_reference(data):
+    # beyond the enumeration cap, with few cost classes so values tie,
+    # links past either end of the path or covering no request, and
+    # request sets no link covers
+    m = data.draw(st.integers(min_value=1, max_value=60))
+    count = data.draw(st.integers(min_value=0, max_value=80))
+    ids = data.draw(st.permutations(range(count)))
+    links = []
+    for lid in ids:
+        left = data.draw(st.integers(-2, m + 1))
+        right = data.draw(st.integers(left, m + 3))
+        links.append(PL(left, right, data.draw(st.integers(0, 2)), lid))
+    reqs = data.draw(st.lists(st.integers(0, m - 1), max_size=2 * m))
+    assert (_dp_outcome(opt_path_dp, m, links, reqs)
+            == _dp_outcome(reference_opt_path_dp, m, links, reqs))
+
+
+def test_dp_keeps_lower_id_among_equal_value_blocks():
+    # {0} and {1, 2} both cost 2; so do {3} alone and {4} alone
+    links = [PL(0, 2, 1, 5), PL(0, 1, 0, 1), PL(1, 2, 0, 2),
+             PL(2, 3, 1, 3), PL(2, 3, 1, 4)]
+    for dp in (opt_path_dp, reference_opt_path_dp):
+        res = dp(3, links, [0, 1, 2])
+        assert res.opt_cost == 4
+        assert res.witness == frozenset({1, 2, 3})
+
+
+def test_dp_reports_the_rightmost_uncovered_edge():
+    links = [PL(0, 1, 0, 0), PL(5, 7, 0, 1)]
+    for dp in (opt_path_dp, reference_opt_path_dp):
+        with pytest.raises(InfeasibleInstanceError,
+                           match="^edge 4 has no covering link$"):
+            dp(7, links, [0, 2, 4, 6])
+
+
+def test_dp_stays_near_linear_under_long_links():
+    # every link spans the whole path and every edge is requested: the
+    # (request, covering link) pairs number 4e6, which the cover-list DP
+    # scores one by one (over a second on a 2-vCPU VM, Python 3.11)
+    m = 4000
+    links = [PL(0, m, i % 3, i) for i in range(1000)]
+    start = time.perf_counter()
+    res = opt_path_dp(m, links, range(m))
+    elapsed = time.perf_counter() - start
+    assert res.opt_cost == 1 and res.witness == frozenset({0})
+    assert elapsed < 0.5, f"opt_path_dp took {elapsed:.2f} s"
 
 
 def test_enum_cap():

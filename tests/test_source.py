@@ -54,6 +54,16 @@ def test_path_layers_never_import_tree_layers():
     assert not leaks, "; ".join(leaks)
 
 
+def test_oracles_import_only_errors_and_instance():
+    # the exact optima are the ground truth for pruning and the solvers,
+    # so they must not be computed with the code they check
+    package = Path(wtap.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    tree = ast.parse((package / "oracles.py").read_text(encoding="utf-8"))
+    imported = _imported_modules(tree) & modules
+    assert imported <= {"errors", "instance"}, sorted(imported)
+
+
 _INST = TreeInstance(3, [(0, 1), (1, 2)], 0, [(0, 2, 3)], [(0, 2)])
 _RECORDS = [
     (Link, (0, 2, 1, 0, 0)),
