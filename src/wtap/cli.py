@@ -242,7 +242,7 @@ def _run_tree(inst):
             "incremental_cost": rep.incremental_cost,
             "bought": list(rep.bought_sources),
         })
-    missing = _uncovered_requested_edges(inst, solver.purchase_order)
+    missing = _uncovered_requested_edges(inst, solver.bought_sources)
     invariants = [InvariantRecord(
         id="requested-paths-covered", ok=not missing,
         detail=f"uncovered edges {missing}" if missing else "")]

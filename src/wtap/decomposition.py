@@ -1,12 +1,17 @@
 """Rooted path decomposition and link projection.
 
 The tree's edge set is partitioned into vertically monotone paths, each
-rooted at its vertex closest to the tree root.  Construction is a
-recursive balanced caterpillar: find the centroid of the current
-component, take the component-root-to-leaf backbone through it, recurse
-on the hanging pieces.  Components halve in size (up to the attach
-vertex), so any root-to-leaf walk meets O(log n) backbones, and any
-u-v path meets at most ``2*ceil(log2 n) + 1`` decomposition paths.
+rooted at its vertex closest to the tree root.  Construction is the
+heavy-path decomposition (Sleator-Tarjan 1983).  A vertex's heavy child
+is its largest child, ties to the smallest id; its other children are
+light.  One path descends from the root, and one from the parent of
+each light child through that child, each then taking heavy children
+down to a leaf.  A light child holds less than half its parent's
+subtree, so a downward walk crosses at most ``floor(log2 n)`` light
+edges, and a new path starts only at a light edge.  A u-v path splits
+at its top vertex into two downward walks, of whose first edges at most
+one is heavy, so it meets at most ``2*floor(log2 n) + 1`` decomposition
+paths, within ``default_width_bound``.
 
 Two layers:
 
@@ -30,11 +35,10 @@ vertex-to-position maps.
 ``meet`` and ``project`` never walk a tree path edge by edge.  ``meet``
 finds the lowest common ancestor by jumping from each endpoint to the
 head of the path above it (``paths[pid][0]``), always moving the
-endpoint whose head is deeper, as in heavy-light decomposition
-(Sleator-Tarjan 1983), until both sit on one path.  ``project`` then
-climbs from each endpoint to that vertex one path segment at a time.
-So a pair's meeting vertex and a link's projections each cost O(width)
-steps.
+endpoint whose head is deeper, until both sit on one path.
+``project`` then climbs from each endpoint to that vertex one path
+segment at a time.  So a pair's meeting vertex and a link's projections
+each cost O(width) steps.
 """
 
 from __future__ import annotations
@@ -74,60 +78,27 @@ def decompose_arrays(parent: list, children: list, order: list):
 
     paths = []
     pid_above = [-1] * n
-    queue = deque()
-    queue.append((root, children[root]))
+    # path starts, first in first out: the root, then each light child
+    queue = deque([root] if children[root] else [])
     while queue:
-        rc, comp_children = queue.popleft()
-        if not comp_children:
-            continue
-        comp_size = 1
-        for c in comp_children:
-            comp_size += size[c]
-
-        # centroid: smallest max piece after vertex removal, ties by id
-        best_v = rc
-        best_f = max(size[c] for c in comp_children)
-        stack = list(comp_children)
-        while stack:
-            u = stack.pop()
-            f = comp_size - size[u]
-            for c in children[u]:
-                if size[c] > f:
-                    f = size[c]
-                stack.append(c)
-            if f < best_f or (f == best_f and u < best_v):
-                best_v, best_f = u, f
-
-        # backbone: component root down to centroid, then follow the
-        # largest child subtree (ties by smallest id) to a leaf
-        up = []
-        w = best_v
-        while w != rc:
-            up.append(w)
-            w = parent[w]
-        backbone = [rc] + up[::-1]
-        w = best_v
-        while True:
-            ch = comp_children if w == rc else children[w]
-            if not ch:
-                break
-            nxt = ch[0]
+        w = queue.popleft()
+        path = [w] if w == root else [parent[w], w]
+        ch = children[w]
+        while ch:
+            # the largest child; ties go to the smallest id
+            heavy = ch[0]
             for c in ch[1:]:
-                if size[c] > size[nxt]:
-                    nxt = c
-            backbone.append(nxt)
-            w = nxt
-
-        pid = len(paths)
-        paths.append(backbone)
-        for v in backbone[1:]:
-            pid_above[v] = pid
-        for i2, w in enumerate(backbone):
-            nxt = backbone[i2 + 1] if i2 + 1 < len(backbone) else -1
-            ch = comp_children if w == rc else children[w]
+                if size[c] > size[heavy]:
+                    heavy = c
             for c in ch:
-                if c != nxt:
-                    queue.append((w, [c]))
+                if c != heavy:
+                    queue.append(c)
+            path.append(heavy)
+            ch = children[heavy]
+        pid = len(paths)
+        for v in path[1:]:
+            pid_above[v] = pid
+        paths.append(path)
     return paths, pid_above
 
 

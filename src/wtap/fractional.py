@@ -109,7 +109,6 @@ class FractionalPathSolver:
         self._g_at = [0] * m       # _g_at[x] = _g[#requested < x], x a left end
         self._choice = [None]      # id of the last link behind _g[k]
         self._stale = None         # _g[k] is out of date for k > _stale
-        self._opt = 0
         self._witness = frozenset()
 
     # -- offline optimum of the requests so far ---------------------------
@@ -152,7 +151,6 @@ class FractionalPathSolver:
             g.append(best)
             choice.append(best_lid)
         self._stale = None
-        self._opt = g[-1]
         witness = set()
         k = len(pos)
         while k > 0:
@@ -162,7 +160,7 @@ class FractionalPathSolver:
         self._witness = frozenset(witness)
 
     def current_opt(self) -> int:
-        return self._opt
+        return self._g[-1]
 
     def opt_witness(self) -> frozenset:
         return self._witness

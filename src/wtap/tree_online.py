@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .decomposition import decompose, meet, project
-from .errors import InfeasibleInstanceError
+from .errors import InfeasibleInstanceError, InvariantViolationError
 from .instance import TreeInstance
 from .path_online import PathSolver
 from .pruning import PathLink, build_minimal_instance
@@ -105,7 +105,6 @@ class TreeSolver:
             self.solvers.append(PathSolver(minimal, n_global=inst.n))
 
         self.bought_sources = set()
-        self.purchase_order = []
         self.cost_total = 0
         # the union-find over covered edges (see the module docstring)
         self.up = list(range(inst.n))
@@ -138,7 +137,6 @@ class TreeSolver:
         if link_id in self.bought_sources:
             return 0
         self.bought_sources.add(link_id)
-        self.purchase_order.append(link_id)
         link = self.inst.links[link_id]
         top = meet(self.inst, self.decomp, link.u, link.v)
         parent = self.inst.parent
@@ -181,7 +179,7 @@ class TreeSolver:
                     bought.append(src)
                     inc += spent
             if up[v] == v:
-                raise InfeasibleInstanceError(
+                raise InvariantViolationError(
                     f"serving edge {e} failed to cover it")
         return PairReport(s, t, tuple(served), tuple(bought), inc, self.inst)
 

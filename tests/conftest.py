@@ -3,8 +3,8 @@
 The reference helpers here are deliberately written with different
 algorithms than the package (BFS instead of parent walks, recursive
 subset search instead of bitmask DP, per-request cover lists instead of
-the heap sweep) so that agreement between the two actually means
-something.
+the heap sweep, centroid backbones instead of heavy paths) so that
+agreement between the two actually means something.
 """
 
 import random
@@ -142,6 +142,81 @@ def tree_arrays(n, edges, root=0):
     for c in children:
         c.sort()
     return parent, children, order
+
+
+def reference_decompose_arrays(parent, children, order):
+    """The recursive balanced caterpillar: per component, the backbone
+    from the component's root through its centroid, then down the
+    largest child subtree (ties by smallest id) to a leaf; the hanging
+    pieces are queued first in, first out.  O(n log n), one centroid
+    search per component; the package's heavy-path decomposition must
+    return the same ``(paths, pid_above)``.
+    """
+    n = len(parent)
+    root = order[0]
+    size = [1] * n
+    for w in reversed(order):
+        p = parent[w]
+        if p >= 0:
+            size[p] += size[w]
+
+    paths = []
+    pid_above = [-1] * n
+    queue = deque()
+    queue.append((root, children[root]))
+    while queue:
+        rc, comp_children = queue.popleft()
+        if not comp_children:
+            continue
+        comp_size = 1
+        for c in comp_children:
+            comp_size += size[c]
+
+        # centroid: smallest max piece after vertex removal, ties by id
+        best_v = rc
+        best_f = max(size[c] for c in comp_children)
+        stack = list(comp_children)
+        while stack:
+            u = stack.pop()
+            f = comp_size - size[u]
+            for c in children[u]:
+                if size[c] > f:
+                    f = size[c]
+                stack.append(c)
+            if f < best_f or (f == best_f and u < best_v):
+                best_v, best_f = u, f
+
+        # backbone: component root down to centroid, then follow the
+        # largest child subtree (ties by smallest id) to a leaf
+        up = []
+        w = best_v
+        while w != rc:
+            up.append(w)
+            w = parent[w]
+        backbone = [rc] + up[::-1]
+        w = best_v
+        while True:
+            ch = comp_children if w == rc else children[w]
+            if not ch:
+                break
+            nxt = ch[0]
+            for c in ch[1:]:
+                if size[c] > size[nxt]:
+                    nxt = c
+            backbone.append(nxt)
+            w = nxt
+
+        pid = len(paths)
+        paths.append(backbone)
+        for v in backbone[1:]:
+            pid_above[v] = pid
+        for i2, w in enumerate(backbone):
+            nxt = backbone[i2 + 1] if i2 + 1 < len(backbone) else -1
+            ch = comp_children if w == rc else children[w]
+            for c in ch:
+                if c != nxt:
+                    queue.append((w, [c]))
+    return paths, pid_above
 
 
 def pairwise_width(n, edges, pid_above, root=0):

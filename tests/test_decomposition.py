@@ -15,7 +15,7 @@ from wtap.errors import InvariantViolationError
 from wtap.generators import enumerate_trees, prufer_decode
 from wtap.instance import TreeInstance
 
-from conftest import pairwise_width, tree_arrays
+from conftest import pairwise_width, reference_decompose_arrays, tree_arrays
 
 
 def make(n, edges, root=0, raw_links=()):
@@ -134,6 +134,33 @@ def test_width_arrays_exhaustive_small():
             got = width_arrays(parent, children, order, pid_above)
             assert got == pairwise_width(n, edges, pid_above)
             assert got <= default_width_bound(n)
+
+
+def test_heavy_paths_match_the_centroid_reference_exhaustive_small():
+    for n in range(1, 7):
+        for edges in enumerate_trees(n):
+            for root in range(n):
+                args = tree_arrays(n, edges, root)
+                assert decompose_arrays(*args) == \
+                    reference_decompose_arrays(*args)
+
+
+@given(st.data())
+def test_heavy_paths_match_the_centroid_reference(data):
+    n = data.draw(st.integers(min_value=2, max_value=300), label="n")
+    shape = data.draw(st.sampled_from(["random", "path", "star"]),
+                      label="shape")
+    if shape == "random":
+        seq = data.draw(st.lists(st.integers(0, n - 1),
+                                 min_size=n - 2, max_size=n - 2))
+    elif shape == "path":
+        # n - 2 distinct entries: every vertex has degree at most two
+        seq = data.draw(st.permutations(range(n)))[:n - 2]
+    else:
+        seq = [data.draw(st.integers(0, n - 1), label="centre")] * (n - 2)
+    root = data.draw(st.integers(0, n - 1), label="root")
+    args = tree_arrays(n, prufer_decode(seq, n), root)
+    assert decompose_arrays(*args) == reference_decompose_arrays(*args)
 
 
 def test_instance_order_and_children():

@@ -54,12 +54,15 @@ def test_path_layers_never_import_tree_layers():
     assert not leaks, "; ".join(leaks)
 
 
-def test_oracles_import_only_errors_and_instance():
+@pytest.mark.parametrize("name", ["oracles", "decomposition"])
+def test_imports_only_errors_and_instance(name):
     # the exact optima are the ground truth for pruning and the solvers,
-    # so they must not be computed with the code they check
+    # so they must not be computed with the code they check; and the
+    # decomposition is the bottom tree layer, which the tree solver and
+    # the run pipeline build on
     package = Path(wtap.__file__).parent
     modules = {path.stem for path in package.glob("*.py")}
-    tree = ast.parse((package / "oracles.py").read_text(encoding="utf-8"))
+    tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
     imported = _imported_modules(tree) & modules
     assert imported <= {"errors", "instance"}, sorted(imported)
 

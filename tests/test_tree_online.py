@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wtap.cli import run_report
 from wtap.decomposition import meet, project, width
-from wtap.errors import InfeasibleInstanceError
+from wtap.errors import InfeasibleInstanceError, InvariantViolationError
 from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
 from wtap.oracles import TREE_ENUM_LINK_CAP, opt_tree_enum
@@ -92,6 +92,18 @@ def test_uncoverable_request_raises():
         solver.serve_pair(0, 2)
 
 
+def test_edge_left_uncovered_by_its_solver_is_an_invariant_violation(
+        monkeypatch):
+    # the edge has a covering link, so only a solver defect can leave it
+    # uncovered after serving: here, source purchases that buy nothing
+    inst = TreeInstance(n=3, edges=[(0, 1), (1, 2)], root=0,
+                        raw_links=[(0, 2, 1)])
+    solver = TreeSolver(inst)
+    monkeypatch.setattr(TreeSolver, "_buy_source", lambda self, link_id: 0)
+    with pytest.raises(InvariantViolationError, match="failed to cover"):
+        solver.serve_pair(0, 2)
+
+
 def test_adjacent_pair_buys_a_covering_link():
     inst = TreeInstance(n=3, edges=[(0, 1), (1, 2)], root=0,
                         raw_links=[(1, 2, 1), (0, 2, 8)])
@@ -125,8 +137,9 @@ def test_random_runs_cover_requested_paths():
 def test_random_runs_account_costs_exactly():
     for seed in range(30):
         inst, solver, reports = run_random(seed)
-        assert len(set(solver.purchase_order)) == len(solver.purchase_order)
-        assert set(solver.purchase_order) == solver.bought_sources
+        bought = [src for r in reports for src in r.bought_sources]
+        assert len(set(bought)) == len(bought)
+        assert set(bought) == solver.bought_sources
         assert solver.cost_total == sum(
             inst.links[i].cost for i in solver.bought_sources)
         assert solver.cost_total == sum(
@@ -281,7 +294,9 @@ def test_head_jumps_and_union_find_match_the_walked_paths(data):
         outcomes.append((rep.served, rep.bought_sources, rep.incremental_cost))
     assert outcomes == expected
     assert covered_edges(solver) == covered
-    assert solver.purchase_order == order
+    # the outcomes hold each pair's purchases in order; the set also
+    # counts those of a pair cut short by an uncoverable edge
+    assert solver.bought_sources == set(order)
     assert solver.cost_total == total
 
 
