@@ -141,12 +141,7 @@ class PathAlgContestant:
         self.solver = PathSolver(minimal, n_global=inst.n + 1)
 
     def serve(self, e: int):
-        rec = self.solver.serve(e)
-        out = [] if rec.type1 is None else [rec.type1]
-        if rec.type2 is not None:
-            out.append(rec.type2)
-        out.extend(rec.type3)
-        return out
+        return self.solver.serve(e).purchases
 
 
 CONTESTANTS = {

@@ -500,10 +500,10 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    inst, _ = gen_random(kind=args.kind, n=args.n, link_count=args.links,
-                         cost_spread=args.cost_spread, seed=args.seed,
-                         feasible=not args.no_feasible,
-                         request_count=args.requests)
+    inst = gen_random(kind=args.kind, n=args.n, link_count=args.links,
+                      cost_spread=args.cost_spread, seed=args.seed,
+                      feasible=not args.no_feasible,
+                      request_count=args.requests)
     text = format_instance(inst)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -524,10 +524,10 @@ def cmd_sweep(args) -> int:
         extras = max(0, args.links - (n - 1))
         for s in range(args.seeds):
             cell_seed = args.seed + 10007 * n + s
-            inst, _ = gen_random(kind="tree", n=n, link_count=extras,
-                                 cost_spread=args.cost_spread,
-                                 seed=cell_seed,
-                                 request_count=args.requests)
+            inst = gen_random(kind="tree", n=n, link_count=extras,
+                              cost_spread=args.cost_spread,
+                              seed=cell_seed,
+                              request_count=args.requests)
             row = {"n": n, "seed": cell_seed, "cost": None, "opt": None,
                    "ratio": None, "invariants_ok": None, "error": ""}
             try:

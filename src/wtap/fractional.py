@@ -103,8 +103,7 @@ class FractionalPathSolver:
         # right of every edge
         self._lefts = sorted({l.left for l in minimal.links}) + [m]
         # the exact optimum of the requests so far, kept incrementally
-        self.requested = set()
-        self._sorted = []          # requested positions, ascending
+        self.requested = []        # requested positions, ascending
         self._g = [0]              # _g[k] = optimum over the first k of them
         self._g_at = [0] * m       # _g_at[x] = _g[#requested < x], x a left end
         self._choice = [None]      # id of the last link behind _g[k]
@@ -114,11 +113,10 @@ class FractionalPathSolver:
     # -- offline optimum of the requests so far ---------------------------
 
     def _note_request(self, e: int):
-        if e in self.requested:
-            return
-        self.requested.add(e)
-        pos = self._sorted
+        pos = self.requested
         k = bisect_left(pos, e)
+        if k < len(pos) and pos[k] == e:
+            return
         pos.insert(k, e)
         d = k if self._stale is None else min(self._stale, k)
         cov_ids = self.minimal.cov_ids

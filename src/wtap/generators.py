@@ -69,7 +69,8 @@ def random_path_edges(n: int, rng: random.Random):
 
 
 def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
-               seed: int, feasible: bool = True, request_count: int = 0):
+               seed: int, feasible: bool = True,
+               request_count: int = 0) -> TreeInstance:
     """Random instance with log-uniform raw costs quantized to 1/4096.
 
     With ``feasible`` every tree edge gets a parallel unit-cost link, so
@@ -118,9 +119,8 @@ def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
             t = rng.randrange(n)
         requests.append((s, t))
 
-    inst = TreeInstance(n=n, edges=edges, root=root,
+    return TreeInstance(n=n, edges=edges, root=root,
                         raw_links=raw_links, requests=requests)
-    return inst, requests
 
 
 def random_minimal_path_instance(rng: random.Random, max_edges: int = 64,

@@ -253,7 +253,8 @@ def _width_term(n_global: int) -> float:
     return 2 * math.log2(max(2, n_global)) + 1
 
 
-def verify_nice(solver, enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
+def verify_nice(solver, requests,
+                enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
     """Check the purchased solution against the quality certificate.
 
     Three direct conditions (total cost vs the scaled hat dual, per
@@ -261,7 +262,8 @@ def verify_nice(solver, enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
     at most ``enum_cap`` links, an exhaustive sweep over every feasible
     solution of the pruned universe checking
     ``c(F) <= 24*c(rooted part) + 24*(2 log2 n + 1)*c(non-rooted part)``,
-    with n the solver's ``n_global``.
+    with n the solver's ``n_global``.  ``requests`` are the edges the
+    solver was asked to serve.
     """
     report = NicenessReport()
     minimal = solver.minimal
@@ -307,7 +309,7 @@ def verify_nice(solver, enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
 
     if len(links) <= enum_cap:
         report.enumerated = True
-        reqs = sorted(solver.requested)
+        reqs = sorted(set(requests))
         pos = {r: i for i, r in enumerate(reqs)}
         full = (1 << len(reqs)) - 1
         masks = []

@@ -64,6 +64,15 @@ class ServeRecord:
     frontier_right: int
     skipped: bool = False
 
+    @property
+    def purchases(self) -> list:
+        """The ids this serve bought: type 1, then type 2, then type 3."""
+        out = [] if self.type1 is None else [self.type1]
+        if self.type2 is not None:
+            out.append(self.type2)
+        out.extend(self.type3)
+        return out
+
 
 class PathSolver:
     def __init__(self, minimal: MinimalPathInstance, n_global: Optional[int] = None):
@@ -73,22 +82,19 @@ class PathSolver:
         # vertex count used in the hat-dual cost floor; the path itself
         # when the instance is standalone
         self.n_global = n_global if n_global is not None else m + 1
-        self.links = minimal.by_id
         self.y = [0] * m
         self.charge = [0] * m
         self.fenwick = [0] * (m + 1)          # over charge[e] * y[e]
         self.frontier = 0
-        self.bought = set()
-        self.type1 = []
-        self.type2 = []
-        self.type3 = []
-        self.charged = {}                     # type-1 id -> charged edges
+        self.bought = {}                      # id -> type 1, 2 or 3, in order
+        # type-1 id -> charged edges; a type-1 pick covers an uncovered
+        # edge, so it is new and the keys are the type-1 buys in order
+        self.charged = {}
         self.covered = [False] * m
         self.residual = {l.id: l.cost for l in minimal.links}
         self.rooted_by_right = sorted(
             (l for l in minimal.links if l.rooted), key=lambda l: l.right)
         self.cost = 0
-        self.requested = set()
 
     # -- prefix index -----------------------------------------------------
 
@@ -111,8 +117,8 @@ class PathSolver:
 
     # -- purchases --------------------------------------------------------
 
-    def _buy(self, link):
-        self.bought.add(link.id)
+    def _buy(self, link, kind):
+        self.bought[link.id] = kind
         self.cost += link.cost
         for i in range(link.left, link.right):
             self.covered[i] = True
@@ -122,11 +128,11 @@ class PathSolver:
     def serve(self, e: int) -> ServeRecord:
         if not 0 <= e < self.m:
             raise BadInputError(f"edge {e} out of range")
-        self.requested.add(e)
         if self.covered[e]:
             # (request, y_raise, type1, type2, type3, frontier_right, skipped)
             return ServeRecord(e, 0, None, None, (), self.frontier, True)
-        cands = self.minimal.cov_ids[e]
+        minimal = self.minimal
+        cands = minimal.cov_ids[e]
         if not cands:
             raise InfeasibleInstanceError(f"edge {e} has no covering link")
 
@@ -135,7 +141,7 @@ class PathSolver:
         pick_key = None
         for lid in cands:
             if self.residual[lid] == delta:
-                l = self.links[lid]
+                l = minimal.by_id[lid]
                 key = (-l.cls, -l.right, l.id)
                 if pick is None or key < pick_key:
                     pick, pick_key = l, key
@@ -150,8 +156,7 @@ class PathSolver:
             for lid in cands:
                 self.residual[lid] -= delta
 
-        self._buy(pick)
-        self.type1.append(pick.id)
+        self._buy(pick, 1)
         charged = []
         for i in range(max(pick.left, self.frontier), pick.right):
             if self.y[i] > 0:
@@ -173,14 +178,12 @@ class PathSolver:
         swept = []
         if trig is not None:
             if trig.id not in self.bought:
-                self._buy(trig)
-                self.type2.append(trig.id)
+                self._buy(trig, 2)
                 bought2 = trig.id
-                for l in self.minimal.links:
+                for l in minimal.links:
                     if (l.id not in self.bought and l.cls < trig.cls
                             and 0 < l.left < trig.right < l.right):
-                        self._buy(l)
-                        self.type3.append(l.id)
+                        self._buy(l, 3)
                         swept.append(l.id)
             self.frontier = trig.right
 
@@ -206,14 +209,15 @@ class PathSolver:
         analysis can afford to drop; n is ``n_global``.
         """
         n = self.n_global
+        by_id = self.minimal.by_id
         hat = [0] * self.m
-        if not self.type1:
+        if not self.charged:
             return hat
-        cmax = max(self.links[lid].cost for lid in self.type1)
+        cmax = max(by_id[lid].cost for lid in self.charged)
         lam = [0] * self.m
-        for lid in self.type1:
-            if self.links[lid].cost * n * n >= cmax:
-                for e in self.charged[lid]:
+        for lid, edges in self.charged.items():
+            if by_id[lid].cost * n * n >= cmax:
+                for e in edges:
                     lam[e] += 1
         for i in range(self.m):
             if lam[i]:
@@ -221,10 +225,11 @@ class PathSolver:
         return hat
 
     def bought_cost_by_type(self):
-        c1 = sum(self.links[l].cost for l in self.type1)
-        c2 = sum(self.links[l].cost for l in self.type2)
-        c3 = sum(self.links[l].cost for l in self.type3)
-        return c1, c2, c3
+        by_id = self.minimal.by_id
+        costs = [0, 0, 0, 0]
+        for lid, kind in self.bought.items():
+            costs[kind] += by_id[lid].cost
+        return costs[1], costs[2], costs[3]
 
 
 def run_sequence(minimal: MinimalPathInstance, requests,

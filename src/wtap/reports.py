@@ -10,7 +10,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 REPORT_FORMAT_VERSION = "1"
@@ -52,7 +52,9 @@ class RunReport:
     format_version: str = REPORT_FORMAT_VERSION
 
     def to_json(self) -> str:
-        payload = asdict(self)
+        # the fields as they are: asdict would deep-copy every row
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["invariants"] = [asdict(inv) for inv in self.invariants]
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @staticmethod

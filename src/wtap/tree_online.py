@@ -167,12 +167,8 @@ class TreeSolver:
                     f"request edge {e} has no covering link")
             rec = solver.serve(pos)
             served.append(e)
-            new_ids = ([] if rec.type1 is None else [rec.type1])
-            if rec.type2 is not None:
-                new_ids.append(rec.type2)
-            new_ids.extend(rec.type3)
             kept_from = solver.minimal.kept_from
-            for plid in new_ids:
+            for plid in rec.purchases:
                 src = kept_from[plid]
                 spent = self._buy_source(src)
                 if spent:

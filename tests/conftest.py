@@ -28,6 +28,11 @@ def PL(left, right, cls, id):
     return PathLink(left=left, right=right, cost=1 << cls, cls=cls, id=id)
 
 
+def bought_of_type(solver, kind):
+    """A path solver's purchases of one type (1, 2 or 3), in order."""
+    return [lid for lid, k in solver.bought.items() if k == kind]
+
+
 def bfs_path(n, edges, u, v):
     """Vertex sequence of the unique u-v path, found by plain BFS."""
     adj = [[] for _ in range(n)]

@@ -31,7 +31,7 @@ from wtap.path_online import PathSolver, run_sequence
 from wtap.pruning import build_minimal_instance, replacement, transfer
 from wtap.tree_online import TreeSolver
 
-from conftest import PL, tree_arrays
+from conftest import PL, bought_of_type, tree_arrays
 
 _build_seconds = 0.0
 
@@ -88,11 +88,12 @@ def test_criterion_2_purchase_accounting(batch):
         c1, c2, c3 = solver.bought_cost_by_type()
         paid = solver.charge_weighted_total()
         assert paid <= c1
-        if solver.type2:
+        type2 = bought_of_type(solver, 2)
+        if type2:
             t2_runs += 1
-            trigger = solver.links[solver.type2[-1]]
+            trigger = solver.minimal.by_id[type2[-1]]
             assert c2 <= 2 * solver.full_load(trigger)
-        if solver.type3:
+        if bought_of_type(solver, 3):
             t3_runs += 1
             assert c3 <= 2 * c2
     elapsed = _build_seconds + time.perf_counter() - start
@@ -114,7 +115,7 @@ def test_criterion_3_solution_quality_certificate():
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
         solver = run_sequence(minimal, edges)
-        rep = verify_nice(solver)  # n_global = edge_count + 1
+        rep = verify_nice(solver, edges)  # n_global = edge_count + 1
         assert rep.enumerated, "instance small enough to sweep exhaustively"
         assert rep.ok, [c for c in rep.conditions if not c.ok]
         assert rep.max_split_ratio <= 24
@@ -134,8 +135,8 @@ def test_criterion_4_tree_competitive_ratio():
         cap = 8 * math.log2(n)
         for s in range(40):
             seed = 9000 + 977 * n + s
-            inst, _ = gen_random("tree", n=n, link_count=20 - (n - 1),
-                                 cost_spread=16.0, seed=seed, request_count=15)
+            inst = gen_random("tree", n=n, link_count=20 - (n - 1),
+                              cost_spread=16.0, seed=seed, request_count=15)
             solver = TreeSolver(inst)
             for req in inst.requests:
                 solver.serve_pair(req.s, req.t)
@@ -173,9 +174,9 @@ def test_criterion_5_decomposition_width():
 
     projected = 0
     for t in range(20):
-        inst, _ = gen_random("tree", n=rng.randint(16, 256), link_count=500,
-                             cost_spread=8.0, seed=rng.randrange(1 << 30),
-                             feasible=False)
+        inst = gen_random("tree", n=rng.randint(16, 256), link_count=500,
+                          cost_spread=8.0, seed=rng.randrange(1 << 30),
+                          feasible=False)
         decomp = decompose(inst)
         for link in inst.links:
             projs = project(inst, decomp, link)

@@ -74,7 +74,7 @@ def test_decompose_payload(tmp_path, capsys):
 
 
 def test_prune_payload(tmp_path, capsys):
-    gen, _ = gen_random("tree", 30, 40, 16.0, seed=5)
+    gen = gen_random("tree", 30, 40, 16.0, seed=5)
     text = format_instance(gen)
     inst = parse_instance(text)
     decomp = decompose(inst)
@@ -223,8 +223,8 @@ def test_coverage_check_counts_paths_through_each_edge():
 
 def test_coverage_check_matches_walked_paths():
     for seed in range(20):
-        inst, _ = gen_random("tree", 25, 10, 8.0, seed=seed, feasible=False,
-                             request_count=6)
+        inst = gen_random("tree", 25, 10, 8.0, seed=seed, feasible=False,
+                          request_count=6)
         rng = random.Random(seed)
         bought = rng.sample(range(len(inst.links)), rng.randrange(11))
         covered = {e for i in bought for e in inst.link_edges(i)}
@@ -264,8 +264,8 @@ def test_offline_coverage_check_matches_one_meet_per_path(
         n, links, requests, feasible, kind, seed):
     # without the feasibility layer some requested edges have no link at
     # all; the extra requests repeat a vertex as both ends
-    gen, _ = gen_random(kind, n, links, 8.0, seed, feasible=feasible,
-                        request_count=requests)
+    gen = gen_random(kind, n, links, 8.0, seed, feasible=feasible,
+                     request_count=requests)
     rng = random.Random(seed)
     pairs = [(r.s, r.t) for r in gen.requests]
     pairs += [(v, v) for v in rng.sample(range(n), min(n, 3))]

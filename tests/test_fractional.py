@@ -148,7 +148,7 @@ def test_incremental_optimum_matches_dp_out_of_order():
             for lid in witness:
                 l = minimal.by_id[lid]
                 covered.update(range(l.left, l.right))
-            assert sol.requested <= covered
+            assert set(sol.requested) <= covered
 
 
 def test_serve_never_reruns_the_offline_dp(monkeypatch):
@@ -182,7 +182,7 @@ def assert_exact_optimum(sol):
     covered = set()
     for lid in witness:
         covered.update(range(minimal.by_id[lid].left, minimal.by_id[lid].right))
-    assert sol.requested <= covered
+    assert set(sol.requested) <= covered
     assert sum(minimal.by_id[lid].cost for lid in witness) == opt
 
 
@@ -256,7 +256,7 @@ def traced_runs(sol):
         note(e)
         if new:
             ran = sol._stale is None
-            events.append((stale, sol._sorted.index(e), ran,
+            events.append((stale, sol.requested.index(e), ran,
                            len(sol.opt_witness()) if ran else 0))
 
     sol._note_request = traced
@@ -297,9 +297,10 @@ def test_dp_resumes_from_a_stale_position():
 
 
 def test_dp_makes_no_search_per_covering_link(monkeypatch):
-    """Binary searches: one per new edge (its insertion) plus, per DP run,
-    one to find the resume point among the left ends and one per witness
-    link on the walk back."""
+    """Binary searches: one per request (its membership test, which is
+    also a new edge's insertion point) plus, per DP run, one to find the
+    resume point among the left ends and one per witness link on the walk
+    back."""
     count = [0]
 
     def counting(search):
@@ -317,10 +318,11 @@ def test_dp_makes_no_search_per_covering_link(monkeypatch):
     minimal = wide_minimal_instance(rng, m)
     sol = FractionalPathSolver(minimal)
     events = traced_runs(sol)
-    sol.run([rng.randrange(m) for _ in range(2 * m)])
+    requests = [rng.randrange(m) for _ in range(2 * m)]
+    sol.run(requests)
     runs = [ev for ev in events if ev[2]]
     assert len(runs) > 5
-    assert count[0] <= len(events) + sum(w + 1 for _, _, _, w in runs)
+    assert count[0] <= len(requests) + sum(w + 1 for _, _, _, w in runs)
 
 
 @pytest.mark.parametrize("long_id, short_id, want", [

@@ -71,18 +71,18 @@ def test_random_tree_is_a_tree():
 
 
 def test_gen_random_deterministic():
-    a, _ = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=4,
-                      request_count=5)
-    b, _ = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=4,
-                      request_count=5)
+    a = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=4,
+                   request_count=5)
+    b = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=4,
+                   request_count=5)
     assert format_instance(a) == format_instance(b)
-    c, _ = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=5,
-                      request_count=5)
+    c = gen_random("tree", n=9, link_count=12, cost_spread=50, seed=5,
+                   request_count=5)
     assert format_instance(a) != format_instance(c)
 
 
 def test_gen_random_feasible_layer():
-    inst, _ = gen_random("tree", n=8, link_count=6, cost_spread=10, seed=1)
+    inst = gen_random("tree", n=8, link_count=6, cost_spread=10, seed=1)
     # one unit link per tree edge, then extras
     unit = inst.links[: inst.n - 1]
     assert sorted(tuple(sorted((l.u, l.v))) for l in unit) == sorted(
@@ -94,19 +94,18 @@ def test_gen_random_feasible_layer():
 
 
 def test_gen_random_infeasible_layer():
-    inst, _ = gen_random("tree", n=8, link_count=6, cost_spread=10, seed=1,
-                         feasible=False)
+    inst = gen_random("tree", n=8, link_count=6, cost_spread=10, seed=1,
+                      feasible=False)
     assert len(inst.links) == 6
 
 
 def test_gen_random_request_stream():
-    inst, reqs = gen_random("path", n=12, link_count=4, cost_spread=8, seed=3,
-                            request_count=7)
-    assert [(r.s, r.t) for r in inst.requests] == reqs
-    assert len(reqs) == 7
-    for s, t in reqs:
-        assert s != t
-        assert 0 <= s < 12 and 0 <= t < 12
+    inst = gen_random("path", n=12, link_count=4, cost_spread=8, seed=3,
+                      request_count=7)
+    assert len(inst.requests) == 7
+    for r in inst.requests:
+        assert r.s != r.t
+        assert 0 <= r.s < 12 and 0 <= r.t < 12
 
 
 def test_gen_random_kind_and_size_guards():
@@ -117,7 +116,7 @@ def test_gen_random_kind_and_size_guards():
 
 
 def test_gen_random_path_kind_is_a_path():
-    inst, _ = gen_random("path", n=6, link_count=3, cost_spread=4, seed=2)
+    inst = gen_random("path", n=6, link_count=3, cost_spread=4, seed=2)
     deg = {}
     for u, v in inst.edges:
         deg[u] = deg.get(u, 0) + 1

@@ -171,7 +171,7 @@ def test_cov_rejects_bad_edge():
 
 def test_cov_agrees_with_link_edges():
     from wtap.generators import gen_random
-    inst, _ = gen_random("tree", 9, 12, 8.0, seed=3)
+    inst = gen_random("tree", 9, 12, 8.0, seed=3)
     for e in range(inst.n - 1):
         for ln in inst.links:
             assert (ln.id in inst.cov(e)) == (e in inst.link_edges(ln.id))
@@ -379,8 +379,8 @@ def test_huge_cost_exits_4_fast(cost, tmp_path, capsys):
        links=st.integers(0, 10), requests=st.integers(0, 6),
        feasible=st.booleans(), seed=st.integers(0, 10 ** 6))
 def test_parse_format_round_trip(kind, n, links, requests, feasible, seed):
-    inst, _ = gen_random(kind, n, links, 64.0, seed, feasible=feasible,
-                         request_count=requests)
+    inst = gen_random(kind, n, links, 64.0, seed, feasible=feasible,
+                      request_count=requests)
     again = parse_instance(format_instance(inst))
     assert (again.n, again.root) == (inst.n, inst.root)
     assert again.edges == inst.edges

@@ -257,7 +257,7 @@ def test_verify_nice_three_vertex_run():
     assert len(minimal.links) == 3
     solver = run_sequence(minimal, [0, 1])
     assert solver.cost == 3
-    rep = verify_nice(solver)
+    rep = verify_nice(solver, [0, 1])
     assert rep.ok
     assert rep.enumerated
     assert rep.feasible_split_count == 5
@@ -271,6 +271,6 @@ def test_verify_nice_skips_enumeration_over_cap():
     links = [PL(0, 1, 0, 0), PL(1, 2, 0, 1), PL(0, 2, 1, 2)]
     minimal, _ = build_minimal_instance(2, links)
     solver = run_sequence(minimal, [0, 1])
-    rep = verify_nice(solver, enum_cap=2)
+    rep = verify_nice(solver, [0, 1], enum_cap=2)
     assert not rep.enumerated
     assert rep.ok

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -37,6 +38,18 @@ def test_report_json_is_sorted_and_versioned():
     data = json.loads(sample_report().to_json())
     assert data["format_version"] == "1"
     assert list(data) == sorted(data)
+
+
+def test_report_json_matches_the_deep_copy():
+    # to_json hands the fields to json as they are; asdict would copy
+    # every nested row first and must give the same bytes
+    rep = sample_report()
+    rep.per_request = [
+        {"request": 2, "type3": [4, 5], "bought": (1, 2), "y_raise": 0},
+        {"pair": [0, 3], "served": [{"edge": 1, "ids": [7]}], "inc": None},
+    ]
+    rep.invariants.append(InvariantRecord("coverage", False, "edge 1"))
+    assert rep.to_json() == json.dumps(asdict(rep), indent=2, sort_keys=True)
 
 
 def test_report_version_gate():

@@ -8,10 +8,10 @@ import pytest
 
 import wtap
 from wtap.cli import build_parser
-from wtap.fractional import FracRecord
+from wtap.fractional import FracRecord, FractionalPathSolver
 from wtap.instance import Link, Request, TreeInstance
-from wtap.path_online import ServeRecord
-from wtap.pruning import PathLink
+from wtap.path_online import PathSolver, ServeRecord
+from wtap.pruning import PathLink, build_minimal_instance
 from wtap.tree_online import PairReport
 
 
@@ -89,6 +89,24 @@ def test_records_are_slotted_and_compare_by_field(cls, args):
     assert a is not b and a == b and hash(a) == hash(b)
     changed = cls(args[0] + 1, *args[1:])
     assert changed != a
+
+
+_STATE = {
+    PathSolver: ["bought", "charge", "charged", "cost", "covered", "fenwick",
+                 "frontier", "m", "minimal", "n_global", "residual",
+                 "rooted_by_right", "y"],
+    FractionalPathSolver: ["_choice", "_cost_of", "_g", "_g_at", "_left_of",
+                           "_lefts", "_stale", "_witness", "m", "minimal",
+                           "requested", "theta", "total_cost", "x"],
+}
+
+
+@pytest.mark.parametrize("cls", list(_STATE), ids=lambda cls: cls.__name__)
+def test_path_solvers_keep_only_this_state(cls):
+    # every path of a tree instance owns one solver, so a new field costs
+    # once per path; it shows up here as a change to this table
+    minimal, _ = build_minimal_instance(2, [PathLink(0, 2, 2, 1, 0)])
+    assert sorted(vars(cls(minimal))) == _STATE[cls]
 
 
 _RUN_OPTIONS = ["--quiet", "--report", "--seed"]

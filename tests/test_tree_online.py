@@ -114,7 +114,7 @@ def test_adjacent_pair_buys_a_covering_link():
 
 
 def run_random(seed, n=9, extras=10, pairs=8):
-    inst, _ = gen_random("tree", n, extras, 16.0, seed=seed)
+    inst = gen_random("tree", n, extras, 16.0, seed=seed)
     rng = random.Random(seed + 1)
     req = []
     for _ in range(pairs):
@@ -305,7 +305,8 @@ def walk(*args, **kwargs):
 
 
 def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
-    inst, pairs = gen_random("tree", 60, 40, 16.0, seed=3, request_count=60)
+    inst = gen_random("tree", 60, 40, 16.0, seed=3, request_count=60)
+    pairs = [(r.s, r.t) for r in inst.requests]
     # above the cap, run_report skips opt_tree_enum, which does walk paths
     assert len(inst.links) > TREE_ENUM_LINK_CAP
 
@@ -320,7 +321,7 @@ def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ["path-online", "fractional"])
 def test_path_pipelines_never_walk_a_tree_path(monkeypatch, algorithm):
-    inst, _ = gen_random("path", 60, 80, 16.0, seed=4, request_count=40)
+    inst = gen_random("path", 60, 80, 16.0, seed=4, request_count=40)
     want = run_report(algorithm, inst)
     for name in ("tree_path", "link_edges", "expand_request"):
         monkeypatch.setattr(TreeInstance, name, walk)
