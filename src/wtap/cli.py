@@ -160,75 +160,45 @@ def _solver_invariants(solvers, dual_id: str) -> list:
 
 
 def _uncovered_requested_edges(inst, bought) -> list:
-    """Requested edges no bought link covers, by tree difference counts.
+    """Requested edges no bought link covers, by walks on a union-find.
 
-    Each bought link, and in a second count each request, adds +1 at
-    both endpoints and -2 at their meeting vertex; summing every subtree
-    then leaves at v the number of link (or request) paths through the
-    edge above v.  This reads only the instance and the bought link ids,
-    never the tree solver's coverage state or decomposition, so it is an
+    ``up[v]`` leads to the nearest ancestor-or-self of v whose parent
+    edge is still open, or to the root (Tarjan 1975).  A walk of the u-v
+    path finds both ends' roots; while they differ, the deeper root's
+    parent edge is open and on the path, so the walk closes it by
+    uniting that root with its parent and steps there.  Each bought
+    link's walk closes its edges; each request's walk then lists the
+    edges it still finds open, and closes them too, so each is listed
+    once.  This reads only the instance and the bought link ids, never
+    the tree solver's coverage state or decomposition, so it is an
     independent check of it.
-
-    The meeting vertices come from one offline lowest-common-ancestor
-    pass (Tarjan 1979) with its own union-find.  The walk finishes the
-    vertices in postorder, each after its subtree, and a finished vertex
-    points to its parent, so the root of a finished vertex's set is its
-    deepest unfinished ancestor.  Each path is filed under its end that
-    finishes later; when that end comes up, the root of the other end's
-    set is the path's meeting vertex.
     """
-    n, parent, children = inst.n, inst.parent, inst.children
-    # a reversed depth-first preorder is a postorder
-    post, stack = [], [inst.root]
-    while stack:
-        v = stack.pop()
-        post.append(v)
-        stack.extend(children[v])
-    post.reverse()
-    finish = [0] * n
-    for k, v in enumerate(post):
-        finish[v] = k
+    parent, depth = inst.parent, inst.depth
+    up = list(range(inst.n))
 
-    # the paths' ends, bought links first, then requests
-    us = [inst.links[i].u for i in bought]
-    vs = [inst.links[i].v for i in bought]
-    n_links = len(us)
-    us += [r.s for r in inst.requests]
-    vs += [r.t for r in inst.requests]
-    filed = [-1] * n                # v -> the last path filed under v
-    next_filed = [-1] * len(us)     # path -> the path filed before it there
-    early = us[:]                   # path -> its end that finishes first
-    for i, (u, v) in enumerate(zip(us, vs)):
-        if finish[u] > finish[v]:
-            early[i] = v
-            v = u
-        next_filed[i] = filed[v]
-        filed[v] = i
+    def close(u: int, v: int) -> list:
+        closed = []
+        while True:
+            while up[u] != u:
+                up[u] = up[up[u]]
+                u = up[u]
+            while up[v] != v:
+                up[v] = up[up[v]]
+                v = up[v]
+            if u == v:
+                return closed
+            if depth[u] < depth[v]:
+                u, v = v, u
+            closed.append(u)
+            up[u] = parent[u]
+            u = parent[u]
 
-    links = [0] * n
-    asked = [0] * n
-    up = list(range(n))
-    for v in post:
-        i = filed[v]
-        while i >= 0:
-            counts = links if i < n_links else asked
-            w = early[i]
-            counts[w] += 1
-            counts[v] += 1
-            while up[w] != w:
-                up[w] = up[up[w]]
-                w = up[w]
-            counts[w] -= 2
-            i = next_filed[i]
-        up[v] = parent[v]       # the root comes last, so its -1 is never read
-
-    for v in reversed(inst.order):
-        p = parent[v]
-        if p >= 0:
-            links[p] += links[v]
-            asked[p] += asked[v]
-    return sorted(inst.edge_of_child[v] for v in range(n)
-                  if asked[v] and not links[v])
+    for i in bought:
+        close(inst.links[i].u, inst.links[i].v)
+    missing = []
+    for r in inst.requests:
+        missing += close(r.s, r.t)
+    return sorted(inst.edge_of_child[v] for v in missing)
 
 
 def _run_tree(inst):

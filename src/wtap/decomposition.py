@@ -19,8 +19,8 @@ Two layers:
   ``parent``/``children`` arrays and a top-down ``order`` (the root
   first, each vertex after its parent), as ``TreeInstance`` keeps them;
   the exhaustive small tree sweeps run through it.
-* instance layer (``decompose``, ``width``, ``project``, ``meet``) takes
-  a ``TreeInstance``.  ``decompose`` returns the arrays frozen in a
+* instance layer (``decompose``, ``width``, ``project``) takes a
+  ``TreeInstance``.  ``decompose`` returns the arrays frozen in a
   ``RootedPathDecomposition``, and ``project`` returns a link's spans as
   ``(path_id, left, right)`` triples.
 
@@ -32,13 +32,10 @@ is addressed by its child vertex, so ``width`` and ``project`` (and the
 tree solver's edge routing) read these arrays instead of rebuilding
 vertex-to-position maps.
 
-``meet`` and ``project`` never walk a tree path edge by edge.  ``meet``
-finds the lowest common ancestor by jumping from each endpoint to the
-head of the path above it (``paths[pid][0]``), always moving the
-endpoint whose head is deeper, until both sit on one path.
-``project`` then climbs from each endpoint to that vertex one path
-segment at a time.  So a pair's meeting vertex and a link's projections
-each cost O(width) steps.
+``project`` never walks a tree path edge by edge.  It steps both
+endpoints at once, always jumping the one whose path head
+(``paths[pid][0]``) is deeper to that head, until both sit on one path;
+each jump yields one span.  So a link's projections cost O(width) steps.
 """
 
 from __future__ import annotations
@@ -173,62 +170,46 @@ def width(inst: TreeInstance, decomp: RootedPathDecomposition) -> int:
                         decomp.pid_above)
 
 
-def meet(inst: TreeInstance, decomp: RootedPathDecomposition,
-         u: int, v: int) -> int:
-    """Lowest common ancestor of u and v, by path-head jumps.
-
-    While u and v hang below different paths, the one whose path head
-    is deeper jumps to that head; once both are on one path (or both
-    are the root) the shallower of the two is the meeting vertex.  Each
-    jump leaves a path for good, so this takes O(width) steps.
-    """
-    pid_above, paths, depth = decomp.pid_above, decomp.paths, inst.depth
-    while True:
-        pu, pv = pid_above[u], pid_above[v]
-        if pu == pv:
-            return u if depth[u] <= depth[v] else v
-        if pv < 0 or (pu >= 0
-                      and depth[paths[pu][0]] >= depth[paths[pv][0]]):
-            u = paths[pu][0]
-        else:
-            v = paths[pv][0]
-
-
 def project(inst: TreeInstance, decomp: RootedPathDecomposition,
             link: Link) -> list:
     """The link's spans ``(path_id, left, right)``, path id ascending.
 
     ``left``/``right`` are vertex positions on path ``path_id`` (head =
     0); the span covers that path's edges ``left .. right-1`` and is
-    rooted exactly when ``left == 0``.  Find the meeting vertex by
-    ``meet``, then climb from each endpoint to it a path at a time: from
-    x the climb takes the segment ``.. pos_above[x]`` of path
-    ``pid_above[x]``, up to that path's head, or to the meeting vertex
-    when it lies inside the path.  So a link costs O(width), not
-    O(length of its tree path).  Paths meeting the link's tree path in
-    zero edges contribute nothing; among the rest at most one span is
-    non-rooted.  A path met twice, or a segment end not at its stated
+    rooted exactly when ``left == 0``.  One joint walk from both
+    endpoints finds the spans: while the two ends hang below different
+    paths, the end whose path head is deeper takes the rooted span
+    ``(pid, 0, pos_above[x])`` of its path ``pid`` and jumps to that
+    head; once both hang below one path, the span between them is the
+    last.  Each jump leaves a path for good, so a link costs O(width),
+    not O(length of its tree path).  Paths meeting the link's tree path
+    in zero edges contribute nothing; among the rest at most one span
+    is non-rooted.  A path met twice, or a span end not at its stated
     position, means the decomposition's arrays disagree and raises
     ``InvariantViolationError``.
     """
     pid_above, pos_above = decomp.pid_above, decomp.pos_above
     paths, depth = decomp.paths, inst.depth
-    top = meet(inst, decomp, link.u, link.v)
     spans = {}                      # path id -> (path id, left, right)
-    for x in (link.u, link.v):
-        while x != top:
-            pid = pid_above[x]
-            verts = paths[pid]
-            if depth[verts[0]] >= depth[top]:
-                y, left = verts[0], 0
-            else:
-                y, left = top, pos_above[top]
-            right = pos_above[x]
-            if (pid in spans or not 0 <= left < right < len(verts)
-                    or verts[left] != y or verts[right] != x):
-                raise InvariantViolationError(
-                    f"projection of link {link.id} onto path {pid} "
-                    f"is not contiguous")
-            spans[pid] = (pid, left, right)
-            x = y
+    x, z = link.u, link.v           # x steps; the two ends swap as needed
+    while x != z:
+        pid, other = pid_above[x], pid_above[z]
+        if pid == other:
+            if depth[x] < depth[z]:
+                x, z = z, x
+            y, left = z, pos_above[z]
+        else:
+            if pid < 0 or (other >= 0 and depth[paths[other][0]]
+                           > depth[paths[pid][0]]):
+                x, z, pid = z, x, other
+            y, left = paths[pid][0], 0
+        verts = paths[pid]
+        right = pos_above[x]
+        if (pid in spans or not 0 <= left < right < len(verts)
+                or verts[left] != y or verts[right] != x):
+            raise InvariantViolationError(
+                f"projection of link {link.id} onto path {pid} "
+                f"is not contiguous")
+        spans[pid] = (pid, left, right)
+        x = y
     return [spans[pid] for pid in sorted(spans)]

@@ -6,23 +6,25 @@ projections landing on identical spans to the cheapest source, prune
 each path's link set to a minimal instance, and attach one path solver
 per path.
 
-Serving a terminal pair hands its still-uncovered edges, s up to the
-meeting vertex and then down to t, one at a time to their paths'
-solvers; every projected purchase buys the source link it came from.
-Source purchases are global: a link bought through one path covers its
-whole tree path, so repeat purchases through other paths are free
-no-ops and global coverage, not per-path coverage, decides whether an
-edge still needs serving.
+Serving a terminal pair hands its still-uncovered edges, up from s and
+then down to t, one at a time to their paths' solvers; every projected
+purchase buys the source link it came from.  Source purchases are
+global: a link bought through one path covers its whole tree path, so
+repeat purchases through other paths are free no-ops and global
+coverage, not per-path coverage, decides whether an edge still needs
+serving.
 
 Coverage lives in a union-find over covered edges (Tarjan 1975):
 ``up[v]`` leads to the nearest ancestor-or-self of v whose parent edge
 is still uncovered, or to the root, so the edge above v is covered
-exactly when ``up[v] != v``.  A pair finds its meeting vertex by head
-jumps and lists only the uncovered edges below it; a bought link
-unites the child end of each of its uncovered edges with its parent,
-so every tree edge is covered once over the whole run.  The listed edges
-are re-checked as they are served, since a purchase may cover later
-ones; so the serve order and skips are those of an edge-by-edge walk.
+exactly when ``up[v] != v``.  A pair lists only its uncovered edges:
+while its two ends have different roots, the deeper root's parent edge
+is uncovered and on the pair's path, and that end steps past it.  A
+bought link unites the child end of each of its uncovered edges, found
+the same way, with its parent, so every tree edge is covered once over
+the whole run.  The listed edges are re-checked as they are served,
+since a purchase may cover later ones; so the serve order and skips are
+those of an edge-by-edge walk.
 
 An edge no link covers is caught from its path's minimal instance
 alone.  A link covers a tree edge exactly when its projection onto the
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decomposition import decompose, meet, project
+from .decomposition import decompose, project
 from .errors import InfeasibleInstanceError, InvariantViolationError
 from .instance import TreeInstance
 from .path_online import PathSolver
@@ -109,23 +111,32 @@ class TreeSolver:
         # the union-find over covered edges (see the module docstring)
         self.up = list(range(inst.n))
 
-    def _uncovered_below(self, v: int, top: int) -> list:
-        """Child ends of the uncovered edges from v up to its ancestor top.
+    def _uncovered_between(self, s: int, t: int) -> tuple:
+        """Child ends of the uncovered edges on the s-t path: the s side
+        and the t side, each bottom-up.
 
-        Each step finds the nearest ancestor-or-self whose parent edge is
-        uncovered, halving the union-find path it follows.
+        Each step finds both ends' union-find roots, halving the paths
+        it follows.  While the roots differ, the deeper one's parent edge
+        is uncovered and lies on the path, so that end lists it and
+        steps to its parent.
         """
         depth, parent, up = self.inst.depth, self.inst.parent, self.up
-        stop = depth[top]
-        out = []
+        s_side, t_side = [], []
         while True:
-            while up[v] != v:
-                up[v] = up[up[v]]
-                v = up[v]
-            if depth[v] <= stop:
-                return out
-            out.append(v)
-            v = parent[v]
+            while up[s] != s:
+                up[s] = up[up[s]]
+                s = up[s]
+            while up[t] != t:
+                up[t] = up[up[t]]
+                t = up[t]
+            if s == t:
+                return s_side, t_side
+            if depth[s] >= depth[t]:
+                s_side.append(s)
+                s = parent[s]
+            else:
+                t_side.append(t)
+                t = parent[t]
 
     def _buy_source(self, link_id: int) -> int:
         """Buy an original link once; repeats cost nothing.
@@ -138,25 +149,22 @@ class TreeSolver:
             return 0
         self.bought_sources.add(link_id)
         link = self.inst.links[link_id]
-        top = meet(self.inst, self.decomp, link.u, link.v)
-        parent = self.inst.parent
-        for end in (link.u, link.v):
-            for v in self._uncovered_below(end, top):
-                self.up[v] = parent[v]
+        parent, up = self.inst.parent, self.up
+        for side in self._uncovered_between(link.u, link.v):
+            for v in side:
+                up[v] = parent[v]
         self.cost_total += link.cost
         return link.cost
 
     def serve_pair(self, s: int, t: int) -> PairReport:
-        top = meet(self.inst, self.decomp, s, t)
-        pending = (self._uncovered_below(s, top)
-                   + self._uncovered_below(t, top)[::-1])
+        s_side, t_side = self._uncovered_between(s, t)
         edge_of_child = self.inst.edge_of_child
         pid_above, pos_above = self.decomp.pid_above, self.decomp.pos_above
         up = self.up
         served = []
         bought = []
         inc = 0
-        for v in pending:
+        for v in s_side + t_side[::-1]:
             if up[v] != v:              # bought earlier in this pair
                 continue
             e = edge_of_child[v]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wtap import cli, instance
 from wtap.cli import _uncovered_requested_edges, main
-from wtap.decomposition import decompose, meet, project
+from wtap.decomposition import decompose, project
 from wtap.errors import BadInputError
 from wtap.generators import gen_random
 from wtap.instance import TreeInstance, format_instance, parse_instance
@@ -233,17 +233,17 @@ def test_coverage_check_matches_walked_paths():
             sorted(asked - covered))
 
 
-def uncovered_by_meet(inst, bought) -> list:
-    """The coverage check with one ``meet`` per path: the reference for
-    the offline lowest-common-ancestor pass."""
-    decomp = decompose(inst)
-
+def uncovered_by_difference_counts(inst, bought) -> list:
+    """The coverage check by tree difference counts: each path adds +1 at
+    both ends and -2 at its top vertex, found on the walked path, so
+    each subtree sum counts the paths through the edge above it."""
     def paths_through(ends):
         counts = [0] * inst.n
         for u, v in ends:
             counts[u] += 1
             counts[v] += 1
-            counts[meet(inst, decomp, u, v)] -= 2
+            counts[min(inst.tree_path(u, v).vertices,
+                       key=inst.depth.__getitem__)] -= 2
         return counts
 
     links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
@@ -260,7 +260,7 @@ def uncovered_by_meet(inst, bought) -> list:
 @given(n=st.integers(2, 40), links=st.integers(0, 30),
        requests=st.integers(0, 12), feasible=st.booleans(),
        kind=st.sampled_from(["tree", "path"]), seed=st.integers(0, 10 ** 6))
-def test_offline_coverage_check_matches_one_meet_per_path(
+def test_coverage_check_matches_difference_counts(
         n, links, requests, feasible, kind, seed):
     # without the feasibility layer some requested edges have no link at
     # all; the extra requests repeat a vertex as both ends
@@ -277,7 +277,7 @@ def test_offline_coverage_check_matches_one_meet_per_path(
                    rng.sample(range(len(inst.links)),
                               rng.randrange(len(inst.links) + 1))):
         assert _uncovered_requested_edges(inst, bought) == (
-            uncovered_by_meet(inst, bought))
+            uncovered_by_difference_counts(inst, bought))
 
 
 def test_run_frac_summary(tmp_path, capsys):

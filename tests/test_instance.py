@@ -395,10 +395,11 @@ def reference_cost(token):
     if len(token) > MAX_COST_CHARS:
         return None
     exponent = token.lower().partition("e")[2].replace("_", "")
-    if (exponent.lstrip("+-").isdecimal()
-            and abs(int(exponent)) > MAX_COST_CHARS):
-        return None
     try:
+        # int() rejects an exponent with two signs, as Fraction does
+        if (exponent.lstrip("+-").isdecimal()
+                and abs(int(exponent)) > MAX_COST_CHARS):
+            return None
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         return None

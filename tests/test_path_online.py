@@ -155,7 +155,15 @@ def batch_instances(seed, count, **kw):
     return out
 
 
-BATCH = batch_instances(1234, 50)
+# the default scale almost never triggers; the dense instances (the
+# shape acceptance criterion 2 uses) carry the type-2 purchases
+BATCH = (batch_instances(1234, 50)
+         + batch_instances(1234, 1000, max_edges=16, max_links=16, max_cls=4))
+
+
+def test_batch_holds_type2_purchases():
+    # without them the type-2 checks below would check nothing
+    assert any(bought_of_type(solver, 2) for _, _, _, solver, _ in BATCH)
 
 
 def test_batch_dual_always_feasible():

@@ -67,6 +67,24 @@ def test_imports_only_errors_and_instance(name):
     assert imported <= {"errors", "instance"}, sorted(imported)
 
 
+def test_coverage_check_uses_nothing_of_the_tree_solver():
+    # run-tree's coverage check reads only the instance and the bought
+    # link ids, so a fault in the solver or the decomposition cannot hide
+    # itself from it
+    package = Path(wtap.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    layers = {"tree_online", "decomposition"}
+    solver_names = set(layers)
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in layers:
+            solver_names.update(a.asname or a.name for a in node.names)
+    assert solver_names > layers
+    check, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_uncovered_requested_edges"]
+    used = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+    assert not used & solver_names, sorted(used & solver_names)
+
+
 _INST = TreeInstance(3, [(0, 1), (1, 2)], 0, [(0, 2, 3)], [(0, 2)])
 _RECORDS = [
     (Link, (0, 2, 1, 0, 0)),

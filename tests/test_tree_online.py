@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtap.cli import run_report
-from wtap.decomposition import meet, project, width
+from wtap.decomposition import project, width
 from wtap.errors import InfeasibleInstanceError, InvariantViolationError
 from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
@@ -273,14 +273,10 @@ def test_head_jumps_and_union_find_match_the_walked_paths(data):
                         raw_links=[(u, v, c) for (u, v), c in zip(ends, costs)])
     solver = TreeSolver(inst)
 
-    # (a) projection and meeting vertex
+    # (a) projection
     for ln in inst.links:
         assert project(inst, solver.decomp, ln) == walked_projection(
             inst, solver.decomp, ln)
-    for s, t in pairs:
-        on_path = inst.tree_path(s, t).vertices
-        assert meet(inst, solver.decomp, s, t) == min(
-            on_path, key=inst.depth.__getitem__)
 
     # (b) serving
     expected, covered, order, total = walked_serve(TreeSolver(inst), pairs)
