@@ -5,9 +5,8 @@ from .decomposition import (RootedPathDecomposition, decompose,
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError, OracleSizeError, WtapError)
 from .fractional import FractionalPathSolver, band_cap, phase_of
-from .instance import (Link, Request, TreeInstance, TreePath,
-                       format_instance, load_instance, parse_instance,
-                       round_costs)
+from .instance import (Link, Request, TreeInstance, format_instance,
+                       load_instance, parse_instance, round_costs)
 from .oracles import (OracleResult, opt_path_dp, opt_path_enum,
                       opt_tree_enum, verify_dual_feasible, verify_nice)
 from .path_online import PathSolver, ServeRecord, run_sequence
@@ -34,7 +33,6 @@ __all__ = [
     "RootedPathDecomposition",
     "ServeRecord",
     "TreeInstance",
-    "TreePath",
     "TreeSolver",
     "WtapError",
     "band_cap",

@@ -36,8 +36,8 @@ from .oracles import (TREE_ENUM_LINK_CAP, opt_path_dp, opt_tree_enum,
 from .path_online import PathSolver
 from .pruning import (build_minimal_instance, path_instance_from_tree,
                       replacement)
-from .reports import (ExperimentSpec, InvariantRecord, RunReport,
-                      rows_to_csv, rows_to_json)
+from .reports import (InvariantRecord, RunReport, config_hash, rows_to_csv,
+                      rows_to_json)
 from .tree_online import TreeSolver, path_link_sets
 
 LOWERBOUND_FIELDS = ("B", "k", "n", "alg_cost", "opt", "ratio", "cert_ok")
@@ -298,7 +298,6 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
         raise BadInputError(f"unknown algorithm {algorithm!r}")
     start = time.perf_counter()
     per_request, cost, invariants, opt = run(inst)
-    spec = ExperimentSpec(algorithm=algorithm, seed=seed)
     text = format_instance(inst)        # hashed as inst.digest() does
     return RunReport(
         algorithm=algorithm,
@@ -310,7 +309,7 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
         ratio=cost / opt if opt else None,
         invariants=invariants,
         wall_time=time.perf_counter() - start,
-        config_hash=spec.config_hash(),
+        config_hash=config_hash(algorithm, seed),
     )
 
 

@@ -1,15 +1,16 @@
-"""Rooted tree instances: vertices, links, requests, paths, coverage.
+"""Rooted tree instances: vertices, links, requests and tree paths.
 
 The tree is stored rooted.  Every non-root vertex has exactly one edge
 to its parent, so edges can be addressed two ways: by their input index
 (``0..n-2``, the order they appeared in the source) and by their child
-endpoint.  Both maps are built once at construction and all path and
-coverage queries go through them.  The same breadth-first walk keeps
-the rooted shape every later stage reads: ``order``, each vertex after
-its parent, and ``children``, each vertex's children ascending.  The constructor is the one place
-that checks an instance's values; the text parser only tokenizes, and
-maps the ``(kind, index)`` entry a ``BadInputError`` names back to its
-line.
+endpoint.  Both maps are built once at construction, and a tree path
+is the tuple of edge ids that the climb between its ends reads from
+them.  The same breadth-first walk keeps the rooted shape every later
+stage reads: ``order``, each vertex after its parent, and
+``children``, each vertex's children ascending.  The constructor is
+the one place that checks an instance's values; the text parser only
+tokenizes, and maps the ``(kind, index)`` entry a ``BadInputError``
+names back to its line.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
@@ -57,17 +58,6 @@ class Request:
 
     s: int
     t: int
-
-
-@dataclass(frozen=True)
-class TreePath:
-    """A simple path in the tree: its vertices in order plus edge ids."""
-
-    vertices: tuple
-    edges: tuple
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 # a cost token may be at most this many characters long, and its
@@ -204,54 +194,33 @@ class TreeInstance:
             _check_ends(n, "request", i, r.s, r.t)
             self.requests.append(r)
 
-        self._cov = None
-
     # -- path primitives ------------------------------------------------
 
-    def tree_path(self, u: int, v: int) -> TreePath:
-        """The unique simple u-v path; a single vertex when u == v.
+    def tree_path(self, u: int, v: int) -> tuple:
+        """Edge ids of the unique u-v path, in order from u; ``()`` when
+        u == v.
 
         One climb: the deeper endpoint steps up until the two meet.
         """
         parent, depth, up = self.parent, self.depth, self.edge_of_child
-        vertices, edges = [], []            # u's side, from u upwards
-        down_vertices, down_edges = [], []  # v's side, from v upwards
+        edges, down = [], []            # u's side and v's side, upwards
         while u != v:
             if depth[u] >= depth[v]:
-                vertices.append(u)
                 edges.append(up[u])
                 u = parent[u]
             else:
-                down_vertices.append(v)
-                down_edges.append(up[v])
+                down.append(up[v])
                 v = parent[v]
-        vertices.append(u)
-        vertices.extend(reversed(down_vertices))
-        edges.extend(reversed(down_edges))
-        return TreePath(vertices=tuple(vertices), edges=tuple(edges))
-
-    def link_edges(self, link_id: int) -> frozenset:
-        """Edge ids on the tree path between the link's endpoints."""
-        ln = self.links[link_id]
-        return frozenset(self.tree_path(ln.u, ln.v).edges)
+        edges.extend(reversed(down))
+        return tuple(edges)
 
     def cov(self, edge_id: int) -> frozenset:
-        """Ids of links whose tree path contains the edge."""
+        """Ids of links whose tree path contains the edge; walks every
+        link's path on each call."""
         if not 0 <= edge_id < self.n - 1:
             raise BadInputError(f"edge id {edge_id} out of range")
-        if self._cov is None:
-            table = [[] for _ in range(self.n - 1)]
-            for ln in self.links:
-                for e in self.link_edges(ln.id):
-                    table[e].append(ln.id)
-            self._cov = [frozenset(ids) for ids in table]
-        return self._cov[edge_id]
-
-    def expand_request(self, req: Request) -> list:
-        """Edge ids of the request's tree path, ordered from s to t."""
-        if req.s == req.t:
-            return []
-        return list(self.tree_path(req.s, req.t).edges)
+        return frozenset(ln.id for ln in self.links
+                         if edge_id in self.tree_path(ln.u, ln.v))
 
     # -- serialization ---------------------------------------------------
 
@@ -277,8 +246,8 @@ def _parse_cost(token: str) -> int | Fraction:
             return Fraction(int(p), int(q))
     # Fraction reads "_" between digits, so "1e30_000" is a 30000 exponent
     exponent = token.lower().partition("e")[2].replace("_", "")
-    if (exponent.lstrip("+-").isdecimal()
-            and abs(int(exponent)) > MAX_COST_CHARS):
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if digits.isdecimal() and abs(int(exponent)) > MAX_COST_CHARS:
         raise ValueError(f"cost exponent beyond {MAX_COST_CHARS}")
     return Fraction(token)
 

@@ -151,7 +151,7 @@ def opt_tree_enum(inst: TreeInstance, requests=None) -> OracleResult:
         requests = inst.requests
     required = set()
     for req in requests:
-        required.update(inst.expand_request(req))
+        required.update(inst.tree_path(req.s, req.t))
     if not required:
         return OracleResult(0, frozenset(), "subset-enum")
     edge_ids = sorted(required)
@@ -160,7 +160,7 @@ def opt_tree_enum(inst: TreeInstance, requests=None) -> OracleResult:
     link_masks = []
     for ln in inst.links:
         m = 0
-        for e in inst.link_edges(ln.id):
+        for e in inst.tree_path(ln.u, ln.v):
             if e in pos:
                 m |= 1 << pos[e]
         link_masks.append(m)

@@ -7,15 +7,15 @@ and is rooted exactly when ``left == 0``.
 A minimal instance has, per cost class, at most one rooted link and at
 most two links over any edge, and its rooted links are strictly nested
 by class.  Pruning happens in two stages, rooted dominance first, then
-a per-class minimum interval cover.  ``build_minimal_instance``
-returns the minimal instance and the removed links with the stage
-that removed each.  ``replacement`` hands any link a cover by kept
-links: itself if kept, one kept rooted link of no higher class if it
-is a removed rooted link, else at most three kept links of its own
-class.  ``transfer`` maps any feasible solution over the original
-links onto kept links with bounded cost loss: the rooted part at no
-extra cost, the rest at most 3x (after Gupta, Krishnaswamy and Ravi
-2012).
+a per-class minimum interval cover; each stage returns only what it
+keeps.  ``build_minimal_instance`` then splits the links into kept and
+removed in one pass by id, naming the stage that removed each.
+``replacement`` hands any link a cover by kept links: itself if kept,
+one kept rooted link of no higher class if it is a removed rooted
+link, else at most three kept links of its own class.  ``transfer``
+maps any feasible solution over the original links onto kept links
+with bounded cost loss: the rooted part at no extra cost, the rest at
+most 3x (after Gupta, Krishnaswamy and Ravi 2012).
 """
 
 from __future__ import annotations
@@ -72,28 +72,25 @@ class MinimalPathInstance:
 
 
 def prune_rooted(links):
-    """Drop rooted links dominated by an equal-or-lower-class rooted link.
+    """The rooted links no equal-or-lower-class rooted link dominates.
 
-    Returns (kept, removed).  Survivors have at most one link per class
-    and strictly increasing spans with strictly increasing class.
+    Returns the surviving chain by ascending class: at most one link per
+    class, with strictly increasing spans.
     """
-    rooted = [l for l in links if l.rooted]
-    order = sorted(rooted, key=lambda l: (l.cls, -l.right, l.id))
+    order = sorted((l for l in links if l.rooted),
+                   key=lambda l: (l.cls, -l.right, l.id))
     kept = []
     max_right = -1
     for l in order:
         if l.right > max_right:
             kept.append(l)
             max_right = l.right
-    kept_ids = {l.id for l in kept}
-    removed = [l for l in rooted if l.id not in kept_ids]
-    kept.sort(key=lambda l: l.id)
-    removed.sort(key=lambda l: l.id)
-    return kept, removed
+    return kept
 
 
 def prune_class(links):
-    """Minimum-size subset of same-class links covering their edge union.
+    """Ids of a minimum-size subset of same-class links covering their
+    edge union.
 
     One pointer sweep over the links by left end: at the leftmost
     uncovered edge, take the link reaching furthest right (ties by
@@ -101,7 +98,7 @@ def prune_class(links):
     interval covering, and the output covers no edge more than twice.
     """
     if not links:
-        return [], []
+        return set()
     cls = links[0].cls
     for l in links:
         if l.cls != cls:
@@ -124,11 +121,7 @@ def prune_class(links):
             pos = by_left[i].left             # a gap: jump to the next link
         else:
             break
-    kept = [l for l in links if l.id in kept_ids]
-    removed = [l for l in links if l.id not in kept_ids]
-    kept.sort(key=lambda l: l.id)
-    removed.sort(key=lambda l: l.id)
-    return kept, removed
+    return kept_ids
 
 
 REMOVED_DOMINATED = "dominated-rooted"
@@ -209,8 +202,10 @@ def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
 def build_minimal_instance(edge_count: int, links, kept_from=None):
     """Run both prune stages; returns (minimal, removed).
 
-    ``removed`` lists (PathLink, reason) pairs ascending by id, the
-    reason being ``REMOVED_DOMINATED`` or ``REMOVED_REDUNDANT``.
+    ``removed`` lists (PathLink, reason) pairs ascending by id.  A
+    removed rooted link is always ``REMOVED_DOMINATED``: the rooted
+    survivor of a class is that class's only link at position 0, so its
+    cover keeps it.  Every other removed link is ``REMOVED_REDUNDANT``.
     """
     for l in links:
         if not (0 <= l.left < l.right <= edge_count):
@@ -221,28 +216,24 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
     if len(set(ids)) != len(ids):
         raise BadInputError("duplicate link ids")
 
-    kept_rooted, removed_rooted = prune_rooted(links)
-    survivors = kept_rooted + [l for l in links if not l.rooted]
     by_class = {}
-    for l in survivors:
+    for l in prune_rooted(links) + [l for l in links if not l.rooted]:
         by_class.setdefault(l.cls, []).append(l)
-    kept = []
-    removed = [(l, REMOVED_DOMINATED) for l in removed_rooted]
-    for cls in sorted(by_class):
-        k, r = prune_class(by_class[cls])
-        kept.extend(k)
-        removed.extend((l, REMOVED_REDUNDANT) for l in r)
-    kept.sort(key=lambda l: l.id)
-    removed.sort(key=lambda lr: lr[0].id)
-
-    if kept_from is None:
-        kept_from = {l.id: l.id for l in kept}
-    else:
-        kept_from = {l.id: kept_from[l.id] for l in kept}
+    kept_ids = set()
+    for group in by_class.values():
+        kept_ids |= prune_class(group)
+    kept, sources, removed = [], {}, []
+    for l in sorted(links, key=lambda l: l.id):
+        if l.id in kept_ids:
+            kept.append(l)
+            sources[l.id] = l.id if kept_from is None else kept_from[l.id]
+        else:
+            why = REMOVED_DOMINATED if l.rooted else REMOVED_REDUNDANT
+            removed.append((l, why))
     minimal = MinimalPathInstance(
         edge_count=edge_count,
         links=tuple(kept),
-        kept_from=kept_from,
+        kept_from=sources,
     )
     return minimal, removed
 

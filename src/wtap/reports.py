@@ -23,18 +23,12 @@ class InvariantRecord:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    algorithm: str
-    seed: Optional[int] = None
-    params: tuple = ()
-
-    def config_hash(self) -> str:
-        blob = json.dumps(
-            {"algorithm": self.algorithm, "seed": self.seed,
-             "params": list(self.params)},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+def config_hash(algorithm: str, seed: Optional[int] = None) -> str:
+    """Sixteen hex digits naming a run's configuration.  The blob keeps
+    an empty ``params`` list so that the hashes in earlier reports hold."""
+    blob = json.dumps({"algorithm": algorithm, "seed": seed, "params": []},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -65,7 +65,7 @@ class PairReport:
     @property
     def elementary(self) -> tuple:
         """Edge ids of the pair's tree path from s to t, walked on access."""
-        return self.inst.tree_path(self.s, self.t).edges
+        return self.inst.tree_path(self.s, self.t)
 
 
 def path_link_sets(inst: TreeInstance, decomp):

@@ -3,8 +3,9 @@
 The reference helpers here are deliberately written with different
 algorithms than the package (BFS instead of parent walks, recursive
 subset search instead of bitmask DP, per-request cover lists instead of
-the heap sweep, centroid backbones instead of heavy paths) so that
-agreement between the two actually means something.
+the heap sweep, centroid backbones instead of heavy paths, two pruning
+stages that each list what they remove instead of one kept/removed
+pass) so that agreement between the two actually means something.
 """
 
 import random
@@ -123,6 +124,76 @@ def reference_opt_path_dp(edge_count, links, requested_edges):
         witness.add(lid)
         i = j
     return OracleResult(best[0][0], frozenset(witness), "interval-dp")
+
+
+def _reference_prune_rooted(links):
+    """(kept, removed) rooted links, each ascending by id."""
+    rooted = [l for l in links if l.rooted]
+    order = sorted(rooted, key=lambda l: (l.cls, -l.right, l.id))
+    kept = []
+    max_right = -1
+    for l in order:
+        if l.right > max_right:
+            kept.append(l)
+            max_right = l.right
+    kept_ids = {l.id for l in kept}
+    removed = [l for l in rooted if l.id not in kept_ids]
+    kept.sort(key=lambda l: l.id)
+    removed.sort(key=lambda l: l.id)
+    return kept, removed
+
+
+def _reference_prune_class(links):
+    """(kept, removed) for one class's minimum interval cover, each
+    ascending by id."""
+    if not links:
+        return [], []
+    by_left = sorted(links, key=lambda l: (l.left, -l.right, l.id))
+    kept_ids = set()
+    i, pos, best = 0, by_left[0].left, None
+    while True:
+        while i < len(by_left) and by_left[i].left <= pos:
+            l = by_left[i]
+            i += 1
+            if l.right > pos and (best is None or l.right > best.right
+                                  or (l.right == best.right and l.id < best.id)):
+                best = l
+        if best is not None:
+            kept_ids.add(best.id)
+            pos, best = best.right, None
+        elif i < len(by_left):
+            pos = by_left[i].left
+        else:
+            break
+    kept = [l for l in links if l.id in kept_ids]
+    removed = [l for l in links if l.id not in kept_ids]
+    kept.sort(key=lambda l: l.id)
+    removed.sort(key=lambda l: l.id)
+    return kept, removed
+
+
+def reference_build_minimal(links, kept_from=None):
+    """(kept links, kept_from, removed (link, reason) pairs): each stage
+    lists what it removes with the stage's own reason, and the lists
+    are merged and sorted by id."""
+    kept_rooted, removed_rooted = _reference_prune_rooted(links)
+    survivors = kept_rooted + [l for l in links if not l.rooted]
+    by_class = {}
+    for l in survivors:
+        by_class.setdefault(l.cls, []).append(l)
+    kept = []
+    removed = [(l, "dominated-rooted") for l in removed_rooted]
+    for cls in sorted(by_class):
+        k, r = _reference_prune_class(by_class[cls])
+        kept.extend(k)
+        removed.extend((l, "redundant-cover") for l in r)
+    kept.sort(key=lambda l: l.id)
+    removed.sort(key=lambda lr: lr[0].id)
+    if kept_from is None:
+        kept_from = {l.id: l.id for l in kept}
+    else:
+        kept_from = {l.id: kept_from[l.id] for l in kept}
+    return kept, kept_from, removed
 
 
 def tree_arrays(n, edges, root=0):

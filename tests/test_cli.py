@@ -227,23 +227,27 @@ def test_coverage_check_matches_walked_paths():
                           request_count=6)
         rng = random.Random(seed)
         bought = rng.sample(range(len(inst.links)), rng.randrange(11))
-        covered = {e for i in bought for e in inst.link_edges(i)}
-        asked = {e for r in inst.requests for e in inst.expand_request(r)}
+        covered = {e for i in bought
+                   for e in inst.tree_path(inst.links[i].u, inst.links[i].v)}
+        asked = {e for r in inst.requests for e in inst.tree_path(r.s, r.t)}
         assert _uncovered_requested_edges(inst, bought) == (
             sorted(asked - covered))
 
 
 def uncovered_by_difference_counts(inst, bought) -> list:
     """The coverage check by tree difference counts: each path adds +1 at
-    both ends and -2 at its top vertex, found on the walked path, so
-    each subtree sum counts the paths through the edge above it."""
+    both ends and -2 at its top vertex, the parent of the child end of
+    the walked path's shallowest edge, so each subtree sum counts the
+    paths through the edge above it."""
     def paths_through(ends):
         counts = [0] * inst.n
         for u, v in ends:
             counts[u] += 1
             counts[v] += 1
-            counts[min(inst.tree_path(u, v).vertices,
-                       key=inst.depth.__getitem__)] -= 2
+            path = inst.tree_path(u, v)
+            top = inst.parent[min((inst.child_of_edge[e] for e in path),
+                                  key=inst.depth.__getitem__)] if path else u
+            counts[top] -= 2
         return counts
 
     links = paths_through((inst.links[i].u, inst.links[i].v) for i in bought)
@@ -395,6 +399,15 @@ def test_exit_codes(tmp_path, capsys):
                  write(tmp_path, "u.txt", UNCOVERABLE), "--quiet"]) == 3
     assert main(["run-tree", write(tmp_path, "j.txt",
                                    "n 2 root 0\nedge 0 1 junk\n")]) == 4
+
+
+@pytest.mark.parametrize("cost", ["e++0", "1e+-5"])
+def test_cost_exponent_with_two_signs_names_the_token(tmp_path, capsys, cost):
+    text = f"n 2 root 0\nedge 0 1\nlink 0 1 {cost}\n"
+    assert main(["run-tree", write(tmp_path, "signs.txt", text)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 3: Invalid literal for Fraction: {cost!r}\n"
 
 
 @pytest.mark.parametrize("command", ["run-tree", "run-path", "run-frac",

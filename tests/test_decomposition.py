@@ -221,7 +221,8 @@ def test_projections_partition_link_path(data):
     inst = make(n, prufer_decode(seq, n), raw_links=[(u, v, 1)])
     d = decompose(inst)
     prs = project(inst, d, inst.links[0])
-    assert sum(right - left for _, left, right in prs) == len(inst.link_edges(0))
+    link_path = inst.tree_path(inst.links[0].u, inst.links[0].v)
+    assert sum(right - left for _, left, right in prs) == len(link_path)
     assert sum(1 for _, left, _ in prs if left != 0) <= 1
     assert len(prs) <= max(1, width(inst, d))
     assert [pid for pid, _, _ in prs] == sorted({pid for pid, _, _ in prs})
@@ -229,4 +230,4 @@ def test_projections_partition_link_path(data):
         verts = d.paths[pid]
         for e in range(left, right):
             child = verts[e + 1]
-            assert inst.edge_of_child[child] in inst.link_edges(0)
+            assert inst.edge_of_child[child] in link_path

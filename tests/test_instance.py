@@ -10,7 +10,6 @@ from wtap.errors import BadInputError
 from wtap.generators import gen_random
 from wtap.instance import (
     MAX_COST_CHARS,
-    Request,
     TreeInstance,
     format_instance,
     parse_instance,
@@ -95,64 +94,73 @@ def path3():
                         raw_links=[(0, 1, 1), (0, 2, 1)])
 
 
+def bfs_edges(inst, u, v):
+    """Edge ids along the plain-BFS vertex sequence from u to v."""
+    verts = bfs_path(inst.n, inst.edges, u, v)
+    return tuple(inst.edge_of_child[a] if inst.parent[a] == b
+                 else inst.edge_of_child[b] for a, b in zip(verts, verts[1:]))
+
+
 def test_tree_path_on_a_path():
     inst = path3()
-    p = inst.tree_path(0, 2)
-    assert p.vertices == (0, 1, 2)
-    assert p.edges == (0, 1)
-    assert len(p) == 2
+    assert inst.tree_path(0, 2) == (0, 1)
+    assert inst.tree_path(2, 0) == (1, 0)
 
 
 def test_tree_path_single_vertex():
-    p = path3().tree_path(1, 1)
-    assert p.vertices == (1,)
-    assert p.edges == ()
+    assert path3().tree_path(1, 1) == ()
 
 
 def test_tree_path_through_star_center():
     star = TreeInstance(n=4, edges=[(0, 1), (0, 2), (0, 3)], root=0)
-    assert star.tree_path(1, 3).vertices == (1, 0, 3)
+    assert star.tree_path(1, 3) == (0, 2)
 
 
 def test_tree_path_reverses():
     inst = TreeInstance(n=5, edges=[(0, 1), (1, 2), (1, 3), (3, 4)], root=0)
     for u in range(5):
         for v in range(5):
-            fwd = inst.tree_path(u, v)
-            rev = inst.tree_path(v, u)
-            assert fwd.vertices == rev.vertices[::-1]
-            assert fwd.edges == rev.edges[::-1]
+            assert inst.tree_path(u, v) == inst.tree_path(v, u)[::-1]
+
+
+def prufer_tree(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    from wtap.generators import prufer_decode
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2),
+                             max_size=max(0, n - 2)))
+    edges = prufer_decode(seq, n) if n > 2 else [(0, 1)]
+    return TreeInstance(n=n, edges=edges, root=0)
 
 
 @given(st.data())
 def test_tree_path_matches_bfs(data):
-    n = data.draw(st.integers(min_value=2, max_value=10))
-    from wtap.generators import prufer_decode
-    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2),
-                             max_size=max(0, n - 2)))
-    edges = prufer_decode(seq, n) if n > 2 else [(0, 1)]
-    inst = TreeInstance(n=n, edges=edges, root=0)
-    u = data.draw(st.integers(0, n - 1))
-    v = data.draw(st.integers(0, n - 1))
-    assert list(inst.tree_path(u, v).vertices) == bfs_path(n, edges, u, v)
+    inst = prufer_tree(data)
+    u = data.draw(st.integers(0, inst.n - 1))
+    v = data.draw(st.integers(0, inst.n - 1))
+    path = inst.tree_path(u, v)
+    assert type(path) is tuple
+    assert path == bfs_edges(inst, u, v)
 
 
 @given(st.data())
 def test_lca_is_deepest_common_ancestor(data):
-    n = data.draw(st.integers(min_value=2, max_value=10))
-    from wtap.generators import prufer_decode
-    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=max(0, n - 2),
-                             max_size=max(0, n - 2)))
-    edges = prufer_decode(seq, n) if n > 2 else [(0, 1)]
-    inst = TreeInstance(n=n, edges=edges, root=0)
+    inst = prufer_tree(data)
+    n, edges = inst.n, inst.edges
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
     path = inst.tree_path(u, v)
-    # the path turns at the deepest common ancestor, its shallowest vertex
+    # the path turns at the deepest common ancestor: the parent of the
+    # child end of its shallowest edge, or u itself on an empty path
+    if path:
+        child = min((inst.child_of_edge[e] for e in path),
+                    key=inst.depth.__getitem__)
+        top = inst.parent[child]
+    else:
+        top = u
     to_u = bfs_path(n, edges, 0, u)
     to_v = bfs_path(n, edges, 0, v)
     common = [a for a, b in zip(to_u, to_v) if a == b]
-    assert min(path.vertices, key=lambda w: inst.depth[w]) == common[-1]
+    assert top == common[-1]
 
 
 # -- link coverage ----------------------------------------------------------
@@ -169,21 +177,22 @@ def test_cov_rejects_bad_edge():
         path3().cov(5)
 
 
-def test_cov_agrees_with_link_edges():
+def test_cov_agrees_with_tree_path():
     from wtap.generators import gen_random
     inst = gen_random("tree", 9, 12, 8.0, seed=3)
     for e in range(inst.n - 1):
         for ln in inst.links:
-            assert (ln.id in inst.cov(e)) == (e in inst.link_edges(ln.id))
-            assert (e in inst.link_edges(ln.id)) == (
-                e in inst.tree_path(ln.u, ln.v).edges)
+            assert (ln.id in inst.cov(e)) == (
+                e in bfs_edges(inst, ln.u, ln.v))
+            assert (e in bfs_edges(inst, ln.u, ln.v)) == (
+                e in inst.tree_path(ln.u, ln.v))
 
 
-def test_expand_request_orders_edges_from_s():
-    inst = TreeInstance(n=4, edges=[(0, 1), (1, 2), (2, 3)], root=0)
-    assert inst.expand_request(Request(s=0, t=3)) == [0, 1, 2]
-    assert inst.expand_request(Request(s=3, t=0)) == [2, 1, 0]
-    assert inst.expand_request(Request(s=1, t=1)) == []
+def test_tree_path_orders_request_edges_from_s():
+    inst = TreeInstance(n=4, edges=[(0, 1), (1, 2), (2, 3)], root=0,
+                        requests=[(0, 3), (3, 0), (1, 1)])
+    assert [inst.tree_path(r.s, r.t) for r in inst.requests] == [
+        (0, 1, 2), (2, 1, 0), ()]
 
 
 # -- construction errors ----------------------------------------------------

@@ -155,15 +155,35 @@ def batch_instances(seed, count, **kw):
     return out
 
 
+def two_trigger_run():
+    """A pinned run whose type-2 step buys link 3, then link 4."""
+    raw = [PL(*link) for link in [
+        (0, 1, 2, 0), (0, 6, 4, 1), (0, 3, 2, 2), (0, 5, 3, 3), (0, 11, 5, 4),
+        (2, 9, 3, 5), (9, 11, 4, 6), (6, 11, 4, 7), (7, 10, 2, 8),
+        (5, 9, 1, 9), (8, 10, 4, 10), (5, 7, 2, 11), (5, 8, 3, 12)]]
+    minimal, removed = build_minimal_instance(11, raw)
+    solver = PathSolver(minimal)
+    records = [solver.serve(e) for e in [5, 2, 1, 4, 8, 9, 0, 10, 6, 3, 7]]
+    return minimal, removed, raw, solver, records
+
+
 # the default scale almost never triggers; the dense instances (the
-# shape acceptance criterion 2 uses) carry the type-2 purchases
+# shape acceptance criterion 2 uses) carry the type-2 purchases, and
+# the pinned run buys two of them
 BATCH = (batch_instances(1234, 50)
-         + batch_instances(1234, 1000, max_edges=16, max_links=16, max_cls=4))
+         + batch_instances(1234, 1000, max_edges=16, max_links=16, max_cls=4)
+         + [two_trigger_run()])
+
+
+def test_two_trigger_run_buys_links_3_then_4():
+    assert bought_of_type(BATCH[-1][3], 2) == [3, 4]
 
 
 def test_batch_holds_type2_purchases():
-    # without them the type-2 checks below would check nothing
-    assert any(bought_of_type(solver, 2) for _, _, _, solver, _ in BATCH)
+    # without them the type-2 checks below would check nothing, and
+    # without a run of two the ordering checks would compare singletons
+    assert any(len(bought_of_type(solver, 2)) >= 2
+               for _, _, _, solver, _ in BATCH)
 
 
 def test_batch_dual_always_feasible():

@@ -21,7 +21,7 @@ from wtap.pruning import (
     transfer,
 )
 
-from conftest import PL
+from conftest import PL, reference_build_minimal
 
 
 def spans(links):
@@ -32,58 +32,69 @@ def cost(links):
     return sum(l.cost for l in links)
 
 
+def removed_ids(links, kept_ids):
+    """What a stage drops: the complement of what it keeps."""
+    return [l.id for l in links if l.id not in kept_ids]
+
+
 # -- rooted dominance -------------------------------------------------------
 
 def test_rooted_same_class_longer_wins():
-    kept, removed = prune_rooted([PL(0, 5, 1, 0), PL(0, 3, 1, 1)])
+    links = [PL(0, 5, 1, 0), PL(0, 3, 1, 1)]
+    kept = prune_rooted(links)
     assert [l.id for l in kept] == [0]
-    assert [l.id for l in removed] == [1]
+    assert removed_ids(links, {l.id for l in kept}) == [1]
 
 
 def test_rooted_same_span_cheaper_wins():
-    kept, removed = prune_rooted([PL(0, 4, 2, 0), PL(0, 4, 0, 1)])
+    links = [PL(0, 4, 2, 0), PL(0, 4, 0, 1)]
+    kept = prune_rooted(links)
     assert [l.id for l in kept] == [1]
-    assert [l.id for l in removed] == [0]
+    assert removed_ids(links, {l.id for l in kept}) == [0]
 
 
 def test_rooted_ignores_nonrooted():
-    kept, removed = prune_rooted([PL(1, 4, 0, 0)])
-    assert kept == [] and removed == []
+    assert prune_rooted([PL(1, 4, 0, 0)]) == []
+
+
+def test_rooted_chain_ascends_by_class():
+    links = [PL(0, 6, 3, 0), PL(0, 2, 0, 1), PL(0, 4, 1, 2), PL(0, 3, 2, 3)]
+    assert [l.id for l in prune_rooted(links)] == [1, 2, 0]
 
 
 @given(st.lists(st.tuples(st.integers(1, 20), st.integers(0, 5)),
                 min_size=1, max_size=15))
 def test_rooted_survivors_strictly_nested(raw):
     links = [PL(0, r, c, i) for i, (r, c) in enumerate(raw)]
-    kept, removed = prune_rooted(links)
-    by_cls = sorted(kept, key=lambda l: l.cls)
-    for a, b in zip(by_cls, by_cls[1:]):
+    kept = prune_rooted(links)
+    for a, b in zip(kept, kept[1:]):
         assert a.cls < b.cls
         assert a.right < b.right
     # every removed link has a kept dominator
-    for l in removed:
-        assert any(k.cls <= l.cls and k.right >= l.right for k in kept)
+    kept_ids = {l.id for l in kept}
+    for l in links:
+        if l.id not in kept_ids:
+            assert any(k.cls <= l.cls and k.right >= l.right for k in kept)
 
 
 # -- per-class cover --------------------------------------------------------
 
 def test_class_cover_drops_middle():
     links = [PL(0, 2, 0, 0), PL(1, 3, 0, 1), PL(0, 3, 0, 2)]
-    kept, removed = prune_class(links)
-    assert spans(kept) == [(0, 3)]
-    assert [l.id for l in removed] == [0, 1]
+    kept_ids = prune_class(links)
+    assert kept_ids == {2}
+    assert removed_ids(links, kept_ids) == [0, 1]
 
 
 def test_class_cover_keeps_disjoint():
     links = [PL(0, 2, 0, 0), PL(2, 4, 0, 1)]
-    kept, removed = prune_class(links)
-    assert spans(kept) == [(0, 2), (2, 4)]
-    assert removed == []
+    kept_ids = prune_class(links)
+    assert kept_ids == {0, 1}
+    assert removed_ids(links, kept_ids) == []
 
 
 def test_class_cover_tie_prefers_smaller_id():
-    kept, _ = prune_class([PL(0, 2, 0, 7), PL(0, 2, 0, 3)])
-    assert [l.id for l in kept] == [3]
+    assert prune_class([PL(0, 2, 0, 7), PL(0, 2, 0, 3)]) == {3}
 
 
 def test_class_cover_rejects_mixed_classes():
@@ -92,7 +103,7 @@ def test_class_cover_rejects_mixed_classes():
 
 
 def test_class_cover_empty():
-    assert prune_class([]) == ([], [])
+    assert prune_class([]) == set()
 
 
 @given(st.lists(st.tuples(st.integers(0, 11), st.integers(1, 12)),
@@ -103,12 +114,12 @@ def test_class_cover_preserves_union_at_depth_two(raw):
         if a >= b:
             a, b = b, a + 1
         links.append(PL(a, b, 0, i))
-    kept, _ = prune_class(links)
+    kept_ids = prune_class(links)
     union = set()
     for l in links:
         union.update(range(l.left, l.right))
     for e in union:
-        depth = sum(1 for l in kept if l.covers(e))
+        depth = sum(1 for l in links if l.id in kept_ids and l.covers(e))
         assert 1 <= depth <= 2
 
 
@@ -171,6 +182,53 @@ def test_build_minimal_shape_and_coverage(data):
             assert all(r in minimal.links and r.cls == link.cls for r in reps)
             span = {e for r in reps for e in range(r.left, r.right)}
             assert span >= set(range(link.left, link.right))
+
+
+@st.composite
+def pruning_inputs(draw, shape):
+    """(edge_count, links, kept_from) with ids shuffled and sparse.
+
+    ``identical`` draws every span from a pool of at most three, so
+    equal spans within a class meet the cover's tie rule; ``rooted``
+    starts three links in four at 0; ``infeasible`` leaves edge ``gap``
+    uncovered.
+    """
+    m = draw(st.integers(2 if shape == "infeasible" else 1, 12))
+
+    def span(lo, hi):
+        # a span within positions lo..hi
+        return st.integers(lo, hi - 1).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(a + 1, hi)))
+
+    if shape == "identical":
+        pool = draw(st.lists(span(0, m), min_size=1, max_size=3))
+        spans = st.sampled_from(pool)
+    elif shape == "rooted":
+        spans = st.integers(0, 3).flatmap(
+            lambda k: span(0, m) if k == 0
+            else st.tuples(st.just(0), st.integers(1, m)))
+    elif shape == "infeasible":
+        gap = draw(st.integers(0, m - 1))
+        sides = [s for s in ((0, gap), (gap + 1, m)) if s[0] < s[1]]
+        spans = st.sampled_from(sides).flatmap(lambda s: span(*s))
+    else:
+        spans = span(0, m)
+    raw = draw(st.lists(st.tuples(spans, st.integers(0, 3)), max_size=16))
+    ids = draw(st.permutations(range(0, 3 * len(raw), 3)))
+    links = [PL(a, b, cls, i) for ((a, b), cls), i in zip(raw, ids)]
+    kept_from = draw(st.one_of(st.none(), st.just({i: 1000 + i for i in ids})))
+    return m, links, kept_from
+
+
+@pytest.mark.parametrize("shape", ["mixed", "identical", "rooted", "infeasible"])
+@given(data=st.data())
+def test_build_minimal_matches_the_two_stage_reference(shape, data):
+    m, links, kept_from = data.draw(pruning_inputs(shape))
+    minimal, removed = build_minimal_instance(m, links, kept_from)
+    kept, want_from, want_removed = reference_build_minimal(links, kept_from)
+    assert minimal.links == tuple(kept)
+    assert list(minimal.kept_from.items()) == list(want_from.items())
+    assert removed == want_removed
 
 
 # -- replacements and transfer ----------------------------------------------
@@ -295,7 +353,7 @@ def test_path_request_edges_follow_each_tree_path(n, seed):
                         requests=pairs)
     pos = {v: i for i, v in enumerate(path_positions(inst))}
     walked = [pos[inst.child_of_edge[e]] - 1
-              for r in inst.requests for e in inst.expand_request(r)]
+              for r in inst.requests for e in inst.tree_path(r.s, r.t)]
     assert path_instance_from_tree(inst)[2] == walked
 
 

@@ -1,12 +1,13 @@
+import hashlib
 import json
 from dataclasses import asdict
 
 import pytest
 
 from wtap.reports import (
-    ExperimentSpec,
     InvariantRecord,
     RunReport,
+    config_hash,
     rows_to_csv,
     rows_to_json,
 )
@@ -63,12 +64,19 @@ def test_report_version_gate():
 
 
 def test_config_hash_stable_and_sensitive():
-    a = ExperimentSpec(algorithm="run-tree", seed=7, params=(("n", 9),))
-    b = ExperimentSpec(algorithm="run-tree", seed=7, params=(("n", 9),))
-    assert a.config_hash() == b.config_hash()
-    assert len(a.config_hash()) == 16
-    assert a.config_hash() != ExperimentSpec("run-tree", 8, (("n", 9),)).config_hash()
-    assert a.config_hash() != ExperimentSpec("run-frac", 7, (("n", 9),)).config_hash()
+    a = config_hash("run-tree", 7)
+    assert a == config_hash("run-tree", 7)
+    assert len(a) == 16
+    assert a != config_hash("run-tree", 8)
+    assert a != config_hash("run-frac", 7)
+    assert config_hash("run-tree") == config_hash("run-tree", None)
+
+
+def test_config_hash_hashes_the_blob_with_empty_params():
+    # the blob earlier reports were hashed from, so their hashes still hold
+    blob = '{"algorithm":"tree-online","params":[],"seed":null}'
+    assert config_hash("tree-online") == (
+        hashlib.sha256(blob.encode()).hexdigest()[:16])
 
 
 def test_rows_to_csv_golden():

@@ -130,7 +130,7 @@ def test_random_runs_cover_requested_paths():
         inst, solver, reports = run_random(seed)
         covered = covered_edges(solver)
         for r in reports:
-            for e in inst.tree_path(r.s, r.t).edges:
+            for e in inst.tree_path(r.s, r.t):
                 assert covered[e]
 
 
@@ -175,7 +175,7 @@ def test_matches_offline_on_fixed_small_instance():
     solver.run([(2, 4), (4, 5)])
     covered = covered_edges(solver)
     for pair in [(2, 4), (4, 5)]:
-        for e in inst.tree_path(*pair).edges:
+        for e in inst.tree_path(*pair):
             assert covered[e]
     from wtap.instance import Request
     opt = opt_tree_enum(inst, [Request(s=2, t=4), Request(s=4, t=5)]).opt_cost
@@ -199,7 +199,7 @@ def walked_projection(inst, decomp, link):
     """Spans ``(path_id, left, right)`` read off every edge of the link's
     tree path."""
     by_pid = {}
-    for e in inst.tree_path(link.u, link.v).edges:
+    for e in inst.tree_path(link.u, link.v):
         child = inst.child_of_edge[e]
         by_pid.setdefault(decomp.pid_above[child], []).append(
             decomp.pos_above[child])
@@ -225,7 +225,7 @@ def walked_serve(solver, pairs):
     for s, t in pairs:
         served, bought, inc = [], [], 0
         try:
-            for e in inst.tree_path(s, t).edges:
+            for e in inst.tree_path(s, t):
                 if covered[e]:
                     continue
                 child = inst.child_of_edge[e]
@@ -243,7 +243,7 @@ def walked_serve(solver, pairs):
                         continue
                     order.append(src)
                     link = inst.links[src]
-                    for f in inst.tree_path(link.u, link.v).edges:
+                    for f in inst.tree_path(link.u, link.v):
                         covered[f] = True
                     bought.append(src)
                     inc += link.cost
@@ -306,7 +306,7 @@ def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
     # above the cap, run_report skips opt_tree_enum, which does walk paths
     assert len(inst.links) > TREE_ENUM_LINK_CAP
 
-    for name in ("tree_path", "link_edges", "expand_request"):
+    for name in ("tree_path", "cov"):
         monkeypatch.setattr(TreeInstance, name, walk)
     solver = TreeSolver(inst)
     assert len(solver.run(pairs)) == len(pairs)
@@ -319,7 +319,7 @@ def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
 def test_path_pipelines_never_walk_a_tree_path(monkeypatch, algorithm):
     inst = gen_random("path", 60, 80, 16.0, seed=4, request_count=40)
     want = run_report(algorithm, inst)
-    for name in ("tree_path", "link_edges", "expand_request"):
+    for name in ("tree_path", "cov"):
         monkeypatch.setattr(TreeInstance, name, walk)
     report = run_report(algorithm, inst)
     assert all(r.ok for r in report.invariants)
