@@ -8,9 +8,11 @@ is the tuple of edge ids that the climb between its ends reads from
 them.  The same breadth-first walk keeps the rooted shape every later
 stage reads: ``order``, each vertex after its parent, and
 ``children``, each vertex's children ascending.  The constructor is
-the one place that checks an instance's values; the text parser only
-tokenizes, and maps the ``(kind, index)`` entry a ``BadInputError``
-names back to its line.
+the one place that checks an instance's values, and it reads each kind
+of entry once, so it takes iterators.  The text parser only tokenizes,
+into flat endpoint and cost lists with no per-entry tuple or line
+number; when the constructor names a ``(kind, index)`` entry, the
+parser reads the text again to find its line.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
@@ -70,6 +72,22 @@ MAX_COST_CHARS = 1000
 _COST_BOUND = 10 ** (2 * MAX_COST_CHARS)
 
 
+def _cost_classes(raw_costs: Sequence) -> list:
+    """Each cost's ``cls`` under ``round_costs``, by integer arithmetic."""
+    lo_num, lo_den = 1, 0           # the least cost so far; 1/0 exceeds all
+    for i, c in enumerate(raw_costs):
+        num, den = c.as_integer_ratio()
+        if num <= 0:
+            raise BadInputError(
+                f"link {i} cost is not positive; buy zero-cost links up "
+                f"front and drop them", ("link", i))
+        if num * lo_den < lo_num * den:
+            lo_num, lo_den = num, den
+    # with q = ceil(c / lo) >= 1 the class is the bit length of q - 1
+    return [(-(-num * lo_den // (den * lo_num)) - 1).bit_length()
+            for num, den in (c.as_integer_ratio() for c in raw_costs)]
+
+
 def round_costs(raw_costs: Sequence) -> list:
     """Normalize by the minimum, then round each cost up to a power of 2.
 
@@ -77,26 +95,7 @@ def round_costs(raw_costs: Sequence) -> list:
     pair per input, ``cost == 2**cls`` with ``cls >= 0``.  Rejects
     nonpositive entries, naming the ``("link", i)`` entry at fault.
     """
-    if not raw_costs:
-        return []
-    pairs = [(c, 1) if type(c) is int else (c.numerator, c.denominator)
-             for c in raw_costs]
-    lo_num, lo_den = pairs[0]
-    for i, (num, den) in enumerate(pairs):
-        if num <= 0:
-            raise BadInputError(
-                f"link {i} cost is not positive; buy zero-cost links up "
-                f"front and drop them", ("link", i))
-        if num * lo_den < lo_num * den:
-            lo_num, lo_den = num, den
-    out = []
-    for num, den in pairs:
-        # smallest j with c / lo <= 2**j, by cross-multiplication: with
-        # q = ceil(c / lo) >= 1 that is the bit length of q - 1
-        q = -(-num * lo_den // (den * lo_num))
-        j = (q - 1).bit_length()
-        out.append((1 << j, j))
-    return out
+    return [(1 << j, j) for j in _cost_classes(raw_costs)]
 
 
 def _check_ends(n: int, kind: str, i: int, u: int, v: int):
@@ -128,10 +127,11 @@ class TreeInstance:
         self.n = n
         self.root = root
         self.edges = [(int(u), int(v)) for u, v in edges]
-        edge_id = {}                # (low, high) endpoint pair -> edge id
+        edge_id = {}                # low * n + high endpoint -> edge id
         for eid, (u, v) in enumerate(self.edges):
-            _check_ends(n, "edge", eid, u, v)
-            earlier = edge_id.setdefault((min(u, v), max(u, v)), eid)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                _check_ends(n, "edge", eid, u, v)
+            earlier = edge_id.setdefault(u * n + v if u < v else v * n + u, eid)
             if earlier != eid:
                 raise BadInputError(f"edge {eid} duplicates edge {earlier}",
                                     ("edge", eid), ("edge", earlier))
@@ -140,15 +140,15 @@ class TreeInstance:
 
         # each vertex's neighbours; the walk drops its parent from the
         # list when it reaches the vertex, which leaves its children
-        children = [[] for _ in range(n)]
+        self.children = children = [[] for _ in range(n)]   # children, ascending
         for u, v in self.edges:
             children[u].append(v)
             children[v].append(u)
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        child_of_edge = [-1] * (n - 1)
-        depth = [0] * n
-        order = [root]
+        self.parent = parent = [-1] * n
+        self.edge_of_child = parent_edge = [-1] * n     # vertex -> edge id above it
+        self.child_of_edge = child_of_edge = [-1] * (n - 1)  # edge id -> child end
+        self.depth = depth = [0] * n
+        self.order = order = [root]                     # BFS order, root first
         for w in order:
             kids = children[w]
             if w != root:
@@ -158,7 +158,7 @@ class TreeInstance:
                 if parent[x] >= 0 or x == root:
                     # n - 1 edges closing a cycle leave some vertex out
                     raise BadInputError("edges do not connect all vertices")
-                eid = edge_id[(w, x) if w < x else (x, w)]
+                eid = edge_id[w * n + x if w < x else x * n + w]
                 parent[x] = w
                 parent_edge[x] = eid
                 child_of_edge[eid] = x
@@ -166,33 +166,31 @@ class TreeInstance:
                 order.append(x)
         if len(order) != n:
             raise BadInputError("edges do not connect all vertices")
-        self.parent = parent
-        self.depth = depth
-        self.order = order                        # BFS order, root first
-        self.children = children                  # vertex -> children, ascending
-        self.edge_of_child = parent_edge          # vertex -> edge id above it
-        self.child_of_edge = child_of_edge        # edge id -> child endpoint
 
-        self.raw_costs = []
+        # one pass over the links, which may be an iterator
+        self.raw_costs = raw_costs = []
+        ends = []                                 # u, v of each link, flat
         for i, (u, v, c) in enumerate(raw_links):
-            _check_ends(n, "link", i, int(u), int(v))
+            u, v = int(u), int(v)
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                _check_ends(n, "link", i, u, v)
             if type(c) is not int and type(c) is not Fraction:
                 c = Fraction(c)
-            if max(abs(c.numerator), c.denominator) >= _COST_BOUND:
+            num, den = c.as_integer_ratio()
+            if not (-_COST_BOUND < num < _COST_BOUND and den < _COST_BOUND):
                 raise BadInputError(f"link {i} cost has a numerator or denominator "
                                     f"over {2 * MAX_COST_CHARS} digits", ("link", i))
-            self.raw_costs.append(c)
-        self.links = [Link(int(u), int(v), cost, cls, i)
-                      for i, ((u, v, _), (cost, cls))
-                      in enumerate(zip(raw_links, round_costs(self.raw_costs)))]
+            ends += u, v
+            raw_costs.append(c)
+        ends = iter(ends)
+        self.links = [Link(u, v, 1 << j, j, i) for i, (u, v, j)
+                      in enumerate(zip(ends, ends, _cost_classes(raw_costs)))]
 
-        self.requests = []
-        for i, r in enumerate(requests):
-            if not isinstance(r, Request):
-                s, t = r
-                r = Request(int(s), int(t))
-            _check_ends(n, "request", i, r.s, r.t)
-            self.requests.append(r)
+        self.requests = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
+                         for r in requests]
+        for i, r in enumerate(self.requests):
+            if not (0 <= r.s < n and 0 <= r.t < n):
+                _check_ends(n, "request", i, r.s, r.t)
 
     # -- path primitives ------------------------------------------------
 
@@ -274,11 +272,12 @@ def parse_instance(text: str) -> TreeInstance:
     the header raises ``BadInputError`` naming the line.  ``TreeInstance``
     checks every value; its error is re-raised naming the line of the
     entry at fault (and the line of the earlier edge a duplicate
-    repeats), or the header line when the fault is the tree as a whole.
+    repeats), found by reading the text again, or the header line when
+    the fault is the tree as a whole.
     """
     n = root = header = None
-    entries = {"edge": [], "link": [], "request": []}
-    lines = {"edge": [], "link": [], "request": []}   # line of each entry
+    edges, links, requests, costs = [], [], [], []     # endpoints flat
+    ends_of = {"edge": edges, "link": links, "request": requests}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -286,52 +285,58 @@ def parse_instance(text: str) -> TreeInstance:
         if not parts:
             continue
         kind = parts[0]
-        arity = _ARITY.get(kind)
-        if arity is None:
-            raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
-        if len(parts) != arity or (kind == "n" and parts[2] != "root"):
-            raise BadInputError(f"line {lineno}: expected {_LINE_SHAPES[kind]!r}")
-        if kind == "n" and n is not None:
-            raise BadInputError(f"line {lineno}: second {_LINE_SHAPES['n']!r} header")
-        if kind != "n" and n is None:
-            raise BadInputError(
-                f"line {lineno}: {kind!r} before the {_LINE_SHAPES['n']!r} header")
+        ends = ends_of.get(kind)
+        if ends is None or n is None or len(parts) != _ARITY[kind]:
+            # the header, or a line that is no well-formed entry
+            if kind not in _ARITY:
+                raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
+            if len(parts) != _ARITY[kind] or (kind == "n" and parts[2] != "root"):
+                raise BadInputError(f"line {lineno}: expected {_LINE_SHAPES[kind]!r}")
+            if kind != "n" or n is not None:
+                what = "second" if kind == "n" else f"{kind!r} before the"
+                raise BadInputError(
+                    f"line {lineno}: {what} {_LINE_SHAPES['n']!r} header")
         try:
-            a = int(parts[1])                  # count, or first endpoint
-            b = int(parts[3] if kind == "n" else parts[2])   # root, or second
-            cost = _parse_cost(parts[3]) if kind == "link" else None
+            if ends is None:
+                n, root, header = int(parts[1]), int(parts[3]), lineno
+                continue
+            ends.append(int(parts[1]))
+            ends.append(int(parts[2]))
+            if ends is links:
+                costs.append(_parse_cost(parts[3]))
         except ValueError as exc:
             raise BadInputError(f"line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:
             raise BadInputError(f"line {lineno}: cost has a zero denominator") from exc
-        if kind == "n":
-            n, root, header = a, b, lineno
-            continue
-        entries[kind].append((a, b) if cost is None else (a, b, cost))
-        lines[kind].append(lineno)
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
+    edges, links, requests = iter(edges), iter(links), iter(requests)
     try:
-        return TreeInstance(n=n, edges=entries["edge"], root=root,
-                            raw_links=entries["link"],
-                            requests=entries["request"])
+        return TreeInstance(n=n, edges=zip(edges, edges), root=root,
+                            raw_links=zip(links, links, costs),
+                            requests=zip(requests, requests))
     except BadInputError as exc:
         if not exc.items:
             # the tree as a whole: its size, root, edge count or connectivity
             raise BadInputError(f"line {header}: {exc}") from exc
         (kind, i), *earlier = exc.items
-        also = "".join(f"; {k} {j} is on line {lines[k][j]}" for k, j in earlier)
-        raise BadInputError(f"line {lines[kind][i]}: {exc}{also}") from exc
+        also = "".join(f"; {k} {j} is on line {_entry_line(text, k, j)}"
+                       for k, j in earlier)
+        raise BadInputError(f"line {_entry_line(text, kind, i)}: {exc}{also}") from exc
+
+
+def _entry_line(text: str, kind: str, index: int) -> int:
+    """The line of entry ``index`` of ``kind`` in a text that parsed."""
+    firsts = (line.partition("#")[0].split(None, 1)[:1] for line in text.splitlines())
+    return [no for no, first in enumerate(firsts, start=1) if first == [kind]][index]
 
 
 def format_instance(inst: TreeInstance) -> str:
     lines = [f"n {inst.n} root {inst.root}"]
-    for u, v in inst.edges:
-        lines.append(f"edge {u} {v}")
-    for ln, raw in zip(inst.links, inst.raw_costs):
-        lines.append(f"link {ln.u} {ln.v} {raw}")
-    for r in inst.requests:
-        lines.append(f"request {r.s} {r.t}")
+    lines += (f"edge {u} {v}" for u, v in inst.edges)
+    lines += (f"link {ln.u} {ln.v} {raw}"
+              for ln, raw in zip(inst.links, inst.raw_costs))
+    lines += (f"request {r.s} {r.t}" for r in inst.requests)
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ most 3x (after Gupta, Krishnaswamy and Ravi 2012).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .errors import BadInputError, InvariantViolationError
@@ -77,7 +78,7 @@ def prune_rooted(links):
     Returns the surviving chain by ascending class: at most one link per
     class, with strictly increasing spans.
     """
-    order = sorted((l for l in links if l.rooted),
+    order = sorted((l for l in links if l.left == 0),
                    key=lambda l: (l.cls, -l.right, l.id))
     kept = []
     max_right = -1
@@ -99,10 +100,8 @@ def prune_class(links):
     """
     if not links:
         return set()
-    cls = links[0].cls
-    for l in links:
-        if l.cls != cls:
-            raise BadInputError("prune_class expects links of one class")
+    if any(l.cls != links[0].cls for l in links):
+        raise BadInputError("prune_class expects links of one class")
     by_left = sorted(links, key=lambda l: (l.left, -l.right, l.id))
     kept_ids = set()
     i, pos, best = 0, by_left[0].left, None
@@ -207,35 +206,31 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
     survivor of a class is that class's only link at position 0, so its
     cover keeps it.  Every other removed link is ``REMOVED_REDUNDANT``.
     """
+    rooted, by_class = [], {}           # class -> its non-rooted links
     for l in links:
-        if not (0 <= l.left < l.right <= edge_count):
+        left = l.left
+        if not 0 <= left < l.right <= edge_count:
             raise BadInputError(f"link {l.id} positions out of range")
         if l.cost != 1 << l.cls:
             raise BadInputError(f"link {l.id} cost is not 2**cls")
-    ids = [l.id for l in links]
-    if len(set(ids)) != len(ids):
-        raise BadInputError("duplicate link ids")
-
-    by_class = {}
-    for l in prune_rooted(links) + [l for l in links if not l.rooted]:
+        if left == 0:
+            rooted.append(l)
+        else:
+            by_class.setdefault(l.cls, []).append(l)
+    for l in prune_rooted(rooted):
         by_class.setdefault(l.cls, []).append(l)
-    kept_ids = set()
-    for group in by_class.values():
-        kept_ids |= prune_class(group)
+    kept_ids = {cls: prune_class(group) for cls, group in by_class.items()}
+    by_id = sorted(links, key=attrgetter("id"))
+    if any(a.id == b.id for a, b in zip(by_id, by_id[1:])):
+        raise BadInputError("duplicate link ids")
     kept, sources, removed = [], {}, []
-    for l in sorted(links, key=lambda l: l.id):
-        if l.id in kept_ids:
+    for l in by_id:
+        if l.id in kept_ids.get(l.cls, ()):
             kept.append(l)
             sources[l.id] = l.id if kept_from is None else kept_from[l.id]
         else:
-            why = REMOVED_DOMINATED if l.rooted else REMOVED_REDUNDANT
-            removed.append((l, why))
-    minimal = MinimalPathInstance(
-        edge_count=edge_count,
-        links=tuple(kept),
-        kept_from=sources,
-    )
-    return minimal, removed
+            removed.append((l, REMOVED_REDUNDANT if l.left else REMOVED_DOMINATED))
+    return MinimalPathInstance(edge_count, tuple(kept), sources), removed
 
 
 def check_minimal(minimal: MinimalPathInstance) -> list:

@@ -5,18 +5,24 @@ algorithms than the package (BFS instead of parent walks, recursive
 subset search instead of bitmask DP, per-request cover lists instead of
 the heap sweep, centroid backbones instead of heavy paths, two pruning
 stages that each list what they remove instead of one kept/removed
-pass) so that agreement between the two actually means something.
+pass, a parser that keeps every entry's tuple and line number instead
+of flat endpoint lists and a re-scan on error) so that agreement
+between the two actually means something.
 """
 
 import random
 from bisect import bisect_left
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 
-from wtap.errors import InfeasibleInstanceError
+from wtap.errors import BadInputError, InfeasibleInstanceError
+from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
+                           Link, Request, _check_ends, _parse_cost)
 from wtap.oracles import OracleResult
 from wtap.pruning import PathLink
 
@@ -194,6 +200,136 @@ def reference_build_minimal(links, kept_from=None):
     else:
         kept_from = {l.id: kept_from[l.id] for l in kept}
     return kept, kept_from, removed
+
+
+def _reference_round_costs(raw_costs):
+    """``(cost, cls)`` per raw cost, from one ``(num, den)`` pair each."""
+    if not raw_costs:
+        return []
+    pairs = [(c, 1) if type(c) is int else (c.numerator, c.denominator)
+             for c in raw_costs]
+    lo_num, lo_den = pairs[0]
+    for i, (num, den) in enumerate(pairs):
+        if num <= 0:
+            raise BadInputError(
+                f"link {i} cost is not positive; buy zero-cost links up "
+                f"front and drop them", ("link", i))
+        if num * lo_den < lo_num * den:
+            lo_num, lo_den = num, den
+    out = []
+    for num, den in pairs:
+        q = -(-num * lo_den // (den * lo_num))
+        j = (q - 1).bit_length()
+        out.append((1 << j, j))
+    return out
+
+
+def _reference_instance(n, edges, root, raw_links, requests):
+    """The instance fields ``TreeInstance`` must build from the same
+    entries, raising the same ``BadInputError`` in the same order:
+    edges, tree shape, link ends and sizes, link costs, requests."""
+    if n < 1:
+        raise BadInputError("need at least one vertex")
+    if not 0 <= root < n:
+        raise BadInputError(f"root {root} out of range 0..{n - 1}")
+    edges = [(int(u), int(v)) for u, v in edges]
+    edge_id = {}
+    for eid, (u, v) in enumerate(edges):
+        _check_ends(n, "edge", eid, u, v)
+        earlier = edge_id.setdefault((min(u, v), max(u, v)), eid)
+        if earlier != eid:
+            raise BadInputError(f"edge {eid} duplicates edge {earlier}",
+                                ("edge", eid), ("edge", earlier))
+    if len(edges) != n - 1:
+        raise BadInputError(f"expected {n - 1} tree edges, got {len(edges)}")
+    if len(set(_reachable(n, edges, root))) != n:
+        raise BadInputError("edges do not connect all vertices")
+    raw_costs = []
+    for i, (u, v, c) in enumerate(raw_links):
+        _check_ends(n, "link", i, int(u), int(v))
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
+        if max(abs(c.numerator), c.denominator) >= _COST_BOUND:
+            raise BadInputError(f"link {i} cost has a numerator or denominator "
+                                f"over {2 * MAX_COST_CHARS} digits", ("link", i))
+        raw_costs.append(c)
+    links = [Link(int(u), int(v), cost, cls, i)
+             for i, ((u, v, _), (cost, cls))
+             in enumerate(zip(raw_links, _reference_round_costs(raw_costs)))]
+    out = []
+    for i, (s, t) in enumerate(requests):
+        r = Request(int(s), int(t))
+        _check_ends(n, "request", i, r.s, r.t)
+        out.append(r)
+    return SimpleNamespace(n=n, root=root, edges=edges, links=links,
+                           raw_costs=raw_costs, requests=out)
+
+
+def _reachable(n, edges, root):
+    """The vertices reachable from ``root``, in BFS order."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {root}
+    order = [root]
+    for w in order:
+        for x in adj[w]:
+            if x not in seen:
+                seen.add(x)
+                order.append(x)
+    return order
+
+
+def reference_parse_instance(text):
+    """The instance format parsed with one tuple and one line number kept
+    per entry, so an error names its line from the stored numbers;
+    returns the fields ``parse_instance`` must give, or raises the same
+    ``BadInputError`` text."""
+    n = root = header = None
+    entries = {"edge": [], "link": [], "request": []}
+    lines = {"edge": [], "link": [], "request": []}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        parts = line.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        arity = _ARITY.get(kind)
+        if arity is None:
+            raise BadInputError(f"line {lineno}: unknown directive {kind!r}")
+        if len(parts) != arity or (kind == "n" and parts[2] != "root"):
+            raise BadInputError(f"line {lineno}: expected {_LINE_SHAPES[kind]!r}")
+        if kind == "n" and n is not None:
+            raise BadInputError(f"line {lineno}: second {_LINE_SHAPES['n']!r} header")
+        if kind != "n" and n is None:
+            raise BadInputError(
+                f"line {lineno}: {kind!r} before the {_LINE_SHAPES['n']!r} header")
+        try:
+            a = int(parts[1])
+            b = int(parts[3] if kind == "n" else parts[2])
+            cost = _parse_cost(parts[3]) if kind == "link" else None
+        except ValueError as exc:
+            raise BadInputError(f"line {lineno}: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise BadInputError(f"line {lineno}: cost has a zero denominator") from exc
+        if kind == "n":
+            n, root, header = a, b, lineno
+            continue
+        entries[kind].append((a, b) if cost is None else (a, b, cost))
+        lines[kind].append(lineno)
+    if n is None:
+        raise BadInputError("missing 'n <count> root <vertex>' header")
+    try:
+        return _reference_instance(n, entries["edge"], root, entries["link"],
+                                   entries["request"])
+    except BadInputError as exc:
+        if not exc.items:
+            raise BadInputError(f"line {header}: {exc}") from exc
+        (kind, i), *earlier = exc.items
+        also = "".join(f"; {k} {j} is on line {lines[k][j]}" for k, j in earlier)
+        raise BadInputError(f"line {lines[kind][i]}: {exc}{also}") from exc
 
 
 def tree_arrays(n, edges, root=0):

@@ -1,4 +1,6 @@
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from wtap.instance import (
     round_costs,
 )
 
-from conftest import bfs_path
+from conftest import bfs_path, reference_parse_instance
 
 
 # -- cost rounding ----------------------------------------------------------
@@ -492,3 +494,120 @@ def test_arbitrary_text_parses_or_raises_bad_input(text):
     except BadInputError:
         return
     assert isinstance(inst, TreeInstance)
+
+
+# -- the parser against its reference ---------------------------------------
+
+_COSTS = st.one_of(
+    st.integers(1, 10 ** 6).map(str),
+    st.builds("{}.{:04d}".format, st.integers(0, 99), st.integers(0, 9999)),
+    st.builds("{}/{}".format, st.integers(1, 99), st.integers(1, 99)),
+    st.sampled_from(["1e3", "2.5e-2", "+7", "1_000", "07", "3/4"]))
+_BAD_TOKENS = st.sampled_from(["zz", "1.5", "0x1f", "foo", "", "7 8", "1/0"])
+_FAULTS = [None, "token", "range", "loop", "duplicate edge", "cost",
+           "huge cost", "no header", "two headers"]
+
+
+def _corrupt(data, lines, n, fault):
+    """Apply one fault to the instance lines, the header first."""
+    edges, links, requests = (
+        [i for i, line in enumerate(lines) if line.startswith(kind)]
+        for kind in ("edge", "link", "request"))
+    if fault == "token":
+        i = data.draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split()
+        words[data.draw(st.integers(0, len(words) - 1))] = data.draw(_BAD_TOKENS)
+        lines[i] = " ".join(words)
+    elif fault == "range" and (edges or links or requests):
+        group = data.draw(st.sampled_from([g for g in (edges, links, requests) if g]))
+        i = data.draw(st.sampled_from(group))
+        words = lines[i].split()
+        words[data.draw(st.integers(1, 2))] = str(data.draw(st.sampled_from([n, -1])))
+        lines[i] = " ".join(words)
+    elif fault == "loop" and (edges or links):
+        i = data.draw(st.sampled_from(edges + links))
+        words = lines[i].split()
+        words[2] = words[1]
+        lines[i] = " ".join(words)
+    elif fault == "duplicate edge" and edges:
+        u, v = lines[data.draw(st.sampled_from(edges))].split()[1:]
+        lines.insert(data.draw(st.integers(1, edges[-1] + 1)), f"edge {v} {u}")
+    elif fault in ("cost", "huge cost") and links:
+        i = data.draw(st.sampled_from(links))
+        cost = data.draw(st.sampled_from(
+            ["0", "-3", "0/5", "-1.5", "0.0"] if fault == "cost" else
+            ["1e1001", "9" * (MAX_COST_CHARS + 1), "1" * MAX_COST_CHARS, "1e-1001"]))
+        lines[i] = " ".join(lines[i].split()[:3] + [cost])
+    elif fault == "no header":
+        del lines[0]
+    elif fault == "two headers":
+        lines.insert(data.draw(st.integers(1, len(lines))),
+                     f"n {n} root {data.draw(st.integers(0, n - 1))}")
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@given(data=st.data())
+def test_parse_matches_the_reference_parser(fault, data):
+    # the parser keeps no line numbers: an error's line is found by
+    # reading the text again, and must be the one the reference names
+    n = data.draw(st.integers(1, 7))
+    root = data.draw(st.integers(0, n - 1))
+    lines = [f"n {n} root {root}"]
+    for v in range(1, n):
+        u = data.draw(st.integers(0, v - 1))
+        lines.append(f"edge {u} {v}" if data.draw(st.booleans()) else f"edge {v} {u}")
+    lines[1:] = data.draw(st.permutations(lines[1:]))
+    for _ in range(data.draw(st.integers(0, 6)) if n > 1 else 0):
+        u = data.draw(st.integers(0, n - 1))
+        v = (u + data.draw(st.integers(1, n - 1))) % n
+        lines.append(f"link {u} {v} {data.draw(_COSTS)}")
+    for _ in range(data.draw(st.integers(0, 5))):
+        s, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        lines.append(f"request {s} {t}")
+    _corrupt(data, lines, n, fault)
+    # blank lines, whole-line and trailing comments, CRLF and CR endings
+    decorated = []
+    for line in lines:
+        for _ in range(data.draw(st.integers(0, 2))):
+            decorated.append(data.draw(st.sampled_from(["", "  ", "# note", " #"])))
+        decorated.append(line + data.draw(st.sampled_from(["", " # why", "#x", "\t"])))
+    newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(decorated) + data.draw(st.sampled_from(["", newline]))
+
+    try:
+        want = reference_parse_instance(text)
+    except BadInputError as exc:
+        with pytest.raises(BadInputError) as got:
+            parse_instance(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_instance(text)
+    assert (got.n, got.root, got.edges) == (want.n, want.root, want.edges)
+    assert got.links == want.links
+    assert [(type(c), c) for c in got.raw_costs] == [
+        (type(c), c) for c in want.raw_costs]
+    assert got.requests == want.requests
+
+
+def test_parse_keeps_its_peak_memory_near_what_it_returns():
+    # no per-entry tuples or line numbers are held while the instance is
+    # built; tracemalloc counts exactly, so the ratio is the same on
+    # every run
+    rng = random.Random(7)
+    n = 2000
+    lines = [f"n {n} root 0"]
+    lines += [f"edge {rng.randrange(v)} {v}" for v in range(1, n)]
+    for _ in range(3000):
+        u, v = rng.sample(range(n), 2)
+        lines.append(f"link {u} {v} {rng.randint(1, 99)}.{rng.randint(0, 9999):04d}")
+    lines += [f"request {rng.randrange(n)} {rng.randrange(n)}" for _ in range(1000)]
+    text = "\n".join(lines) + "\n"
+    assert len(lines) >= 5000
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.links) == 3000
+    assert peak <= 1.3 * retained, (peak, retained)

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wtap.adversary import HierarchicalInstance
 from wtap.errors import BadInputError, InvariantViolationError
 from wtap.instance import TreeInstance
 from wtap.pruning import (
@@ -361,3 +363,17 @@ def test_path_instance_from_tree_rejects_star():
     star = TreeInstance(n=4, edges=[(0, 1), (0, 2), (0, 3)], root=0)
     with pytest.raises(BadInputError):
         path_instance_from_tree(star)
+
+
+def test_build_minimal_holds_little_beyond_what_it_returns():
+    # each link is looked up in its own class's kept ids, not in a union
+    # of all of them; tracemalloc counts exactly, so the ratio repeats
+    inst = HierarchicalInstance(2, 6)                 # 5,461 links, all kept
+    tracemalloc.start()
+    try:
+        minimal, removed = build_minimal_instance(inst.n, inst.links)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(minimal.links) == len(inst.links) and not removed
+    assert peak - retained <= 0.4 * retained, (peak, retained)

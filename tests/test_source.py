@@ -28,6 +28,21 @@ def test_no_runtime_assert():
     assert not found, f"runtime assert at {', '.join(found)}"
 
 
+def test_package_leaves_the_collector_alone():
+    # the collector's pauses are kept small by allocating less, never by
+    # switching it off or forcing a collection
+    found = []
+    for path in sorted(Path(wtap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(
+                      a.name == "gc" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                  or isinstance(node, ast.Name) and node.id == "gc"
+                  or isinstance(node, ast.Constant) and node.value == "gc"]
+    assert not found, f"gc used at {', '.join(found)}"
+
+
 def _imported_modules(tree) -> set:
     """Names of the wtap modules a module imports, any import form."""
     found = set()
