@@ -43,26 +43,22 @@ class HierarchicalInstance:
         self.B = B
         self.k = k
         self.n = n
-        self.levels = []
+        self.spans = [(2 * B) ** j for j in range(k + 1)]
+        self.levels = []        # level j is cost class j
         self.links = []
-        next_id = 0
-        for j in range(k + 1):
-            span = (2 * B) ** j
+        for j, span in enumerate(self.spans):
             cost = B ** j
-            row = []                # level j is cost class j
-            for i in range(n // span):
-                row.append(PathLink(left=i * span, right=(i + 1) * span,
-                                    cost=cost, cls=j, id=next_id))
-                next_id += 1
+            base = len(self.links)
+            row = [PathLink(i * span, (i + 1) * span, cost, j, base + i)
+                   for i in range(n // span)]
             self.levels.append(row)
             self.links.extend(row)
 
     def link_at(self, level: int, edge: int) -> PathLink:
-        span = (2 * self.B) ** level
-        return self.levels[level][edge // span]
+        return self.levels[level][edge // self.spans[level]]
 
     def cov(self, edge: int) -> list:
-        return [self.link_at(j, edge) for j in range(self.k + 1)]
+        return [row[edge // span] for row, span in zip(self.levels, self.spans)]
 
 
 class CanonicalWrapper:
@@ -81,32 +77,37 @@ class CanonicalWrapper:
             return
         self.bought.add(link.id)
         self.cost += link.cost
-        for i in range(link.left, link.right):
-            self.covered[i] = True
+        self.covered[link.left:link.right] = [True] * (link.right - link.left)
 
     def serve(self, e: int):
+        inst = self.inst
         for lid in self.inner.serve(e):
-            link = self.inst.links[lid]           # ids are list positions
+            link = inst.links[lid]                # ids are list positions
             self._buy(link)
             if self.canonical and link.left <= e < link.right:
-                for j in range(link.cls):
-                    self._buy(self.inst.link_at(j, e))
+                for row, span in zip(inst.levels[:link.cls], inst.spans):
+                    self._buy(row[e // span])
 
 
 class GreedyCheapestCover:
-    """Buys the cheapest covering link it does not own yet."""
+    """Buys the cheapest covering link it does not own yet.
+
+    Level costs B^j rise strictly with j, so that is the lowest level
+    whose link over the edge is unowned.
+    """
 
     def __init__(self, inst: HierarchicalInstance):
         self.inst = inst
         self.owned = set()
 
     def serve(self, e: int):
-        cands = [l for l in self.inst.cov(e) if l.id not in self.owned]
-        if not cands:
-            raise InvariantViolationError(f"nothing left to buy for edge {e}")
-        pick = min(cands, key=lambda l: (l.cost, l.id))
-        self.owned.add(pick.id)
-        return [pick.id]
+        owned = self.owned
+        for row, span in zip(self.inst.levels, self.inst.spans):
+            lid = row[e // span].id
+            if lid not in owned:
+                owned.add(lid)
+                return [lid]
+        raise InvariantViolationError(f"nothing left to buy for edge {e}")
 
 
 class BuyTop:
@@ -187,14 +188,14 @@ def adversary_drive(inst: HierarchicalInstance, algo_name: str) -> LowerBoundRep
                 f"request {cursor} still uncovered after serve")
 
     total = 0
-    for j in range(inst.k + 1):
-        chosen = {inst.link_at(j, r).id for r in requests}
-        cost_j = len(chosen) * inst.B ** j
+    for j, (row, span) in enumerate(zip(inst.levels, inst.spans)):
+        chosen = set()
         for r in requests:
-            link = inst.link_at(j, r)
+            link = row[r // span]
             if not (link.left <= r < link.right):
                 raise InvariantViolationError("level cover misses a request")
-        total += cost_j
+            chosen.add(link.id)
+        total += len(chosen) * inst.B ** j
     cert_ok = total <= 2 * wrapper.cost
 
     opt = opt_path_dp(inst.n, inst.links, requests).opt_cost

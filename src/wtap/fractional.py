@@ -213,11 +213,13 @@ class FractionalPathSolver:
 
         hi = min(c * math.log((1.0 + theta) / a) for a, c in terms)
         lo = 0.0
+        f_hi = f(hi)
         guard = 0
-        while f(hi) > 1.0 + COVERAGE_TOL:
+        while f_hi > 1.0 + COVERAGE_TOL:
             mid = 0.5 * (lo + hi)
-            if f(mid) >= 1.0:
-                hi = mid
+            f_mid = f(mid)
+            if f_mid >= 1.0:
+                hi, f_hi = mid, f_mid
             else:
                 lo = mid
             guard += 1

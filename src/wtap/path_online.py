@@ -13,7 +13,11 @@ requests.  A serve step does three things, in order:
    such link becomes the new frontier, is bought if not already owned
    (type 2), and a paid-for frontier also sweeps in every unbought
    strictly-lower-class link crossing its right endpoint from a
-   positive left position (type 3).
+   positive left position (type 3).  Every such link covers the edge
+   at that endpoint, so the sweep reads that one edge's entry of the
+   coverage index, never the whole link set; a minimal instance has
+   at most two links of a class over any edge, so that is
+   O(#classes) candidates.
 
 The frontier is an integer prefix boundary: edges below it are covered
 by an owned rooted link and receive no further charges.
@@ -120,8 +124,23 @@ class PathSolver:
     def _buy(self, link, kind):
         self.bought[link.id] = kind
         self.cost += link.cost
-        for i in range(link.left, link.right):
-            self.covered[i] = True
+        self.covered[link.left:link.right] = [True] * (link.right - link.left)
+
+    def _sweep(self, trig) -> tuple:
+        """Buy the type-3 links of the paid trigger ``trig``; return their
+        ids in purchase order.  Each covers edge ``trig.right``, so that
+        edge's coverage list (ascending by id) holds every candidate."""
+        right = trig.right
+        if right == self.m:
+            return ()
+        by_id = self.minimal.by_id
+        swept = []
+        for lid in self.minimal.cov_ids[right]:
+            l = by_id[lid]
+            if lid not in self.bought and l.cls < trig.cls and 0 < l.left < right:
+                self._buy(l, 3)
+                swept.append(lid)
+        return tuple(swept)
 
     # -- main step --------------------------------------------------------
 
@@ -175,22 +194,17 @@ class PathSolver:
                 trig = l
                 break
         bought2 = None
-        swept = []
+        swept = ()
         if trig is not None:
             if trig.id not in self.bought:
                 self._buy(trig, 2)
                 bought2 = trig.id
-                for l in minimal.links:
-                    if (l.id not in self.bought and l.cls < trig.cls
-                            and 0 < l.left < trig.right < l.right):
-                        self._buy(l, 3)
-                        swept.append(l.id)
+                swept = self._sweep(trig)
             self.frontier = trig.right
 
         if not self.covered[e]:
             raise InvariantViolationError(f"edge {e} left uncovered by serve")
-        return ServeRecord(e, delta, pick.id, bought2, tuple(swept),
-                           self.frontier)
+        return ServeRecord(e, delta, pick.id, bought2, swept, self.frontier)
 
     # -- analysis views ---------------------------------------------------
 

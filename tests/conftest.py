@@ -6,8 +6,11 @@ subset search instead of bitmask DP, per-request cover lists instead of
 the heap sweep, centroid backbones instead of heavy paths, two pruning
 stages that each list what they remove instead of one kept/removed
 pass, a parser that keeps every entry's tuple and line number instead
-of flat endpoint lists and a re-scan on error) so that agreement
-between the two actually means something.
+of flat endpoint lists and a re-scan on error, a type-3 sweep over
+every kept link instead of one edge's coverage list, an adversary
+that recomputes each level's block size and takes a keyed minimum
+instead of indexing precomputed rows) so that agreement between the
+two actually means something.
 """
 
 import random
@@ -20,10 +23,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from wtap.errors import BadInputError, InfeasibleInstanceError
+from wtap.adversary import CanonicalWrapper
+from wtap.errors import (BadInputError, InfeasibleInstanceError,
+                         InvariantViolationError)
 from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
                            Link, Request, _check_ends, _parse_cost)
 from wtap.oracles import OracleResult
+from wtap.path_online import PathSolver
 from wtap.pruning import PathLink
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -449,6 +455,74 @@ def pairwise_width(n, edges, pid_above, root=0):
                 a = parent[a]
             best = max(best, len(pids))
     return best
+
+
+class ReferenceSweepSolver(PathSolver):
+    """A path solver whose type-3 sweep scans every kept link."""
+
+    def _sweep(self, trig):
+        swept = []
+        for l in self.minimal.links:
+            if (l.id not in self.bought and l.cls < trig.cls
+                    and 0 < l.left < trig.right < l.right):
+                self._buy(l, 3)
+                swept.append(l.id)
+        return tuple(swept)
+
+
+def reference_hierarchy_links(B, k):
+    """The adversary's links level by level, ids in build order."""
+    links = []
+    for j in range(k + 1):
+        span = (2 * B) ** j
+        for i in range((2 * B) ** k // span):
+            links.append(PathLink(left=i * span, right=(i + 1) * span,
+                                  cost=B ** j, cls=j, id=len(links)))
+    return links
+
+
+def _reference_link_at(inst, level, edge):
+    return inst.levels[level][edge // (2 * inst.B) ** level]
+
+
+class ReferenceGreedy:
+    """Greedy that lists the unowned covering links and takes the
+    minimum by (cost, id)."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.owned = set()
+
+    def serve(self, e):
+        cands = [_reference_link_at(self.inst, j, e)
+                 for j in range(self.inst.k + 1)]
+        cands = [l for l in cands if l.id not in self.owned]
+        if not cands:
+            raise InvariantViolationError(f"nothing left to buy for edge {e}")
+        pick = min(cands, key=lambda l: (l.cost, l.id))
+        self.owned.add(pick.id)
+        return [pick.id]
+
+
+class ReferenceWrapper(CanonicalWrapper):
+    """The canonical wrapper marking coverage edge by edge and finding
+    the lower chain level by level."""
+
+    def _buy(self, link):
+        if link.id in self.bought:
+            return
+        self.bought.add(link.id)
+        self.cost += link.cost
+        for i in range(link.left, link.right):
+            self.covered[i] = True
+
+    def serve(self, e):
+        for lid in self.inner.serve(e):
+            link = self.inst.links[lid]
+            self._buy(link)
+            if self.canonical and link.left <= e < link.right:
+                for j in range(link.cls):
+                    self._buy(_reference_link_at(self.inst, j, e))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wtap import adversary
 from wtap.adversary import (
     CONTESTANTS,
     BuyTop,
@@ -12,6 +13,10 @@ from wtap.adversary import (
     adversary_drive,
 )
 from wtap.errors import BadInputError
+from wtap.path_online import PathSolver
+
+from conftest import (ReferenceGreedy, ReferenceSweepSolver, ReferenceWrapper,
+                      reference_hierarchy_links)
 
 
 def level_cover_costs(rep):
@@ -171,3 +176,54 @@ def test_certificate_holds_across_contestants_and_sizes():
                 rep = adversary_drive(HierarchicalInstance(B, k), algo)
                 assert rep.cert_ok, (algo, B, k)
                 assert sum(level_cover_costs(rep)) <= 2 * rep.alg_cost
+
+
+def drive_fields(rep):
+    return rep.requests, rep.alg_cost, rep.opt, rep.cert_ok
+
+
+def test_drive_matches_the_reference_contestants(monkeypatch):
+    """Greedy's lowest-unowned-level pick, the wrapper's indexed chain and
+    slice coverage, and the solver's indexed sweep drive the adversary
+    exactly as the keyed minimum, the recomputed chain and the all-links
+    sweep do."""
+    cases = [(algo, B, k) for algo in sorted(CONTESTANTS) for B in (2, 3)
+             for k in range(1, 5) if algo != "alg1" or B == 2]
+    fast = {}
+    for algo, B, k in cases:
+        inst = HierarchicalInstance(B, k)
+        assert inst.links == reference_hierarchy_links(B, k)
+        fast[algo, B, k] = drive_fields(adversary_drive(inst, algo))
+    monkeypatch.setattr(adversary, "CanonicalWrapper", ReferenceWrapper)
+    monkeypatch.setitem(CONTESTANTS, "greedy", (ReferenceGreedy, True))
+    monkeypatch.setattr(adversary, "PathSolver", ReferenceSweepSolver)
+    for algo, B, k in cases:
+        rep = adversary_drive(HierarchicalInstance(B, k), algo)
+        assert drive_fields(rep) == fast[algo, B, k], (algo, B, k)
+
+
+class NoScan(tuple):
+    def __iter__(self):
+        raise AssertionError("a serve scanned every kept link")
+
+
+def test_alg1_serves_without_scanning_every_link(monkeypatch):
+    want = [drive_fields(adversary_drive(HierarchicalInstance(2, k), "alg1"))
+            for k in range(1, 6)]
+    solvers = []
+
+    class Guarded(PathSolver):
+        def __init__(self, minimal, **kw):
+            super().__init__(minimal, **kw)
+            object.__setattr__(minimal, "links", NoScan(minimal.links))
+            solvers.append(self)
+
+    monkeypatch.setattr(adversary, "PathSolver", Guarded)
+    got = [drive_fields(adversary_drive(HierarchicalInstance(2, k), "alg1"))
+           for k in range(1, 6)]
+    assert got == want
+    # the guard is only worth something if paid triggers ran the sweep;
+    # on the aligned blocks no link crosses a trigger's right end, so
+    # every sweep comes back empty
+    kinds = [kind for s in solvers for kind in s.bought.values()]
+    assert kinds.count(2) == 6 and kinds.count(3) == 0

@@ -11,7 +11,7 @@ from wtap.oracles import opt_path_dp, verify_dual_feasible
 from wtap.path_online import PathSolver, run_sequence
 from wtap.pruning import build_minimal_instance
 
-from conftest import PL, bought_of_type
+from conftest import PL, ReferenceSweepSolver, bought_of_type
 
 
 def three_vertex_minimal():
@@ -140,6 +140,56 @@ def test_type2_purchase_and_sweep():
     assert c2 <= 2 * solver.full_load(lr)
     assert c3 <= 2 * c2
     assert_purchase_records_agree(solver, records)
+
+
+def forced_sweep_run(solver, edges, seed, trig):
+    """Serve ``edges`` with the trigger scan's loads drawn at random, then
+    sweep once more at the rooted link ``trig``; returns the serve
+    records and that last sweep.
+
+    Each rooted link the scan asks about reads as loaded far past any
+    cost or as empty, so paid triggers, and the sweeps behind them, are
+    common; the last sweep runs as a paid trigger at ``trig`` would.
+    """
+    draw = random.Random(seed).random
+    solver._prefix = lambda k: (1 << 62) if draw() < 0.3 else 0
+    records = [solver.serve(e) for e in edges]
+    return records, solver._sweep(trig)
+
+
+SWEEP_SHAPE = dict(max_edges=24, max_links=32, max_cls=8)
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_sweep_matches_the_all_links_scan(data):
+    """The sweep over one edge's coverage list buys what a scan of every
+    kept link buys, in the same order."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    minimal, _, _ = random_minimal_path_instance(rng, **SWEEP_SHAPE)
+    edges = data.draw(st.lists(st.integers(0, minimal.edge_count - 1),
+                               min_size=1, max_size=16))
+    seed = data.draw(st.integers(0, 10 ** 6))
+    trig = data.draw(st.sampled_from([l for l in minimal.links if l.rooted]))
+    fast, ref = PathSolver(minimal), ReferenceSweepSolver(minimal)
+    assert (forced_sweep_run(fast, edges, seed, trig)
+            == forced_sweep_run(ref, edges, seed, trig))
+    assert list(fast.bought.items()) == list(ref.bought.items())
+
+
+def test_forced_sweeps_buy_links():
+    # without purchases the comparison above would compare empty tuples
+    served = last = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        minimal, _, _ = random_minimal_path_instance(rng, **SWEEP_SHAPE)
+        edges = [rng.randrange(minimal.edge_count) for _ in range(12)]
+        trig = rng.choice([l for l in minimal.links if l.rooted])
+        records, swept = forced_sweep_run(PathSolver(minimal), edges, seed,
+                                          trig)
+        served += sum(len(r.type3) > 0 for r in records)
+        last += len(swept) > 0
+    assert served >= 20 and last >= 10
 
 
 def batch_instances(seed, count, **kw):
