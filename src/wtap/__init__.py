@@ -7,7 +7,7 @@ from .errors import (BadInputError, InfeasibleInstanceError,
 from .fractional import FractionalPathSolver, band_cap, phase_of
 from .instance import (Link, Request, TreeInstance, format_instance,
                        load_instance, parse_instance, round_costs)
-from .oracles import (OracleResult, opt_path_dp, opt_path_enum,
+from .oracles import (OracleResult, hat_dual, opt_path_dp, opt_path_enum,
                       opt_tree_enum, verify_dual_feasible, verify_nice)
 from .path_online import PathSolver, ServeRecord, run_sequence
 from .pruning import (MinimalPathInstance, PathLink, build_minimal_instance,
@@ -41,6 +41,7 @@ __all__ = [
     "decompose",
     "default_width_bound",
     "format_instance",
+    "hat_dual",
     "load_instance",
     "opt_path_dp",
     "opt_path_enum",

@@ -34,7 +34,8 @@ from .instance import format_instance, load_instance, parse_instance
 from .oracles import (TREE_ENUM_LINK_CAP, opt_path_dp, opt_tree_enum,
                       verify_dual_feasible)
 from .path_online import PathSolver
-from .pruning import (build_minimal_instance, path_instance_from_tree,
+from .pruning import (REMOVED_DOMINATED, REMOVED_REDUNDANT,
+                      build_minimal_instance, path_instance_from_tree,
                       replacement)
 from .reports import (InvariantRecord, RunReport, config_hash, rows_to_csv,
                       rows_to_json)
@@ -95,15 +96,23 @@ def _note(args, text: str):
         print(text, file=sys.stderr)
 
 
+def _write(args, path: str, text: str):
+    """Write ``text`` to ``path``, or raise ``BadInputError`` naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadInputError(f"cannot write {path}: {exc}") from exc
+    _note(args, f"wrote {path}")
+
+
 def _emit_table(args, fieldnames, rows, out_path=None):
     if args.fmt == "json":
         text = rows_to_json(rows)
     else:
         text = rows_to_csv(fieldnames, rows)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _note(args, f"wrote {out_path}")
+        _write(args, out_path, text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -325,9 +334,7 @@ def cmd_run(args) -> int:
                                        "type2", "type3", "Z_right_endpoint")}
             print(json.dumps(rec))
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        _note(args, f"wrote {args.report}")
+        _write(args, args.report, report.to_json())
     invariants_ok = all(r.ok for r in report.invariants)
     summary = {
         "algorithm": report.algorithm,
@@ -389,9 +396,10 @@ def cmd_prune(args) -> int:
 
     kept = [{**link_row(l), "source": minimal.kept_from[l.id]}
             for l in minimal.links]
-    removed = [{**link_row(l), "reason": reason,
+    removed = [{**link_row(l),
+                "reason": REMOVED_DOMINATED if l.rooted else REMOVED_REDUNDANT,
                 "replacement": [r.id for r in replacement(minimal, l)]}
-               for l, reason in pruned]
+               for l in pruned]
     payload = {
         "path": pid,
         "edge_count": minimal.edge_count,
@@ -475,9 +483,7 @@ def cmd_gen(args) -> int:
                       request_count=args.requests)
     text = format_instance(inst)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _note(args, f"wrote {args.out}")
+        _write(args, args.out, text)
     else:
         print(text, end="")
     return 0

@@ -5,7 +5,8 @@ optimum, a brute subset enumeration to cross-check it, a
 branch-and-bound tree oracle for small link sets, and the
 dual-feasibility / solution-quality verifiers.  The module reads only
 instances and errors from the package, never the pruning or solver
-code it checks.
+code it checks: the niceness check rebuilds a path solver's duals and
+charges by replaying its serve records.
 
 On a path the optimum is an interval set cover (the path case of
 Meyerson's parking-permit problem, FOCS 2005).  ``opt_path_dp`` solves
@@ -23,7 +24,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .errors import InfeasibleInstanceError, OracleSizeError
+from .errors import (InfeasibleInstanceError, InvariantViolationError,
+                     OracleSizeError)
 from .instance import TreeInstance
 
 TREE_ENUM_LINK_CAP = 24
@@ -105,15 +107,9 @@ def opt_path_enum(edge_count: int, links, requested_edges) -> OracleResult:
     reqs = sorted(set(requested_edges))
     if not reqs:
         return OracleResult(0, frozenset(), "subset-enum")
-    pos = {r: i for i, r in enumerate(reqs)}
     full = (1 << len(reqs)) - 1
-    masks = []
-    for l in links:
-        m = 0
-        for r in reqs:
-            if l.left <= r < l.right:
-                m |= 1 << pos[r]
-        masks.append(m)
+    masks = [sum(1 << i for i, r in enumerate(reqs) if l.left <= r < l.right)
+             for l in links]
     best_cost = None
     best_set = None
     for subset in range(1 << len(links)):
@@ -253,7 +249,52 @@ def _width_term(n_global: int) -> float:
     return 2 * math.log2(max(2, n_global)) + 1
 
 
-def verify_nice(solver, requests,
+def _replay(minimal, records) -> tuple:
+    """(y, charged): a path solver's dual and each type-1 pick's charged
+    edges, rebuilt from its serve records.
+
+    A pick charged the positive-dual edges of its span from the frontier
+    the record before it left.  The final dual picks the same edges: the
+    pick covers its span, and a covered edge is never raised again.
+    """
+    y = [0] * minimal.edge_count
+    for r in records:
+        y[r.request] += r.y_raise
+    charged = {}
+    frontier = 0
+    for r in records:
+        if r.type1 is not None:
+            p = minimal.by_id[r.type1]
+            charged[r.type1] = [i for i in range(max(p.left, frontier), p.right)
+                                if y[i] > 0]
+        frontier = r.frontier_right
+    return y, charged
+
+
+def _loads(minimal, y, charged, n_global) -> tuple:
+    """(weighted, hat) per edge: the dual times the charged sets holding
+    the edge, over every pick, then over the picks costing at least
+    (max pick cost)/n**2 only, n = ``n_global``."""
+    by_id = minimal.by_id
+    cmax = max((by_id[lid].cost for lid in charged), default=0)
+    weighted, hat = [0] * len(y), [0] * len(y)
+    for lid, edges in charged.items():
+        kept = by_id[lid].cost * n_global * n_global >= cmax
+        for e in edges:
+            weighted[e] += y[e]
+            if kept:
+                hat[e] += y[e]
+    return weighted, hat
+
+
+def hat_dual(minimal, records, n_global) -> list:
+    """The charge-weighted dual of a path solver, replayed from its serve
+    records, less the charges of picks too cheap for the analysis to
+    count (after Gupta, Krishnaswamy and Ravi 2012)."""
+    return _loads(minimal, *_replay(minimal, records), n_global)[1]
+
+
+def verify_nice(solver, records,
                 enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
     """Check the purchased solution against the quality certificate.
 
@@ -262,63 +303,50 @@ def verify_nice(solver, requests,
     at most ``enum_cap`` links, an exhaustive sweep over every feasible
     solution of the pruned universe checking
     ``c(F) <= 24*c(rooted part) + 24*(2 log2 n + 1)*c(non-rooted part)``,
-    with n the solver's ``n_global``.  ``requests`` are the edges the
-    solver was asked to serve.
+    with n the solver's ``n_global``.  The loads are replayed from the
+    solver's serve ``records``, in order; a replay that misses the
+    solver's dual or total cost raises ``InvariantViolationError``.
     """
     report = NicenessReport()
     minimal = solver.minimal
     links = minimal.links
-    hat = solver.hat_dual()
-    hat_total = sum(hat)
+    y, charged = _replay(minimal, records)
     total = solver.cost
+    paid = sum(minimal.by_id[lid].cost for r in records for lid in r.purchases)
+    if y != solver.y or paid != total:
+        raise InvariantViolationError(
+            "serve records do not replay the solver's dual and cost")
+    weighted, hat = _loads(minimal, y, charged, solver.n_global)
+    hat_total = sum(hat)
 
     ok_a = total <= 24 * hat_total
     report.add("cost-vs-hat-dual", f"<= 24*{hat_total}", str(total), ok_a)
 
     wterm = _width_term(solver.n_global)
-    hat_prefix = [0]
-    for v in hat:
-        hat_prefix.append(hat_prefix[-1] + v)
-    worst_nr = 0.0
-    ok_b = True
+    hat_prefix = list(accumulate(hat, initial=0))
+    weighted_prefix = list(accumulate(weighted, initial=0))
+    ok_b, worst_nr = True, 0.0
+    ok_c, worst_r = True, Fraction(0)
     for l in links:
         if l.rooted:
-            continue
-        load = hat_prefix[l.right] - hat_prefix[l.left]
-        cap = Fraction(2 * wterm) * l.cost
-        if load > cap:
-            ok_b = False
-        if l.cost and float(load) / l.cost > worst_nr:
-            worst_nr = float(load) / l.cost
+            load = weighted_prefix[l.right] - weighted_prefix[l.left]
+            ok_c = ok_c and load <= 3 * l.cost
+            worst_r = max(worst_r, Fraction(load, l.cost))
+        else:
+            load = hat_prefix[l.right] - hat_prefix[l.left]
+            ok_b = ok_b and load <= Fraction(2 * wterm) * l.cost
+            worst_nr = max(worst_nr, float(load) / l.cost)
     report.add("nonrooted-hat-load", f"<= 2*({wterm:.3f})*cost",
                f"max load/cost {worst_nr:.3f}", ok_b)
-
-    ok_c = True
-    worst_r = Fraction(0)
-    for l in links:
-        if not l.rooted:
-            continue
-        load = solver.full_load(l)
-        if load > 3 * l.cost:
-            ok_c = False
-        ratio = Fraction(load, l.cost)
-        if ratio > worst_r:
-            worst_r = ratio
     report.add("rooted-full-load", "<= 3*cost",
                f"max load/cost {float(worst_r):.3f}", ok_c)
 
     if len(links) <= enum_cap:
         report.enumerated = True
-        reqs = sorted(set(requests))
-        pos = {r: i for i, r in enumerate(reqs)}
+        reqs = sorted({r.request for r in records})
         full = (1 << len(reqs)) - 1
-        masks = []
-        for l in links:
-            m = 0
-            for r in reqs:
-                if l.left <= r < l.right:
-                    m |= 1 << pos[r]
-            masks.append(m)
+        masks = [sum(1 << i for i, r in enumerate(reqs) if l.left <= r < l.right)
+                 for l in links]
         nlinks = len(links)
         cover = [0] * (1 << nlinks)
         ok_d = True
@@ -330,14 +358,9 @@ def verify_nice(solver, requests,
             if cover[s] != full:
                 continue
             count += 1
-            rcost = 0
-            scost = 0
-            for i in range(nlinks):
-                if s >> i & 1:
-                    if links[i].rooted:
-                        rcost += links[i].cost
-                    else:
-                        scost += links[i].cost
+            chosen = [l for i, l in enumerate(links) if s >> i & 1]
+            rcost = sum(l.cost for l in chosen if l.rooted)
+            scost = sum(l.cost for l in chosen) - rcost
             denom = rcost + wterm * scost
             ratio = total / denom if denom else math.inf
             if ratio > worst:

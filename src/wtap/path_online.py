@@ -7,7 +7,7 @@ requests.  A serve step does three things, in order:
    link goes tight, and buy that link (type 1; ties prefer higher
    class, then the furthest right endpoint, then the smaller id);
 2. charge every positive-dual edge of the bought link's span at or
-   beyond the frontier, recording the charged set for the bought link;
+   beyond the frontier;
 3. scan rooted links extending past the frontier whose accumulated
    charge-weighted dual strictly exceeds their cost; the highest-class
    such link becomes the new frontier, is bought if not already owned
@@ -83,17 +83,14 @@ class PathSolver:
         self.minimal = minimal
         m = minimal.edge_count
         self.m = m
-        # vertex count used in the hat-dual cost floor; the path itself
-        # when the instance is standalone
+        # vertex count n for ``verify_nice``'s hat-dual cost floor and
+        # width term; the path itself when the instance is standalone
         self.n_global = n_global if n_global is not None else m + 1
         self.y = [0] * m
         self.charge = [0] * m
         self.fenwick = [0] * (m + 1)          # over charge[e] * y[e]
         self.frontier = 0
         self.bought = {}                      # id -> type 1, 2 or 3, in order
-        # type-1 id -> charged edges; a type-1 pick covers an uncovered
-        # edge, so it is new and the keys are the type-1 buys in order
-        self.charged = {}
         self.covered = [False] * m
         self.residual = {l.id: l.cost for l in minimal.links}
         self.rooted_by_right = sorted(
@@ -176,13 +173,10 @@ class PathSolver:
                 self.residual[lid] -= delta
 
         self._buy(pick, 1)
-        charged = []
         for i in range(max(pick.left, self.frontier), pick.right):
             if self.y[i] > 0:
                 self.charge[i] += 1
                 self._add_product(i, self.y[i])
-                charged.append(i)
-        self.charged[pick.id] = tuple(charged)
 
         # the trigger is the furthest-right loaded rooted link past the
         # frontier (rights ascend with class)
@@ -214,29 +208,6 @@ class PathSolver:
 
     def charge_weighted_total(self) -> int:
         return self._prefix(self.m)
-
-    def hat_dual(self) -> list:
-        """Cost-floored variant of the charge-weighted dual.
-
-        Only type-1 links costing at least (max type-1 cost)/n**2
-        contribute their charges; everything cheaper is noise the
-        analysis can afford to drop; n is ``n_global``.
-        """
-        n = self.n_global
-        by_id = self.minimal.by_id
-        hat = [0] * self.m
-        if not self.charged:
-            return hat
-        cmax = max(by_id[lid].cost for lid in self.charged)
-        lam = [0] * self.m
-        for lid, edges in self.charged.items():
-            if by_id[lid].cost * n * n >= cmax:
-                for e in edges:
-                    lam[e] += 1
-        for i in range(self.m):
-            if lam[i]:
-                hat[i] = lam[i] * self.y[i]
-        return hat
 
     def bought_cost_by_type(self):
         by_id = self.minimal.by_id

@@ -9,7 +9,7 @@ most two links over any edge, and its rooted links are strictly nested
 by class.  Pruning happens in two stages, rooted dominance first, then
 a per-class minimum interval cover; each stage returns only what it
 keeps.  ``build_minimal_instance`` then splits the links into kept and
-removed in one pass by id, naming the stage that removed each.
+removed in one pass by id.
 ``replacement`` hands any link a cover by kept links: itself if kept,
 one kept rooted link of no higher class if it is a removed rooted
 link, else at most three kept links of its own class.  ``transfer``
@@ -123,6 +123,8 @@ def prune_class(links):
     return kept_ids
 
 
+# why a link was removed: a rooted one is always dominated, since a
+# class's rooted survivor is its only link at 0 and its cover keeps it
 REMOVED_DOMINATED = "dominated-rooted"
 REMOVED_REDUNDANT = "redundant-cover"
 
@@ -201,10 +203,7 @@ def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
 def build_minimal_instance(edge_count: int, links, kept_from=None):
     """Run both prune stages; returns (minimal, removed).
 
-    ``removed`` lists (PathLink, reason) pairs ascending by id.  A
-    removed rooted link is always ``REMOVED_DOMINATED``: the rooted
-    survivor of a class is that class's only link at position 0, so its
-    cover keeps it.  Every other removed link is ``REMOVED_REDUNDANT``.
+    ``removed`` lists the removed PathLinks ascending by id.
     """
     rooted, by_class = [], {}           # class -> its non-rooted links
     for l in links:
@@ -229,7 +228,7 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
             kept.append(l)
             sources[l.id] = l.id if kept_from is None else kept_from[l.id]
         else:
-            removed.append((l, REMOVED_REDUNDANT if l.left else REMOVED_DOMINATED))
+            removed.append(l)
     return MinimalPathInstance(edge_count, tuple(kept), sources), removed
 
 

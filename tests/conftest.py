@@ -9,8 +9,10 @@ pass, a parser that keeps every entry's tuple and line number instead
 of flat endpoint lists and a re-scan on error, a type-3 sweep over
 every kept link instead of one edge's coverage list, an adversary
 that recomputes each level's block size and takes a keyed minimum
-instead of indexing precomputed rows) so that agreement between the
-two actually means something.
+instead of indexing precomputed rows, a path solver that records each
+type-1 link's charged edges as it serves instead of a replay of the
+serve records) so that agreement between the two actually means
+something.
 """
 
 import random
@@ -29,7 +31,7 @@ from wtap.errors import (BadInputError, InfeasibleInstanceError,
 from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
                            Link, Request, _check_ends, _parse_cost)
 from wtap.oracles import OracleResult
-from wtap.path_online import PathSolver
+from wtap.path_online import PathSolver, ServeRecord
 from wtap.pruning import PathLink
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -468,6 +470,70 @@ class ReferenceSweepSolver(PathSolver):
                 self._buy(l, 3)
                 swept.append(l.id)
         return tuple(swept)
+
+
+class ReferenceChargeSolver(PathSolver):
+    """A path solver that records, as it serves, each type-1 link's
+    charged edges in ``charged`` (type-1 id -> edges, in purchase order)
+    and derives its hat dual from them."""
+
+    def __init__(self, minimal, n_global=None):
+        super().__init__(minimal, n_global=n_global)
+        self.charged = {}
+
+    def serve(self, e):
+        if not 0 <= e < self.m:
+            raise BadInputError(f"edge {e} out of range")
+        if self.covered[e]:
+            return ServeRecord(e, 0, None, None, (), self.frontier, True)
+        cands = self.minimal.cov_ids[e]
+        if not cands:
+            raise InfeasibleInstanceError(f"edge {e} has no covering link")
+        delta = min(self.residual[lid] for lid in cands)
+        pick = min((self.minimal.by_id[lid] for lid in cands
+                    if self.residual[lid] == delta),
+                   key=lambda l: (-l.cls, -l.right, l.id))
+        self.y[e] += delta
+        for lid in cands:
+            self.residual[lid] -= delta
+        self._buy(pick, 1)
+        charged = []
+        for i in range(max(pick.left, self.frontier), pick.right):
+            if self.y[i] > 0:
+                self.charge[i] += 1
+                self._add_product(i, self.y[i])
+                charged.append(i)
+        self.charged[pick.id] = charged
+        trig = None
+        for l in reversed(self.rooted_by_right):
+            if l.right <= self.frontier:
+                break
+            if self._prefix(l.right) > l.cost:
+                trig = l
+                break
+        bought2, swept = None, ()
+        if trig is not None:
+            if trig.id not in self.bought:
+                self._buy(trig, 2)
+                bought2 = trig.id
+                swept = self._sweep(trig)
+            self.frontier = trig.right
+        return ServeRecord(e, delta, pick.id, bought2, swept, self.frontier)
+
+    def hat_dual(self):
+        """Per edge, the dual times the charged sets holding it, counting
+        only type-1 links costing at least (max type-1 cost)/n**2."""
+        n = self.n_global
+        by_id = self.minimal.by_id
+        hat = [0] * self.m
+        if not self.charged:
+            return hat
+        cmax = max(by_id[lid].cost for lid in self.charged)
+        for lid, edges in self.charged.items():
+            if by_id[lid].cost * n * n >= cmax:
+                for e in edges:
+                    hat[e] += self.y[e]
+        return hat
 
 
 def reference_hierarchy_links(B, k):

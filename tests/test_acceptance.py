@@ -114,8 +114,8 @@ def test_criterion_3_solution_quality_certificate():
             rng, max_edges=24, max_links=12, max_cls=5)
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
-        solver = run_sequence(minimal, edges)
-        rep = verify_nice(solver, edges)  # n_global = edge_count + 1
+        solver = PathSolver(minimal)      # n_global = edge_count + 1
+        rep = verify_nice(solver, [solver.serve(e) for e in edges])
         assert rep.enumerated, "instance small enough to sweep exhaustively"
         assert rep.ok, [c for c in rep.conditions if not c.ok]
         assert rep.max_split_ratio <= 24

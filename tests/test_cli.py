@@ -451,6 +451,21 @@ def test_hostile_arguments_exit_4_with_one_line(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["gen", "--n", "5", "-o", "{out}"],
+    ["run-tree", "{inst}", "--report", "{out}"],
+    ["lowerbound", "--k", "1", "--csv", "{out}"],
+    ["sweep", "--n", "5", "--seeds", "1", "-o", "{out}"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exits_4_naming_the_path(tmp_path, capsys, argv):
+    out = tmp_path / "no-such-dir" / "x.out"
+    inst = write(tmp_path, "i.txt", PATH_INSTANCE)
+    assert main([a.format(out=out, inst=inst) for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["gen", "--kind", "path", "--n", "5", "--links", "-3", "--requests", "-4"],
     ["gen", "--kind", "tree", "--n", "5", "--links", "-1"],
     ["gen", "--kind", "tree", "--n", "5", "--requests", "-1"],

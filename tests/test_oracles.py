@@ -1,14 +1,22 @@
+import random
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
-from wtap.errors import InfeasibleInstanceError, OracleSizeError
+from wtap import tree_online
+from wtap.errors import (InfeasibleInstanceError, InvariantViolationError,
+                         OracleSizeError)
+from wtap.generators import gen_random, random_minimal_path_instance
 from wtap.instance import Request, TreeInstance
 from wtap.oracles import (
     PATH_ENUM_LINK_CAP,
     TREE_ENUM_LINK_CAP,
+    _loads,
+    _replay,
+    hat_dual,
     opt_path_dp,
     opt_path_enum,
     opt_tree_enum,
@@ -16,9 +24,10 @@ from wtap.oracles import (
     verify_nice,
 )
 from wtap.pruning import build_minimal_instance, path_instance_from_tree
-from wtap.path_online import run_sequence
+from wtap.path_online import PathSolver
 
-from conftest import PL, brute_cover, reference_opt_path_dp
+from conftest import (PL, ReferenceChargeSolver, brute_cover,
+                      reference_opt_path_dp)
 
 
 def random_links(data, m, count, max_cls=3):
@@ -255,9 +264,10 @@ def test_verify_nice_three_vertex_run():
     links = [PL(0, 1, 0, 0), PL(1, 2, 0, 1), PL(0, 2, 1, 2)]
     minimal, _ = build_minimal_instance(2, links)
     assert len(minimal.links) == 3
-    solver = run_sequence(minimal, [0, 1])
+    solver = PathSolver(minimal)
+    records = [solver.serve(e) for e in [0, 1]]
     assert solver.cost == 3
-    rep = verify_nice(solver, [0, 1])
+    rep = verify_nice(solver, records)
     assert rep.ok
     assert rep.enumerated
     assert rep.feasible_split_count == 5
@@ -270,7 +280,98 @@ def test_verify_nice_three_vertex_run():
 def test_verify_nice_skips_enumeration_over_cap():
     links = [PL(0, 1, 0, 0), PL(1, 2, 0, 1), PL(0, 2, 1, 2)]
     minimal, _ = build_minimal_instance(2, links)
-    solver = run_sequence(minimal, [0, 1])
-    rep = verify_nice(solver, [0, 1], enum_cap=2)
+    solver = PathSolver(minimal)
+    rep = verify_nice(solver, [solver.serve(e) for e in [0, 1]], enum_cap=2)
     assert not rep.enumerated
     assert rep.ok
+
+
+def nice_runs(seed, count):
+    """(solver, records) for path runs small enough to enumerate."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        minimal, _, _ = random_minimal_path_instance(
+            rng, max_edges=16, max_links=12, max_cls=4)
+        edges = [rng.randrange(minimal.edge_count) for _ in range(24)]
+        solver = PathSolver(minimal)
+        out.append((solver, [solver.serve(e) for e in edges]))
+    return out
+
+
+def test_verify_nice_calls_no_solver_method(monkeypatch):
+    runs = nice_runs(5, 40)
+    want = [verify_nice(solver, records) for solver, records in runs]
+    assert all(rep.enumerated for rep in want)
+
+    def called(*args, **kwargs):
+        raise AssertionError("verify_nice called a PathSolver method")
+
+    for name, attr in vars(PathSolver).items():
+        if callable(attr) and not name.startswith("__"):
+            monkeypatch.setattr(PathSolver, name, called)
+    assert [verify_nice(solver, records) for solver, records in runs] == want
+
+
+def test_verify_nice_rejects_records_missing_a_serve():
+    for solver, records in nice_runs(6, 20):
+        for i, rec in enumerate(records):
+            if not rec.skipped:
+                with pytest.raises(InvariantViolationError):
+                    verify_nice(solver, records[:i] + records[i + 1:])
+
+
+def assert_replay_matches_recording(ref, records):
+    """The replay of ``records`` rebuilds what the recording solver
+    ``ref`` stored: charged sets, hat duals and loads."""
+    minimal, m = ref.minimal, ref.m
+    y, charged = _replay(minimal, records)
+    assert y == ref.y
+    assert list(charged.items()) == list(ref.charged.items())
+    for n in (m + 1, 3, 10 * (m + 1)):
+        ref.n_global = n
+        assert hat_dual(minimal, records, n) == ref.hat_dual()
+    weighted = _loads(minimal, y, charged, m + 1)[0]
+    assert weighted == [c * v for c, v in zip(ref.charge, ref.y)]
+    prefix = list(accumulate(weighted, initial=0))
+    for l in minimal.links:
+        assert prefix[l.right] - prefix[l.left] == ref.full_load(l)
+
+
+@given(st.data())
+def test_replay_matches_the_recording_solver(data):
+    # every edge twice, in random order: about one run in six has a pick
+    # that starts left of the frontier at an edge with positive dual
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    minimal, _, _ = random_minimal_path_instance(rng)
+    edges = data.draw(st.permutations(list(range(minimal.edge_count)) * 2))
+    solver, ref = PathSolver(minimal), ReferenceChargeSolver(minimal)
+    records = [solver.serve(e) for e in edges]
+    assert [ref.serve(e) for e in edges] == records
+    assert_replay_matches_recording(ref, records)
+
+
+def recording(serve, records):
+    """``serve``, appending each record it returns to ``records``."""
+    def wrapped(e):
+        rec = serve(e)
+        records.append(rec)
+        return rec
+    return wrapped
+
+
+@given(st.data())
+def test_replay_matches_the_recording_tree_path_solvers(data):
+    n = data.draw(st.integers(2, 24))
+    inst = gen_random("tree", n, data.draw(st.integers(0, 20)), 16.0,
+                      data.draw(st.integers(0, 10 ** 6)), request_count=12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_online, "PathSolver", ReferenceChargeSolver)
+        solver = tree_online.TreeSolver(inst)
+    records = [[] for _ in solver.solvers]
+    for ps, recs in zip(solver.solvers, records):
+        ps.serve = recording(ps.serve, recs)
+    for req in inst.requests:
+        solver.serve_pair(req.s, req.t)
+    for ps, recs in zip(solver.solvers, records):
+        assert_replay_matches_recording(ps, recs)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
 from wtap.generators import random_minimal_path_instance
-from wtap.oracles import opt_path_dp, verify_dual_feasible
+from wtap.oracles import _replay, hat_dual, opt_path_dp, verify_dual_feasible
 from wtap.path_online import PathSolver, run_sequence
 from wtap.pruning import build_minimal_instance
 
@@ -94,7 +94,7 @@ def test_run_sequence_empty():
 
 def assert_purchase_records_agree(solver, records):
     """``bought`` holds each record's purchases tagged by type, in serve
-    order; ``charged`` holds the type-1 ones; the costs add up."""
+    order; the replayed charges hold the type-1 ones; the costs add up."""
     want = []
     for rec in records:
         if rec.type1 is not None:
@@ -105,7 +105,8 @@ def assert_purchase_records_agree(solver, records):
     assert list(solver.bought.items()) == want
     assert [lid for rec in records for lid in rec.purchases] == [
         lid for lid, _ in want]
-    assert list(solver.charged) == [lid for lid, kind in want if kind == 1]
+    charged = _replay(solver.minimal, records)[1]
+    assert list(charged) == [lid for lid, kind in want if kind == 1]
     assert sum(solver.bought_cost_by_type()) == solver.cost
 
 
@@ -250,10 +251,11 @@ def test_batch_product_identity_and_positivity():
                     == solver.charge[e] * solver.y[e])
             if solver.y[e] > 0:
                 assert e in requested
-        # charges come from recorded type-1 spans and nothing else
+        # charges come from replayed type-1 spans and nothing else
+        charged = _replay(minimal, records)[1]
         recount = [0] * minimal.edge_count
         for lid in bought_of_type(solver, 1):
-            for e in solver.charged[lid]:
+            for e in charged[lid]:
                 recount[e] += 1
         assert recount == solver.charge
 
@@ -278,9 +280,10 @@ def test_batch_charge_total_at_most_type1_cost():
 
 
 def test_batch_hat_dual_supports_type1_cost():
-    for _, _, _, solver, _ in BATCH:
+    for minimal, _, _, solver, records in BATCH:
         c1, _, _ = solver.bought_cost_by_type()
-        hat_total = sum(solver.hat_dual(), Fraction(0))
+        hat_total = sum(hat_dual(minimal, records, solver.n_global),
+                        Fraction(0))
         assert Fraction(c1) <= 4 * hat_total
 
 
@@ -327,8 +330,7 @@ def test_weak_duality_against_offline_optimum():
 def test_hat_dual_single_purchase_keeps_the_dual():
     minimal, _ = build_minimal_instance(2, [PL(0, 2, 1, 0)])
     solver = PathSolver(minimal)
-    solver.serve(0)
-    hat = solver.hat_dual()
+    hat = hat_dual(minimal, [solver.serve(0)], solver.n_global)
     assert hat[0] == solver.y[0] > 0
     assert hat[1] == 0
 
@@ -336,8 +338,8 @@ def test_hat_dual_single_purchase_keeps_the_dual():
 def test_hat_dual_equal_costs_keep_all_charges():
     minimal, _ = build_minimal_instance(
         2, [PL(0, 1, 0, 0), PL(1, 2, 0, 1), PL(0, 2, 2, 2)])
-    solver = run_sequence(minimal, [0, 1])
-    hat = solver.hat_dual()
+    solver = PathSolver(minimal)
+    hat = hat_dual(minimal, [solver.serve(e) for e in [0, 1]], solver.n_global)
     for e in range(2):
         assert hat[e] == solver.charge[e] * solver.y[e]
 
@@ -347,12 +349,13 @@ def test_hat_dual_floor_drops_tiny_purchases():
     # that cost 1 falls under cmax / n**2
     links = [PL(0, 1, 0, 0), PL(1, 2, 6, 1), PL(0, 2, 7, 2)]
     minimal, _ = build_minimal_instance(2, links)
-    solver = run_sequence(minimal, [0, 1], n_global=3)
+    solver = PathSolver(minimal, n_global=3)
+    records = [solver.serve(e) for e in [0, 1]]
     by_id = minimal.by_id
     assert set(bought_of_type(solver, 1)) == {0, 1}
     floor = Fraction(max(by_id[i].cost for i in bought_of_type(solver, 1)), 9)
     assert by_id[0].cost < floor
-    hat = solver.hat_dual()
+    hat = hat_dual(minimal, records, solver.n_global)
     assert solver.charge[0] * solver.y[0] == 1
     assert hat[0] == 0
     assert hat[1] == solver.charge[1] * solver.y[1]
@@ -360,10 +363,8 @@ def test_hat_dual_floor_drops_tiny_purchases():
 
 def test_larger_n_global_never_shrinks_hat():
     for minimal, _, _, solver, records in BATCH[:10]:
-        edges = [r.request for r in records]
-        wide = run_sequence(minimal, edges, n_global=10 * solver.n_global)
-        lo = solver.hat_dual()
-        hi = wide.hat_dual()
+        lo = hat_dual(minimal, records, solver.n_global)
+        hi = hat_dual(minimal, records, 10 * solver.n_global)
         for a, b in zip(lo, hi):
             assert b >= a
 

@@ -125,7 +125,7 @@ def test_records_are_slotted_and_compare_by_field(cls, args):
 
 
 _STATE = {
-    PathSolver: ["bought", "charge", "charged", "cost", "covered", "fenwick",
+    PathSolver: ["bought", "charge", "cost", "covered", "fenwick",
                  "frontier", "m", "minimal", "n_global", "residual",
                  "rooted_by_right", "y"],
     FractionalPathSolver: ["_choice", "_cost_of", "_g", "_g_at", "_left_of",
