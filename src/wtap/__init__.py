@@ -9,7 +9,7 @@ from .instance import (Link, Request, TreeInstance, format_instance,
                        load_instance, parse_instance, round_costs)
 from .oracles import (OracleResult, hat_dual, opt_path_dp, opt_path_enum,
                       opt_tree_enum, verify_dual_feasible, verify_nice)
-from .path_online import PathSolver, ServeRecord, run_sequence
+from .path_online import PathSolver, ServeRecord
 from .pruning import (MinimalPathInstance, PathLink, build_minimal_instance,
                       check_minimal, path_instance_from_tree, replacement,
                       replacement_cover, transfer)
@@ -53,7 +53,6 @@ __all__ = [
     "replacement",
     "replacement_cover",
     "round_costs",
-    "run_sequence",
     "transfer",
     "verify_dual_feasible",
     "verify_nice",

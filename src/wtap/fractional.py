@@ -86,8 +86,6 @@ class FractionalPathSolver:
     def __init__(self, minimal: MinimalPathInstance):
         self.minimal = minimal
         m = minimal.edge_count
-        if m < 1:
-            raise BadInputError("need at least one edge")
         self.m = m
         self.theta = 1.0 / math.log2(m) if m >= 2 else None
         self.x = {l.id: 0.0 for l in minimal.links}
@@ -240,9 +238,6 @@ class FractionalPathSolver:
             raise InvariantViolationError(
                 f"edge {e} left uncovered after growth step")
         return FracRecord(e, opt_i, "large", t_star, inc, len(band))
-
-    def run(self, requests) -> list:
-        return [self.serve(e) for e in requests]
 
 
 def restricted_solution(minimal: MinimalPathInstance, records):

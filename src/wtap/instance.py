@@ -12,7 +12,12 @@ the one place that checks an instance's values, and it reads each kind
 of entry once, so it takes iterators.  The text parser only tokenizes,
 into flat endpoint and cost lists with no per-entry tuple or line
 number; when the constructor names a ``(kind, index)`` entry, the
-parser reads the text again to find its line.
+parser reads the text again to find its line.  Every endpoint token the
+parser has read before maps to the int it made then, so the instance
+holds one int object per vertex id, not one per endpoint; the map is
+dropped before the constructor runs.  ``hashlib`` is imported only by
+``digest()``: it loads OpenSSL, and no solve takes a digest (every
+``wtap run-*`` and ``sweep`` hashes its report, so those still load it).
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
@@ -28,7 +33,6 @@ float.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -223,6 +227,7 @@ class TreeInstance:
     # -- serialization ---------------------------------------------------
 
     def digest(self) -> str:
+        import hashlib                  # loads OpenSSL; no solve takes a digest
         return hashlib.sha256(format_instance(self).encode()).hexdigest()
 
 
@@ -299,9 +304,18 @@ def parse_instance(text: str) -> TreeInstance:
         try:
             if ends is None:
                 n, root, header = int(parts[1]), int(parts[3]), lineno
+                # endpoint token -> its int: every entry that names a
+                # vertex shares one object, and a repeated token skips int()
+                ids = {parts[3]: root}
                 continue
-            ends.append(int(parts[1]))
-            ends.append(int(parts[2]))
+            u = ids.get(parts[1])
+            if u is None:
+                u = ids[parts[1]] = int(parts[1])
+            v = ids.get(parts[2])
+            if v is None:
+                v = ids[parts[2]] = int(parts[2])
+            ends.append(u)
+            ends.append(v)
             if ends is links:
                 costs.append(_parse_cost(parts[3]))
         except ValueError as exc:
@@ -310,6 +324,7 @@ def parse_instance(text: str) -> TreeInstance:
             raise BadInputError(f"line {lineno}: cost has a zero denominator") from exc
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
+    del ids                 # the instance holds each int from here on
     edges, links, requests = iter(edges), iter(links), iter(requests)
     try:
         return TreeInstance(n=n, edges=zip(edges, edges), root=root,

@@ -205,22 +205,3 @@ class PathSolver:
     def full_load(self, link) -> int:
         """Charge-weighted dual over the link's span."""
         return self._prefix(link.right) - self._prefix(link.left)
-
-    def charge_weighted_total(self) -> int:
-        return self._prefix(self.m)
-
-    def bought_cost_by_type(self):
-        by_id = self.minimal.by_id
-        costs = [0, 0, 0, 0]
-        for lid, kind in self.bought.items():
-            costs[kind] += by_id[lid].cost
-        return costs[1], costs[2], costs[3]
-
-
-def run_sequence(minimal: MinimalPathInstance, requests,
-                 n_global: Optional[int] = None) -> PathSolver:
-    """Serve a whole request sequence; covered requests are skipped."""
-    solver = PathSolver(minimal, n_global=n_global)
-    for e in requests:
-        solver.serve(e)
-    return solver

@@ -187,8 +187,5 @@ class TreeSolver:
                     f"serving edge {e} failed to cover it")
         return PairReport(s, t, tuple(served), tuple(bought), inc, self.inst)
 
-    def run(self, pairs) -> list:
-        return [self.serve_pair(s, t) for s, t in pairs]
-
     def path_cost_total(self) -> int:
         return sum(s.cost for s in self.solvers)

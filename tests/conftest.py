@@ -48,6 +48,36 @@ def bought_of_type(solver, kind):
     return [lid for lid, k in solver.bought.items() if k == kind]
 
 
+def bought_cost_by_type(solver):
+    """A path solver's purchase costs of type 1, 2 and 3."""
+    by_id = solver.minimal.by_id
+    return tuple(sum(by_id[lid].cost for lid in bought_of_type(solver, kind))
+                 for kind in (1, 2, 3))
+
+
+def charge_weighted_total(solver):
+    """A path solver's charge-weighted dual summed over every edge."""
+    return solver._prefix(solver.m)
+
+
+def run_sequence(minimal, requests, n_global=None):
+    """A path solver that served a whole request sequence."""
+    solver = PathSolver(minimal, n_global=n_global)
+    for e in requests:
+        solver.serve(e)
+    return solver
+
+
+def run_pairs(solver, pairs):
+    """A tree solver's report for each (s, t) pair, served in order."""
+    return [solver.serve_pair(s, t) for s, t in pairs]
+
+
+def run_edges(solver, edges):
+    """A fractional solver's record for each edge, served in order."""
+    return [solver.serve(e) for e in edges]
+
+
 def bfs_path(n, edges, u, v):
     """Vertex sequence of the unique u-v path, found by plain BFS."""
     adj = [[] for _ in range(n)]

@@ -27,11 +27,12 @@ from wtap.generators import (
     random_tree,
 )
 from wtap.oracles import opt_path_dp, opt_path_enum, opt_tree_enum, verify_nice
-from wtap.path_online import PathSolver, run_sequence
+from wtap.path_online import PathSolver
 from wtap.pruning import build_minimal_instance, replacement, transfer
 from wtap.tree_online import TreeSolver
 
-from conftest import PL, bought_of_type, tree_arrays
+from conftest import (PL, bought_cost_by_type, bought_of_type, charge_weighted_total,
+                      run_sequence, tree_arrays)
 
 _build_seconds = 0.0
 
@@ -85,8 +86,8 @@ def test_criterion_2_purchase_accounting(batch):
     t2_runs = 0
     t3_runs = 0
     for _, _, solver in batch:
-        c1, c2, c3 = solver.bought_cost_by_type()
-        paid = solver.charge_weighted_total()
+        c1, c2, c3 = bought_cost_by_type(solver)
+        paid = charge_weighted_total(solver)
         assert paid <= c1
         type2 = bought_of_type(solver, 2)
         if type2:

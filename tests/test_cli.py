@@ -354,6 +354,15 @@ def test_gen_path_feeds_run_path(tmp_path, capsys):
     assert main(["run-path", p, "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("command", ["run-tree", "run-path", "run-frac"])
+def test_run_commands_serve_the_one_vertex_instance(tmp_path, capsys, command):
+    one = write(tmp_path, "one.txt", "n 1 root 0\n")
+    assert main([command, one, "--quiet"]) == 0
+    summary = last_json_block(capsys.readouterr().out)
+    assert float(summary["final_cost"]) == 0
+    assert summary["invariants_ok"] is True
+
+
 def test_sweep_tree_table(tmp_path, capsys):
     out_file = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--n", "5..6", "--seeds", "2",

@@ -17,7 +17,7 @@ from wtap.generators import random_minimal_path_instance
 from wtap.oracles import opt_path_dp
 from wtap.pruning import build_minimal_instance
 
-from conftest import PL
+from conftest import PL, run_edges
 
 
 def single_link_path(m=8, cls=0):
@@ -86,11 +86,16 @@ def test_serve_rejects_uncovered_edge():
         FractionalPathSolver(minimal).serve(2)
 
 
-def test_rejects_empty_path():
+def test_empty_path_builds_and_rejects_every_edge():
+    # a one-vertex instance reduces to a path with no edge: `run-frac`
+    # serves nothing on it, as `run-path` and `run-tree` do
     minimal, _ = build_minimal_instance(1, [PL(0, 1, 0, 0)])
     minimal = minimal.__class__(edge_count=0, links=(), kept_from={})
-    with pytest.raises(BadInputError):
-        FractionalPathSolver(minimal)
+    sol = FractionalPathSolver(minimal)
+    assert (sol.current_opt(), sol.total_cost) == (0, 0.0)
+    for e in (0, -1):
+        with pytest.raises(BadInputError):
+            sol.serve(e)
 
 
 def test_band_cap_grows_with_length():
@@ -167,7 +172,7 @@ def test_serve_never_reruns_the_offline_dp(monkeypatch):
               [rng.randrange(m) for _ in range(3 * m)]]
     for order in orders:
         sol = FractionalPathSolver(minimal)
-        sol.run(order)
+        run_edges(sol, order)
         want = opt_path_dp(m, minimal.links, order).opt_cost
         assert sol.current_opt() == want
     assert calls == []
@@ -319,7 +324,7 @@ def test_dp_makes_no_search_per_covering_link(monkeypatch):
     sol = FractionalPathSolver(minimal)
     events = traced_runs(sol)
     requests = [rng.randrange(m) for _ in range(2 * m)]
-    sol.run(requests)
+    run_edges(sol, requests)
     runs = [ev for ev in events if ev[2]]
     assert len(runs) > 5
     assert count[0] <= len(requests) + sum(w + 1 for _, _, _, w in runs)

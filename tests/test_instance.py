@@ -386,6 +386,18 @@ def test_huge_cost_exits_4_fast(cost, tmp_path, capsys):
     assert len(err) < 200
 
 
+def test_huge_header_count_exits_4_fast(tmp_path, capsys):
+    # nothing is allocated from the header's count before the constructor
+    # has checked the edges against it
+    path = tmp_path / "huge.txt"
+    path.write_text("n 10000000000 root 0\nedge 0 1\n")
+    start = time.perf_counter()
+    assert main(["run-tree", str(path)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: line 1: expected 9999999999 tree edges, got 1\n")
+
+
 @given(kind=st.sampled_from(["tree", "path"]), n=st.integers(2, 12),
        links=st.integers(0, 10), requests=st.integers(0, 6),
        feasible=st.booleans(), seed=st.integers(0, 10 ** 6))
@@ -611,3 +623,21 @@ def test_parse_keeps_its_peak_memory_near_what_it_returns():
         tracemalloc.stop()
     assert len(inst.links) == 3000
     assert peak <= 1.3 * retained, (peak, retained)
+
+
+def test_parse_shares_one_int_per_vertex():
+    # a repeated endpoint token reuses the int parsed first, so every
+    # field that names a vertex holds one object per vertex id (ints
+    # above 256 are not cached by the interpreter)
+    n = 600
+    inst = gen_random("tree", n, n, 16.0, seed=3, request_count=n)
+    text = format_instance(inst).replace("n 600 root 0\n", f"n 600 root {n - 1}\n", 1)
+    parsed = parse_instance(text)
+    assert parsed.root == n - 1
+    named = [v for u_v in parsed.edges for v in u_v]
+    named += [v for ln in parsed.links for v in (ln.u, ln.v)]
+    named += [v for r in parsed.requests for v in (r.s, r.t)]
+    named += [v for v in parsed.parent if v >= 0] + parsed.order
+    first = {}
+    assert all(first.setdefault(v, v) is v for v in named)
+    assert len(first) == n

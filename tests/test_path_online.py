@@ -8,10 +8,11 @@ from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
 from wtap.generators import random_minimal_path_instance
 from wtap.oracles import _replay, hat_dual, opt_path_dp, verify_dual_feasible
-from wtap.path_online import PathSolver, run_sequence
+from wtap.path_online import PathSolver
 from wtap.pruning import build_minimal_instance
 
-from conftest import PL, ReferenceSweepSolver, bought_of_type
+from conftest import (PL, ReferenceSweepSolver, bought_cost_by_type, bought_of_type,
+                      charge_weighted_total, run_sequence)
 
 
 def three_vertex_minimal():
@@ -107,7 +108,7 @@ def assert_purchase_records_agree(solver, records):
         lid for lid, _ in want]
     charged = _replay(solver.minimal, records)[1]
     assert list(charged) == [lid for lid, kind in want if kind == 1]
-    assert sum(solver.bought_cost_by_type()) == solver.cost
+    assert sum(bought_cost_by_type(solver)) == solver.cost
 
 
 def test_type2_purchase_and_sweep():
@@ -134,9 +135,9 @@ def test_type2_purchase_and_sweep():
     assert solver.charge == [0, 2, 0, 1, 0]
     # the second and fourth serves were skipped as already covered
     assert [r.skipped for r in records] == [False, True, False, True, True]
-    c1, c2, c3 = solver.bought_cost_by_type()
+    c1, c2, c3 = bought_cost_by_type(solver)
     assert (c1, c2, c3) == (3, 2, 1)
-    assert solver.charge_weighted_total() == 3
+    assert charge_weighted_total(solver) == 3
     lr = solver.minimal.by_id[bought_of_type(solver, 2)[-1]]
     assert c2 <= 2 * solver.full_load(lr)
     assert c3 <= 2 * c2
@@ -269,19 +270,19 @@ def test_batch_rooted_loads_within_contract():
 
 def test_batch_charge_total_at_most_type1_cost():
     for _, _, _, solver, _ in BATCH:
-        c1, c2, c3 = solver.bought_cost_by_type()
-        assert solver.charge_weighted_total() <= c1
+        c1, c2, c3 = bought_cost_by_type(solver)
+        assert charge_weighted_total(solver) <= c1
         assert c3 <= 2 * c2
         type2 = bought_of_type(solver, 2)
         if type2:
             lr = solver.minimal.by_id[type2[-1]]
             assert c2 <= 2 * solver.full_load(lr)
-        assert c2 + c3 <= 6 * solver.charge_weighted_total()
+        assert c2 + c3 <= 6 * charge_weighted_total(solver)
 
 
 def test_batch_hat_dual_supports_type1_cost():
     for minimal, _, _, solver, records in BATCH:
-        c1, _, _ = solver.bought_cost_by_type()
+        c1, _, _ = bought_cost_by_type(solver)
         hat_total = sum(hat_dual(minimal, records, solver.n_global),
                         Fraction(0))
         assert Fraction(c1) <= 4 * hat_total
@@ -420,7 +421,7 @@ def test_fenwick_index_matches_product_after_every_serve(data):
         weighted = [solver.charge[i] * solver.y[i] for i in range(m)]
         for k in range(m + 1):
             assert solver._prefix(k) == sum(weighted[:k])
-        assert solver.charge_weighted_total() == sum(weighted)
+        assert charge_weighted_total(solver) == sum(weighted)
         for l in minimal.links:
             assert solver.full_load(l) == sum(weighted[l.left:l.right])
         assert rec.frontier_right == naive_trigger_frontier(solver, before)

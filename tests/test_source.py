@@ -2,6 +2,8 @@
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,37 @@ def test_package_leaves_the_collector_alone():
                   or isinstance(node, ast.Name) and node.id == "gc"
                   or isinstance(node, ast.Constant) and node.value == "gc"]
     assert not found, f"gc used at {', '.join(found)}"
+
+
+
+def test_imports_only_the_standard_library():
+    # the package has no runtime dependency: every import is relative or
+    # names a standard-library module
+    found = []
+    for path in sorted(Path(wtap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not found, f"non-stdlib import at {', '.join(found)}"
+
+
+def test_importing_the_package_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto, several MB resident; only taking
+    # a digest needs it, and no solve takes one
+    src = str(Path(wtap.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import wtap; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _imported_modules(tree) -> set:

@@ -11,6 +11,8 @@ from wtap.instance import TreeInstance
 from wtap.oracles import TREE_ENUM_LINK_CAP, opt_tree_enum
 from wtap.tree_online import TreeSolver
 
+from conftest import run_pairs
+
 
 def covered_edges(solver):
     """Per tree edge id, whether a bought link covers it: the edge above
@@ -122,7 +124,7 @@ def run_random(seed, n=9, extras=10, pairs=8):
         if s != t:
             req.append((s, t))
     solver = TreeSolver(inst)
-    return inst, solver, solver.run(req)
+    return inst, solver, run_pairs(solver, req)
 
 
 def test_random_runs_cover_requested_paths():
@@ -172,7 +174,7 @@ def test_matches_offline_on_fixed_small_instance():
         raw_links=[(2, 4, 1), (0, 2, 2), (4, 5, 1), (0, 5, 4)],
     )
     solver = TreeSolver(inst)
-    solver.run([(2, 4), (4, 5)])
+    run_pairs(solver, [(2, 4), (4, 5)])
     covered = covered_edges(solver)
     for pair in [(2, 4), (4, 5)]:
         for e in inst.tree_path(*pair):
@@ -309,7 +311,7 @@ def test_run_pipeline_never_walks_a_tree_path(monkeypatch):
     for name in ("tree_path", "cov"):
         monkeypatch.setattr(TreeInstance, name, walk)
     solver = TreeSolver(inst)
-    assert len(solver.run(pairs)) == len(pairs)
+    assert len(run_pairs(solver, pairs)) == len(pairs)
     report = run_report("tree-online", inst)
     assert all(r.ok for r in report.invariants)
     assert report.final_cost == str(solver.cost_total)
