@@ -6,13 +6,12 @@ from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError, OracleSizeError, WtapError)
 from .fractional import FractionalPathSolver, band_cap, phase_of
 from .instance import (Link, Request, TreeInstance, format_instance,
-                       load_instance, parse_instance, round_costs)
-from .oracles import (OracleResult, hat_dual, opt_path_dp, opt_path_enum,
-                      opt_tree_enum, verify_dual_feasible, verify_nice)
+                       load_instance, parse_instance)
+from .oracles import (OracleResult, hat_dual, opt_path_dp, opt_tree_enum,
+                      verify_dual_feasible, verify_nice)
 from .path_online import PathSolver, ServeRecord
 from .pruning import (MinimalPathInstance, PathLink, build_minimal_instance,
-                      check_minimal, path_instance_from_tree, replacement,
-                      replacement_cover, transfer)
+                      path_instance_from_tree, replacement, replacement_cover)
 from .tree_online import PairReport, TreeSolver
 
 __version__ = "0.1.0"
@@ -37,14 +36,12 @@ __all__ = [
     "WtapError",
     "band_cap",
     "build_minimal_instance",
-    "check_minimal",
     "decompose",
     "default_width_bound",
     "format_instance",
     "hat_dual",
     "load_instance",
     "opt_path_dp",
-    "opt_path_enum",
     "opt_tree_enum",
     "parse_instance",
     "path_instance_from_tree",
@@ -52,8 +49,6 @@ __all__ = [
     "project",
     "replacement",
     "replacement_cover",
-    "round_costs",
-    "transfer",
     "verify_dual_feasible",
     "verify_nice",
     "width",

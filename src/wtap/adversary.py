@@ -54,12 +54,6 @@ class HierarchicalInstance:
             self.levels.append(row)
             self.links.extend(row)
 
-    def link_at(self, level: int, edge: int) -> PathLink:
-        return self.levels[level][edge // self.spans[level]]
-
-    def cov(self, edge: int) -> list:
-        return [row[edge // span] for row, span in zip(self.levels, self.spans)]
-
 
 class CanonicalWrapper:
     """Adds the containing lower-level chain to every relevant purchase."""

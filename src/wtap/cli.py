@@ -307,7 +307,7 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
         raise BadInputError(f"unknown algorithm {algorithm!r}")
     start = time.perf_counter()
     per_request, cost, invariants, opt = run(inst)
-    text = format_instance(inst)        # hashed as inst.digest() does
+    text = format_instance(inst)        # the one place an instance is hashed
     return RunReport(
         algorithm=algorithm,
         instance_digest=hashlib.sha256(text.encode()).hexdigest(),

@@ -158,9 +158,6 @@ class FractionalPathSolver:
     def current_opt(self) -> int:
         return self._g[-1]
 
-    def opt_witness(self) -> frozenset:
-        return self._witness
-
     # -- serving -----------------------------------------------------------
 
     def coverage(self, e: int) -> float:

@@ -1,16 +1,14 @@
-"""Random and exhaustive instance generators for tests and sweeps."""
+"""Random instance generators for ``wtap gen`` and ``wtap sweep``."""
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import random
 from fractions import Fraction
 
 from .errors import BadInputError
 from .instance import TreeInstance
-from .pruning import PathLink, build_minimal_instance
 
 
 def prufer_decode(seq, n: int):
@@ -39,18 +37,6 @@ def prufer_decode(seq, n: int):
     b = heapq.heappop(heap)
     edges.append((a, b))
     return edges
-
-
-def enumerate_trees(n: int):
-    """Yield the edge lists of all n**(n-2) labelled trees on 0..n-1."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in itertools.product(range(n), repeat=n - 2):
-        yield prufer_decode(seq, n)
 
 
 def random_tree(n: int, rng: random.Random):
@@ -122,22 +108,3 @@ def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
     return TreeInstance(n=n, edges=edges, root=root,
                         raw_links=raw_links, requests=requests)
 
-
-def random_minimal_path_instance(rng: random.Random, max_edges: int = 64,
-                                 max_links: int = 40, max_cls: int = 6):
-    """Random feasible minimal path instance for the online batches.
-
-    A full-span rooted link guarantees feasibility; roughly a third of
-    the rest start at the root so dominance pruning has work to do.
-    Returns (minimal, removed, raw links).
-    """
-    m = rng.randint(2, max_edges)
-    count = rng.randint(1, max_links - 1)
-    raw = [PathLink(left=0, right=m, cost=2 ** max_cls, cls=max_cls, id=0)]
-    for i in range(1, count + 1):
-        left = 0 if rng.random() < 0.3 else rng.randint(0, m - 1)
-        right = rng.randint(left + 1, m)
-        cls = rng.randint(0, max_cls)
-        raw.append(PathLink(left=left, right=right, cost=2 ** cls, cls=cls, id=i))
-    minimal, removed = build_minimal_instance(m, raw)
-    return minimal, removed, raw

@@ -15,9 +15,10 @@ number; when the constructor names a ``(kind, index)`` entry, the
 parser reads the text again to find its line.  Every endpoint token the
 parser has read before maps to the int it made then, so the instance
 holds one int object per vertex id, not one per endpoint; the map is
-dropped before the constructor runs.  ``hashlib`` is imported only by
-``digest()``: it loads OpenSSL, and no solve takes a digest (every
-``wtap run-*`` and ``sweep`` hashes its report, so those still load it).
+dropped before the constructor runs.  An endpoint, ``n`` or ``root``
+token must be ASCII digits (``int()`` would also read signs,
+underscores and other scripts' digits); only a token met for the first
+time is checked, so the check costs once per distinct vertex.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
@@ -77,7 +78,12 @@ _COST_BOUND = 10 ** (2 * MAX_COST_CHARS)
 
 
 def _cost_classes(raw_costs: Sequence) -> list:
-    """Each cost's ``cls`` under ``round_costs``, by integer arithmetic."""
+    """Each cost's class: normalize by the minimum, then round up to a
+    power of two ``2**cls``, ``cls >= 0``, by integer arithmetic.
+
+    ``raw_costs`` holds ints or rationals.  Rejects nonpositive entries,
+    naming the ``("link", i)`` entry at fault.
+    """
     lo_num, lo_den = 1, 0           # the least cost so far; 1/0 exceeds all
     for i, c in enumerate(raw_costs):
         num, den = c.as_integer_ratio()
@@ -90,16 +96,6 @@ def _cost_classes(raw_costs: Sequence) -> list:
     # with q = ceil(c / lo) >= 1 the class is the bit length of q - 1
     return [(-(-num * lo_den // (den * lo_num)) - 1).bit_length()
             for num, den in (c.as_integer_ratio() for c in raw_costs)]
-
-
-def round_costs(raw_costs: Sequence) -> list:
-    """Normalize by the minimum, then round each cost up to a power of 2.
-
-    ``raw_costs`` holds ints or rationals.  Returns one ``(cost, cls)``
-    pair per input, ``cost == 2**cls`` with ``cls >= 0``.  Rejects
-    nonpositive entries, naming the ``("link", i)`` entry at fault.
-    """
-    return [(1 << j, j) for j in _cost_classes(raw_costs)]
 
 
 def _check_ends(n: int, kind: str, i: int, u: int, v: int):
@@ -224,12 +220,6 @@ class TreeInstance:
         return frozenset(ln.id for ln in self.links
                          if edge_id in self.tree_path(ln.u, ln.v))
 
-    # -- serialization ---------------------------------------------------
-
-    def digest(self) -> str:
-        import hashlib                  # loads OpenSSL; no solve takes a digest
-        return hashlib.sha256(format_instance(self).encode()).hexdigest()
-
 
 def _parse_cost(token: str) -> int | Fraction:
     """An ``int`` for a digit string, one reduced ``Fraction`` built from
@@ -255,6 +245,15 @@ def _parse_cost(token: str) -> int | Fraction:
     return Fraction(token)
 
 
+def _digits(token: str) -> int:
+    """The int a token of ASCII digits ``0-9`` spells; any other token
+    raises ``ValueError``, where ``int()`` would read signs, underscores
+    and other scripts' digits."""
+    if not (token.isdigit() and token.isascii()):
+        raise ValueError(f"expected digits 0-9, got {token!r}")
+    return int(token)
+
+
 # directive -> the exact shape of its line
 _LINE_SHAPES = {
     "n": "n <count> root <vertex>",
@@ -273,7 +272,8 @@ def parse_instance(text: str) -> TreeInstance:
     comment; blank lines are skipped.  Costs may be integers, decimals,
     or ``p/q`` rationals, at most ``MAX_COST_CHARS`` characters long and
     with an exponent of at most that magnitude.  A line of the wrong
-    shape, a token that does not parse, a second header or a line before
+    shape, a token that does not parse (a count, root or endpoint that
+    is not ASCII digits among them), a second header or a line before
     the header raises ``BadInputError`` naming the line.  ``TreeInstance``
     checks every value; its error is re-raised naming the line of the
     entry at fault (and the line of the earlier edge a duplicate
@@ -303,17 +303,18 @@ def parse_instance(text: str) -> TreeInstance:
                     f"line {lineno}: {what} {_LINE_SHAPES['n']!r} header")
         try:
             if ends is None:
-                n, root, header = int(parts[1]), int(parts[3]), lineno
+                n, root, header = _digits(parts[1]), _digits(parts[3]), lineno
                 # endpoint token -> its int: every entry that names a
-                # vertex shares one object, and a repeated token skips int()
+                # vertex shares one object, and a repeated token skips
+                # _digits()
                 ids = {parts[3]: root}
                 continue
             u = ids.get(parts[1])
             if u is None:
-                u = ids[parts[1]] = int(parts[1])
+                u = ids[parts[1]] = _digits(parts[1])
             v = ids.get(parts[2])
             if v is None:
-                v = ids[parts[2]] = int(parts[2])
+                v = ids[parts[2]] = _digits(parts[2])
             ends.append(u)
             ends.append(v)
             if ends is links:

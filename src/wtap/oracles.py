@@ -1,8 +1,7 @@
 """Exact offline optima and independent verifiers.
 
 Everything here is ground truth for tests and reports: the exact path
-optimum, a brute subset enumeration to cross-check it, a
-branch-and-bound tree oracle for small link sets, and the
+optimum, a branch-and-bound tree oracle for small link sets, and the
 dual-feasibility / solution-quality verifiers.  The module reads only
 instances and errors from the package, never the pruning or solver
 code it checks: the niceness check rebuilds a path solver's duals and
@@ -13,7 +12,7 @@ Meyerson's parking-permit problem, FOCS 2005).  ``opt_path_dp`` solves
 it with one right-to-left sweep over the requested edges that keeps
 the links covering the current one in a lazily pruned min-heap, in
 O(edge_count + L + k log L) time for L links and k requested edges,
-so it certifies ratios at sizes the enumerations cannot reach.
+so it certifies ratios at sizes an enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .errors import (InfeasibleInstanceError, InvariantViolationError,
 from .instance import TreeInstance
 
 TREE_ENUM_LINK_CAP = 24
-PATH_ENUM_LINK_CAP = 20
-NICE_ENUM_LINK_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -99,40 +96,7 @@ def opt_path_dp(edge_count: int, links, requested_edges) -> OracleResult:
     return OracleResult(best[0][0], frozenset(witness), "interval-dp")
 
 
-def opt_path_enum(edge_count: int, links, requested_edges) -> OracleResult:
-    """Brute-force subset minimum; cross-check oracle for the DP."""
-    links = list(links)
-    if len(links) > PATH_ENUM_LINK_CAP:
-        raise OracleSizeError(f"enumeration capped at {PATH_ENUM_LINK_CAP} links")
-    reqs = sorted(set(requested_edges))
-    if not reqs:
-        return OracleResult(0, frozenset(), "subset-enum")
-    full = (1 << len(reqs)) - 1
-    masks = [sum(1 << i for i, r in enumerate(reqs) if l.left <= r < l.right)
-             for l in links]
-    best_cost = None
-    best_set = None
-    for subset in range(1 << len(links)):
-        m = 0
-        c = 0
-        s = subset
-        while s:
-            b = s & -s
-            i = b.bit_length() - 1
-            m |= masks[i]
-            c += links[i].cost
-            s ^= b
-        if m == full and (best_cost is None or c < best_cost):
-            best_cost = c
-            best_set = subset
-    if best_cost is None:
-        raise InfeasibleInstanceError("no link subset covers the requests")
-    witness = frozenset(links[i].id for i in range(len(links))
-                        if best_set >> i & 1)
-    return OracleResult(best_cost, witness, "subset-enum")
-
-
-def opt_tree_enum(inst: TreeInstance, requests=None) -> OracleResult:
+def opt_tree_enum(inst: TreeInstance) -> OracleResult:
     """Exact tree optimum by branch and bound over the link set.
 
     Feasible means every edge of every request path is covered.  Capped
@@ -143,10 +107,8 @@ def opt_tree_enum(inst: TreeInstance, requests=None) -> OracleResult:
     if len(inst.links) > TREE_ENUM_LINK_CAP:
         raise OracleSizeError(
             f"tree enumeration capped at {TREE_ENUM_LINK_CAP} links")
-    if requests is None:
-        requests = inst.requests
     required = set()
-    for req in requests:
+    for req in inst.requests:
         required.update(inst.tree_path(req.s, req.t))
     if not required:
         return OracleResult(0, frozenset(), "subset-enum")
@@ -234,9 +196,6 @@ class ConditionRecord:
 @dataclass
 class NicenessReport:
     conditions: list = field(default_factory=list)
-    enumerated: bool = False
-    feasible_split_count: int = 0
-    max_split_ratio: float = 0.0
     ok: bool = True
 
     def add(self, cid, bound, observed, ok):
@@ -294,18 +253,15 @@ def hat_dual(minimal, records, n_global) -> list:
     return _loads(minimal, *_replay(minimal, records), n_global)[1]
 
 
-def verify_nice(solver, records,
-                enum_cap: int = NICE_ENUM_LINK_CAP) -> NicenessReport:
+def verify_nice(solver, records) -> NicenessReport:
     """Check the purchased solution against the quality certificate.
 
-    Three direct conditions (total cost vs the scaled hat dual, per
-    non-rooted hat load, per rooted full load) plus, on instances with
-    at most ``enum_cap`` links, an exhaustive sweep over every feasible
-    solution of the pruned universe checking
-    ``c(F) <= 24*c(rooted part) + 24*(2 log2 n + 1)*c(non-rooted part)``,
-    with n the solver's ``n_global``.  The loads are replayed from the
-    solver's serve ``records``, in order; a replay that misses the
-    solver's dual or total cost raises ``InvariantViolationError``.
+    Three direct conditions: total cost vs the scaled hat dual, per
+    non-rooted hat load against ``2*(2 log2 n + 1)`` times its cost, and
+    per rooted full load against 3 times its cost, with n the solver's
+    ``n_global``.  The loads are replayed from the solver's serve
+    ``records``, in order; a replay that misses the solver's dual or
+    total cost raises ``InvariantViolationError``.
     """
     report = NicenessReport()
     minimal = solver.minimal
@@ -340,35 +296,4 @@ def verify_nice(solver, records,
                f"max load/cost {worst_nr:.3f}", ok_b)
     report.add("rooted-full-load", "<= 3*cost",
                f"max load/cost {float(worst_r):.3f}", ok_c)
-
-    if len(links) <= enum_cap:
-        report.enumerated = True
-        reqs = sorted({r.request for r in records})
-        full = (1 << len(reqs)) - 1
-        masks = [sum(1 << i for i, r in enumerate(reqs) if l.left <= r < l.right)
-                 for l in links]
-        nlinks = len(links)
-        cover = [0] * (1 << nlinks)
-        ok_d = True
-        worst = 0.0
-        count = 0
-        for s in range(1, 1 << nlinks):
-            low = s & -s
-            cover[s] = cover[s ^ low] | masks[low.bit_length() - 1]
-            if cover[s] != full:
-                continue
-            count += 1
-            chosen = [l for i, l in enumerate(links) if s >> i & 1]
-            rcost = sum(l.cost for l in chosen if l.rooted)
-            scost = sum(l.cost for l in chosen) - rcost
-            denom = rcost + wterm * scost
-            ratio = total / denom if denom else math.inf
-            if ratio > worst:
-                worst = ratio
-            if total > 24 * rcost + 24 * wterm * scost + 1e-9:
-                ok_d = False
-        report.feasible_split_count = count
-        report.max_split_ratio = worst
-        report.add("niceness-enumerated", "<= 24 per split",
-                   f"max constant {worst:.3f} over {count} solutions", ok_d)
     return report

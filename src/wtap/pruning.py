@@ -12,10 +12,7 @@ keeps.  ``build_minimal_instance`` then splits the links into kept and
 removed in one pass by id.
 ``replacement`` hands any link a cover by kept links: itself if kept,
 one kept rooted link of no higher class if it is a removed rooted
-link, else at most three kept links of its own class.  ``transfer``
-maps any feasible solution over the original links onto kept links
-with bounded cost loss: the rooted part at no extra cost, the rest at
-most 3x (after Gupta, Krishnaswamy and Ravi 2012).
+link, else at most three kept links of its own class.
 """
 
 from __future__ import annotations
@@ -44,9 +41,6 @@ class PathLink:
     @property
     def rooted(self) -> bool:
         return self.left == 0
-
-    def covers(self, edge: int) -> bool:
-        return self.left <= edge < self.right
 
 
 @dataclass(frozen=True)
@@ -152,28 +146,6 @@ def replacement(minimal: MinimalPathInstance, link: PathLink) -> list:
     return replacement_cover(link, minimal)
 
 
-def transfer(minimal: MinimalPathInstance, links) -> tuple:
-    """Map a feasible solution over the original links to kept links.
-
-    Returns (rooted_cover, nonrooted_cover), each ascending by id.  The
-    rooted members collapse to the single replacement of the deepest
-    one, costing no more than it; every non-rooted member is replaced by
-    its at most three same-class kept links, so that part costs at most
-    three times its input.
-    """
-    rooted = [l for l in links if l.rooted]
-    rooted_cover = []
-    if rooted:
-        deepest = max(rooted, key=lambda l: (l.right, -l.cls, -l.id))
-        rooted_cover = replacement(minimal, deepest)
-    nonrooted_cover = {}
-    for link in links:
-        if not link.rooted:
-            for rep in replacement(minimal, link):
-                nonrooted_cover[rep.id] = rep
-    return rooted_cover, sorted(nonrooted_cover.values(), key=lambda l: l.id)
-
-
 def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
     """At most three kept links of the link's class covering its span.
 
@@ -230,28 +202,6 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
         else:
             removed.append(l)
     return MinimalPathInstance(edge_count, tuple(kept), sources), removed
-
-
-def check_minimal(minimal: MinimalPathInstance) -> list:
-    """Violations of the minimal-instance shape; empty list when clean."""
-    problems = []
-    by_class = {}
-    for l in minimal.links:
-        by_class.setdefault(l.cls, []).append(l)
-    rooted_all = sorted((l for l in minimal.links if l.rooted), key=lambda l: l.cls)
-    for cls, group in sorted(by_class.items()):
-        rooted = [l for l in group if l.rooted]
-        if len(rooted) > 1:
-            problems.append(f"class {cls}: {len(rooted)} rooted links")
-        for e in range(minimal.edge_count):
-            depth = sum(1 for l in group if l.covers(e))
-            if depth > 2:
-                problems.append(f"class {cls}: edge {e} covered {depth} times")
-    for a, b in zip(rooted_all, rooted_all[1:]):
-        if not (a.cls < b.cls and a.right < b.right):
-            problems.append(
-                f"rooted links {a.id},{b.id} not strictly nested by class")
-    return problems
 
 
 def path_positions(inst: TreeInstance) -> Optional[list]:

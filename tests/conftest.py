@@ -16,6 +16,7 @@ something.
 """
 
 import random
+import re
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
@@ -319,6 +320,13 @@ def _reachable(n, edges, root):
     return order
 
 
+def _reference_digits(token):
+    """``int(token)`` for a token that matches ``[0-9]+`` in full."""
+    if re.fullmatch("[0-9]+", token) is None:
+        raise ValueError(f"expected digits 0-9, got {token!r}")
+    return int(token)
+
+
 def reference_parse_instance(text):
     """The instance format parsed with one tuple and one line number kept
     per entry, so an error names its line from the stored numbers;
@@ -345,8 +353,8 @@ def reference_parse_instance(text):
             raise BadInputError(
                 f"line {lineno}: {kind!r} before the {_LINE_SHAPES['n']!r} header")
         try:
-            a = int(parts[1])
-            b = int(parts[3] if kind == "n" else parts[2])
+            a = _reference_digits(parts[1])
+            b = _reference_digits(parts[3] if kind == "n" else parts[2])
             cost = _parse_cost(parts[3]) if kind == "link" else None
         except ValueError as exc:
             raise BadInputError(f"line {lineno}: {exc}") from exc

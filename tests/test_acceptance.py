@@ -20,17 +20,14 @@ from wtap.decomposition import (
 )
 from wtap.errors import InfeasibleInstanceError
 from wtap.fractional import FractionalPathSolver
-from wtap.generators import (
-    enumerate_trees,
-    gen_random,
-    random_minimal_path_instance,
-    random_tree,
-)
-from wtap.oracles import opt_path_dp, opt_path_enum, opt_tree_enum, verify_nice
+from wtap.generators import gen_random, random_tree
+from wtap.oracles import opt_path_dp, opt_tree_enum, verify_nice
 from wtap.path_online import PathSolver
-from wtap.pruning import build_minimal_instance, replacement, transfer
+from wtap.pruning import build_minimal_instance, replacement
 from wtap.tree_online import TreeSolver
 
+from checkers import (SPLIT_ENUM_LINK_CAP, enumerate_trees, opt_path_enum,
+                      random_minimal_path_instance, sweep_splits, transfer)
 from conftest import (PL, bought_cost_by_type, bought_of_type, charge_weighted_total,
                       run_sequence, tree_arrays)
 
@@ -116,12 +113,15 @@ def test_criterion_3_solution_quality_certificate():
         edges = list(range(minimal.edge_count))
         rng.shuffle(edges)
         solver = PathSolver(minimal)      # n_global = edge_count + 1
-        rep = verify_nice(solver, [solver.serve(e) for e in edges])
-        assert rep.enumerated, "instance small enough to sweep exhaustively"
-        assert rep.ok, [c for c in rep.conditions if not c.ok]
-        assert rep.max_split_ratio <= 24
-        worst = max(worst, rep.max_split_ratio)
-        total_splits += rep.feasible_split_count
+        records = [solver.serve(e) for e in edges]
+        rep = verify_nice(solver, records)
+        assert len(minimal.links) <= SPLIT_ENUM_LINK_CAP, \
+            "instance small enough to sweep exhaustively"
+        splits, ratio, ok = sweep_splits(solver, records)
+        assert rep.ok and ok, [c for c in rep.conditions if not c.ok]
+        assert ratio <= 24
+        worst = max(worst, ratio)
+        total_splits += splits
     elapsed = time.perf_counter() - start
     ok = elapsed < 120
     _line(3, ok, f"{count} runs, {total_splits} feasible splits swept, "

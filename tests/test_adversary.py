@@ -19,6 +19,12 @@ from conftest import (ReferenceGreedy, ReferenceSweepSolver, ReferenceWrapper,
                       reference_hierarchy_links)
 
 
+def links_over(inst, e):
+    """The level-j link over edge e for every level j, found by index
+    as the package finds it."""
+    return [row[e // span] for row, span in zip(inst.levels, inst.spans)]
+
+
 def level_cover_costs(rep):
     """Cost of each level's links over the requests, recounted by block."""
     return [len({r // (2 * rep.B) ** j for r in rep.requests}) * rep.B ** j
@@ -30,8 +36,8 @@ def test_depth_one_layout():
     assert inst.n == 4
     assert len(inst.links) == 5
     assert sorted(l.cost for l in inst.links) == [1, 1, 1, 1, 2]
-    assert inst.link_at(0, 2).left == 2
-    assert [l.cls for l in inst.cov(3)] == [0, 1]
+    assert links_over(inst, 2)[0].left == 2
+    assert [l.cls for l in links_over(inst, 3)] == [0, 1]
 
 
 def test_depth_two_layout():
@@ -82,8 +88,8 @@ def test_canonical_wrapper_buys_the_containing_chain():
     wrapper.serve(5)
     # top link cost 4, plus its level-1 and level-0 links through edge 5
     assert wrapper.cost == 4 + 2 + 1
-    assert inst.link_at(1, 5).id in wrapper.bought
-    assert inst.link_at(0, 5).id in wrapper.bought
+    assert links_over(inst, 5)[1].id in wrapper.bought
+    assert links_over(inst, 5)[0].id in wrapper.bought
     assert all(wrapper.covered)
 
 
@@ -101,7 +107,7 @@ def test_canonical_at_most_doubles_the_inner_cost():
 
     class RandomBuyer:
         def serve(self, e):
-            return [rng.choice(inst.cov(e)).id]
+            return [rng.choice(links_over(inst, e)).id]
 
     wrapper = CanonicalWrapper(inst, RandomBuyer(), canonical=True)
     inner_ids = set()

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +13,10 @@ from wtap.decomposition import (
     width_arrays,
 )
 from wtap.errors import InvariantViolationError
-from wtap.generators import enumerate_trees, prufer_decode
+from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
 
+from checkers import enumerate_trees
 from conftest import pairwise_width, reference_decompose_arrays, tree_arrays
 
 
@@ -231,3 +233,28 @@ def test_projections_partition_link_path(data):
         for e in range(left, right):
             child = verts[e + 1]
             assert inst.edge_of_child[child] in link_path
+
+
+def broom(handle, leaves, links, seed):
+    """A heavy path 0 .. handle-1 from the root, with ``leaves`` leaves
+    hung from random path vertices, and ``links`` random unit links."""
+    rng = random.Random(seed)
+    n = handle + leaves
+    edges = [(v - 1, v) for v in range(1, handle)]
+    edges += [(rng.randrange(handle), v) for v in range(handle, n)]
+    raw_links = [(*rng.sample(range(n), 2), 1) for _ in range(links)]
+    return TreeInstance(n, edges, 0, raw_links)
+
+
+def test_projections_stay_within_the_width_bound():
+    # every link's span count against the bound itself, not a measured
+    # width, up to n = 2**13; a broom's leaf-to-leaf links take three
+    insts = [gen_random("tree", 1 << p, 1000, 4.0, seed=p, feasible=False)
+             for p in range(8, 14)]
+    insts.append(broom(4000, 4000, 2000, seed=1))
+    for inst in insts:
+        decomp = decompose(inst)
+        bound = default_width_bound(inst.n)
+        worst = max(len(project(inst, decomp, ln)) for ln in inst.links)
+        assert worst <= bound, (inst.n, worst, bound)
+    assert worst == 3

@@ -13,10 +13,10 @@ from wtap.fractional import (
     phase_of,
     restricted_solution,
 )
-from wtap.generators import random_minimal_path_instance
 from wtap.oracles import opt_path_dp
 from wtap.pruning import build_minimal_instance
 
+from checkers import random_minimal_path_instance
 from conftest import PL, run_edges
 
 
@@ -148,7 +148,7 @@ def test_incremental_optimum_matches_dp_out_of_order():
             want = opt_path_dp(minimal.edge_count, minimal.links,
                                sol.requested).opt_cost
             assert sol.current_opt() == want
-            witness = sol.opt_witness()
+            witness = sol._witness
             covered = set()
             for lid in witness:
                 l = minimal.by_id[lid]
@@ -183,7 +183,7 @@ def assert_exact_optimum(sol):
     opt = sol.current_opt()
     assert opt == opt_path_dp(minimal.edge_count, minimal.links,
                               sol.requested).opt_cost
-    witness = sol.opt_witness()
+    witness = sol._witness
     covered = set()
     for lid in witness:
         covered.update(range(minimal.by_id[lid].left, minimal.by_id[lid].right))
@@ -262,7 +262,7 @@ def traced_runs(sol):
         if new:
             ran = sol._stale is None
             events.append((stale, sol.requested.index(e), ran,
-                           len(sol.opt_witness()) if ran else 0))
+                           len(sol._witness) if ran else 0))
 
     sol._note_request = traced
     return events
@@ -343,4 +343,4 @@ def test_dp_tie_breaks_to_the_lower_id(long_id, short_id, want):
     sol.serve(0)
     sol.serve(4)
     assert sol.current_opt() == 2
-    assert sol.opt_witness() == want
+    assert sol._witness == want

@@ -5,15 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wtap.errors import BadInputError
-from wtap.generators import (
-    enumerate_trees,
-    gen_random,
-    prufer_decode,
-    random_minimal_path_instance,
-    random_tree,
-)
+from wtap.generators import gen_random, prufer_decode, random_tree
 from wtap.instance import format_instance
-from wtap.pruning import check_minimal, replacement
+from wtap.pruning import replacement
+
+from checkers import check_minimal, enumerate_trees, random_minimal_path_instance
 
 
 def is_spanning_tree(n, edges):

@@ -6,16 +6,22 @@ seeded ``wtap gen`` instance, or one adversary table.  Run reports have
 Refactors must reproduce the corpus unchanged.  After an intended
 output change, regenerate it with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --regenerate
+
+Run as a script with any other arguments, it prints its usage, exits 2
+and writes nothing.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import wtap
 from wtap.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,7 +107,36 @@ def test_golden_corpus_is_reproduced():
         assert (GOLDEN / name).read_bytes() == content.encode(), name
 
 
+USAGE = "usage: python tests/test_golden.py --regenerate"
+
+
+def test_script_writes_only_when_asked_to_regenerate(tmp_path):
+    # a copy of this script beside an empty golden/ must print its usage,
+    # exit 2 and leave the directory empty for anything but --regenerate,
+    # which writes the corpus afresh
+    script = tmp_path / "test_golden.py"
+    script.write_text(Path(__file__).read_text(encoding="utf-8"), encoding="utf-8")
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(wtap.__file__).parent.parent)}
+    for argv in ([], ["--help"], ["regenerate"], ["--regenerate", "--help"]):
+        proc = subprocess.run([sys.executable, str(script), *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", USAGE + "\n")
+        assert list(golden.iterdir()) == [], argv
+    proc = subprocess.run([sys.executable, str(script), "--regenerate"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in golden.iterdir()) == sorted(
+        p.name for p in GOLDEN.iterdir())
+    for path in golden.iterdir():
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():
         old.unlink()

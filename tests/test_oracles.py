@@ -9,16 +9,14 @@ from hypothesis import given, strategies as st
 from wtap import tree_online
 from wtap.errors import (InfeasibleInstanceError, InvariantViolationError,
                          OracleSizeError)
-from wtap.generators import gen_random, random_minimal_path_instance
-from wtap.instance import Request, TreeInstance
+from wtap.generators import gen_random
+from wtap.instance import TreeInstance
 from wtap.oracles import (
-    PATH_ENUM_LINK_CAP,
     TREE_ENUM_LINK_CAP,
     _loads,
     _replay,
     hat_dual,
     opt_path_dp,
-    opt_path_enum,
     opt_tree_enum,
     verify_dual_feasible,
     verify_nice,
@@ -26,6 +24,8 @@ from wtap.oracles import (
 from wtap.pruning import build_minimal_instance, path_instance_from_tree
 from wtap.path_online import PathSolver
 
+from checkers import (PATH_ENUM_LINK_CAP, covers, opt_path_enum,
+                      random_minimal_path_instance, sweep_splits)
 from conftest import (PL, ReferenceChargeSolver, brute_cover,
                       reference_opt_path_dp)
 
@@ -82,7 +82,7 @@ def test_dp_matches_enum_and_brute(data):
     m = data.draw(st.integers(min_value=1, max_value=7))
     count = data.draw(st.integers(min_value=1, max_value=7))
     links = random_links(data, m, count)
-    reqs = [e for e in range(m) if any(l.covers(e) for l in links)]
+    reqs = [e for e in range(m) if any(covers(l, e) for l in links)]
     reqs = data.draw(st.sets(st.sampled_from(reqs))) if reqs else set()
     if not reqs:
         return
@@ -216,8 +216,8 @@ def test_tree_enum_cap():
 
 
 def test_tree_enum_explicit_requests_override():
-    inst = line_tree(4, [(0, 2, 1), (2, 3, 1)], requests=[(0, 3)])
-    assert opt_tree_enum(inst, requests=[Request(s=0, t=2)]).opt_cost == 1
+    inst = line_tree(4, [(0, 2, 1), (2, 3, 1)], requests=[(0, 2)])
+    assert opt_tree_enum(inst).opt_cost == 1
 
 
 @given(st.data())
@@ -269,21 +269,13 @@ def test_verify_nice_three_vertex_run():
     assert solver.cost == 3
     rep = verify_nice(solver, records)
     assert rep.ok
-    assert rep.enumerated
-    assert rep.feasible_split_count == 5
-    assert abs(rep.max_split_ratio - 1.5) < 1e-9
+    count, worst, ok = sweep_splits(solver, records)
+    assert ok
+    assert count == 5
+    assert abs(worst - 1.5) < 1e-9
     ids = [c.id for c in rep.conditions]
     assert ids == ["cost-vs-hat-dual", "nonrooted-hat-load",
-                   "rooted-full-load", "niceness-enumerated"]
-
-
-def test_verify_nice_skips_enumeration_over_cap():
-    links = [PL(0, 1, 0, 0), PL(1, 2, 0, 1), PL(0, 2, 1, 2)]
-    minimal, _ = build_minimal_instance(2, links)
-    solver = PathSolver(minimal)
-    rep = verify_nice(solver, [solver.serve(e) for e in [0, 1]], enum_cap=2)
-    assert not rep.enumerated
-    assert rep.ok
+                   "rooted-full-load"]
 
 
 def nice_runs(seed, count):
@@ -301,16 +293,20 @@ def nice_runs(seed, count):
 
 def test_verify_nice_calls_no_solver_method(monkeypatch):
     runs = nice_runs(5, 40)
-    want = [verify_nice(solver, records) for solver, records in runs]
-    assert all(rep.enumerated for rep in want)
+
+    def check(solver, records):
+        return verify_nice(solver, records), sweep_splits(solver, records)
+
+    want = [check(solver, records) for solver, records in runs]
+    assert all(count > 0 for _, (count, _, _) in want)
 
     def called(*args, **kwargs):
-        raise AssertionError("verify_nice called a PathSolver method")
+        raise AssertionError("the niceness check called a PathSolver method")
 
     for name, attr in vars(PathSolver).items():
         if callable(attr) and not name.startswith("__"):
             monkeypatch.setattr(PathSolver, name, called)
-    assert [verify_nice(solver, records) for solver, records in runs] == want
+    assert [check(solver, records) for solver, records in runs] == want
 
 
 def test_verify_nice_rejects_records_missing_a_serve():

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wtap.adversary import HierarchicalInstance, PathAlgContestant, adversary_drive
 from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
-from wtap.generators import random_minimal_path_instance
 from wtap.oracles import _replay, hat_dual, opt_path_dp, verify_dual_feasible
 from wtap.path_online import PathSolver
 from wtap.pruning import build_minimal_instance
 
+from checkers import random_minimal_path_instance
 from conftest import (PL, ReferenceSweepSolver, bought_cost_by_type, bought_of_type,
                       charge_weighted_total, run_sequence)
 
@@ -425,3 +426,48 @@ def test_fenwick_index_matches_product_after_every_serve(data):
         for l in minimal.links:
             assert solver.full_load(l) == sum(weighted[l.left:l.right])
         assert rec.frontier_right == naive_trigger_frontier(solver, before)
+
+
+def assert_prefix_queries_bounded(solver, edges):
+    """Serve ``edges``; each serve asks ``_prefix`` at most once per rooted
+    link right of the frontier it started from, so at most once per
+    class, and never on a skip."""
+    calls = [0]
+    prefix = solver._prefix
+
+    def counted(k):
+        calls[0] += 1
+        return prefix(k)
+
+    solver._prefix = counted
+    rooted = solver.rooted_by_right
+    classes = len({l.cls for l in rooted})
+    for e in edges:
+        ahead = sum(l.right > solver.frontier for l in rooted)
+        before = calls[0]
+        rec = solver.serve(e)
+        made = calls[0] - before
+        assert made <= ahead <= classes, (e, made, ahead, classes)
+        if rec.skipped:
+            assert made == 0, e
+
+
+def test_serve_asks_one_prefix_per_rooted_link_ahead():
+    rng = random.Random(4242)
+    for _ in range(200):
+        minimal, _, _ = random_minimal_path_instance(rng, max_edges=40,
+                                                     max_links=32, max_cls=8)
+        edges = list(range(minimal.edge_count)) * 2
+        rng.shuffle(edges)
+        assert_prefix_queries_bounded(PathSolver(minimal), edges)
+
+
+def test_alg1_serve_asks_one_prefix_per_rooted_link_ahead():
+    # the adversary's own requests, then every edge in random order, most
+    # of them skips by then
+    rng = random.Random(4243)
+    for k in range(1, 7):
+        inst = HierarchicalInstance(2, k)
+        edges = adversary_drive(inst, "alg1").requests + rng.sample(
+            range(inst.n), inst.n)
+        assert_prefix_queries_bounded(PathAlgContestant(inst).solver, edges)

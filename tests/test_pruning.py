@@ -13,16 +13,15 @@ from wtap.pruning import (
     MinimalPathInstance,
     PathLink,
     build_minimal_instance,
-    check_minimal,
     path_instance_from_tree,
     path_positions,
     prune_class,
     prune_rooted,
     replacement,
     replacement_cover,
-    transfer,
 )
 
+from checkers import check_minimal, covers, transfer
 from conftest import PL, reference_build_minimal
 
 
@@ -126,7 +125,7 @@ def test_class_cover_preserves_union_at_depth_two(raw):
     for l in links:
         union.update(range(l.left, l.right))
     for e in union:
-        depth = sum(1 for l in links if l.id in kept_ids and l.covers(e))
+        depth = sum(1 for l in links if l.id in kept_ids and covers(l, e))
         assert 1 <= depth <= 2
 
 

@@ -172,6 +172,7 @@ def test_matches_offline_on_fixed_small_instance():
         edges=[(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)],
         root=0,
         raw_links=[(2, 4, 1), (0, 2, 2), (4, 5, 1), (0, 5, 4)],
+        requests=[(2, 4), (4, 5)],
     )
     solver = TreeSolver(inst)
     run_pairs(solver, [(2, 4), (4, 5)])
@@ -179,8 +180,7 @@ def test_matches_offline_on_fixed_small_instance():
     for pair in [(2, 4), (4, 5)]:
         for e in inst.tree_path(*pair):
             assert covered[e]
-    from wtap.instance import Request
-    opt = opt_tree_enum(inst, [Request(s=2, t=4), Request(s=4, t=5)]).opt_cost
+    opt = opt_tree_enum(inst).opt_cost
     assert opt <= solver.cost_total
 
 
