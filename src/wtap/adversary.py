@@ -151,7 +151,6 @@ class LowerBoundReport:
     B: int
     k: int
     n: int
-    algo: str
     alg_cost: int
     opt: int
     ratio: float
@@ -195,6 +194,6 @@ def adversary_drive(inst: HierarchicalInstance, algo_name: str) -> LowerBoundRep
     opt = opt_path_dp(inst.n, inst.links, requests).opt_cost
     ratio = wrapper.cost / opt if opt else float("inf")
     return LowerBoundReport(
-        B=inst.B, k=inst.k, n=inst.n, algo=algo_name, alg_cost=wrapper.cost,
+        B=inst.B, k=inst.k, n=inst.n, alg_cost=wrapper.cost,
         opt=opt, ratio=ratio, cert_ok=cert_ok, requests=requests,
     )

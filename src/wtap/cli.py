@@ -232,10 +232,8 @@ def _run_tree(inst):
         detail=f"{solver.cost_total} vs {solver.path_cost_total()}"))
     opt = None
     if len(inst.links) <= TREE_ENUM_LINK_CAP:
-        try:
-            opt = opt_tree_enum(inst).opt_cost
-        except InfeasibleInstanceError:
-            pass
+        # every request was served, so the bought links are feasible
+        opt = opt_tree_enum(inst).opt_cost
     return per_request, solver.cost_total, invariants, opt
 
 
@@ -300,7 +298,7 @@ _RUN_COMMANDS = {
 }
 
 
-def run_report(algorithm: str, inst, seed=None) -> RunReport:
+def run_report(algorithm: str, inst) -> RunReport:
     """Run one algorithm on an instance and record the outcome."""
     run = _ALGORITHMS.get(algorithm)
     if run is None:
@@ -318,7 +316,7 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
         ratio=cost / opt if opt else None,
         invariants=invariants,
         wall_time=time.perf_counter() - start,
-        config_hash=config_hash(algorithm, seed),
+        config_hash=config_hash(algorithm),
     )
 
 
@@ -327,7 +325,7 @@ def run_report(algorithm: str, inst, seed=None) -> RunReport:
 
 def cmd_run(args) -> int:
     inst = load_instance(args.instance)
-    report = run_report(args.algorithm, inst, seed=args.seed)
+    report = run_report(args.algorithm, inst)
     if getattr(args, "trace", False):
         for row in report.per_request:
             rec = {k: row[k] for k in ("request", "y_raise", "type1",
@@ -506,7 +504,7 @@ def cmd_sweep(args) -> int:
             row = {"n": n, "seed": cell_seed, "cost": None, "opt": None,
                    "ratio": None, "invariants_ok": None, "error": ""}
             try:
-                rep = run_report("tree-online", inst, seed=cell_seed)
+                rep = run_report("tree-online", inst)
                 row["cost"] = rep.final_cost
                 row["opt"] = rep.opt
                 row["ratio"] = rep.ratio
@@ -553,7 +551,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prune)
 
     for name, (algorithm, help_text) in _RUN_COMMANDS.items():
-        p = sub.add_parser(name, parents=[common, seeded], help=help_text)
+        p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("instance")
         if name == "run-path":
             p.add_argument("--trace", action="store_true",

@@ -40,10 +40,6 @@ def prufer_decode(seq, n: int):
 
 
 def random_tree(n: int, rng: random.Random):
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return prufer_decode(seq, n)
 
@@ -76,11 +72,7 @@ def gen_random(kind: str, n: int, link_count: int, cost_spread: float,
     elif kind == "path":
         edges = random_path_edges(n, rng)
         # root at an endpoint so path-only consumers accept the instance
-        degree = {}
-        for u, v in edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        root = min(v for v, d in degree.items() if d == 1)
+        root = min(edges[0][0], edges[-1][1])
     else:
         raise BadInputError(f"unknown instance kind {kind!r}")
 

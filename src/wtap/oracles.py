@@ -157,8 +157,6 @@ def opt_tree_enum(inst: TreeInstance) -> OracleResult:
         if cost + lb >= best[0]:
             return
         for li in sorted(covering[branch_i], key=lambda j: (inst.links[j].cost, j)):
-            if li in chosen:
-                continue
             chosen.append(li)
             dfs(mask | link_masks[li], cost + inst.links[li].cost, chosen)
             chosen.pop()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
 
 from .errors import BadInputError, InvariantViolationError
 from .instance import TreeInstance
@@ -94,8 +93,6 @@ def prune_class(links):
     """
     if not links:
         return set()
-    if any(l.cls != links[0].cls for l in links):
-        raise BadInputError("prune_class expects links of one class")
     by_left = sorted(links, key=lambda l: (l.left, -l.right, l.id))
     kept_ids = set()
     i, pos, best = 0, by_left[0].left, None
@@ -204,28 +201,18 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
     return MinimalPathInstance(edge_count, tuple(kept), sources), removed
 
 
-def path_positions(inst: TreeInstance) -> Optional[list]:
-    """Vertex order along the tree when it is a path rooted at one end.
-
-    The tree is connected, so it is such a path exactly when some vertex
-    lies n - 1 edges below the root; the instance's top-down order then
-    lists the vertices by depth, which is each one's position.
-    """
-    if max(inst.depth) != inst.n - 1:
-        return None
-    return inst.order
-
-
 def path_instance_from_tree(inst: TreeInstance):
     """Convert a path-shaped tree instance to path coordinates.
 
     Returns (edge_count, path links, request edge positions).  The tree
-    must be a path with the root at an endpoint, so that every link is
-    rooted or internal in the path sense.
+    must be a path rooted at an endpoint, so that every link is rooted
+    or internal and each vertex's position is its depth; any other shape
+    raises ``BadInputError``.
     """
-    if path_positions(inst) is None:
+    # the tree is connected: such a path exactly when a vertex is n - 1 deep
+    if max(inst.depth) != inst.n - 1:
         raise BadInputError("instance is not a path rooted at an endpoint")
-    pos = inst.depth                    # a vertex's position is its depth
+    pos = inst.depth
     plinks = []
     for ln in inst.links:
         a, b = pos[ln.u], pos[ln.v]

@@ -23,10 +23,11 @@ class InvariantRecord:
     detail: str = ""
 
 
-def config_hash(algorithm: str, seed: Optional[int] = None) -> str:
-    """Sixteen hex digits naming a run's configuration.  The blob keeps
-    an empty ``params`` list so that the hashes in earlier reports hold."""
-    blob = json.dumps({"algorithm": algorithm, "seed": seed, "params": []},
+def config_hash(algorithm: str) -> str:
+    """Sixteen hex digits naming a run's configuration: the solvers are
+    deterministic, so the algorithm alone.  The blob keeps the seed at 0
+    and an empty ``params`` list so that earlier reports' hashes hold."""
+    blob = json.dumps({"algorithm": algorithm, "seed": 0, "params": []},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -412,6 +412,16 @@ def test_exit_codes(tmp_path, capsys):
                                    "n 2 root 0\nedge 0 1 junk\n")]) == 4
 
 
+@pytest.mark.parametrize("command", ["run-path", "run-tree", "run-frac"])
+def test_run_commands_take_no_seed(tmp_path, capsys, command):
+    # every solver is deterministic, so a seed would change nothing
+    inst = write(tmp_path, "i.txt", PATH_INSTANCE)
+    assert main([command, inst, "--seed", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: unrecognized arguments: --seed 1\n"
+
+
 @pytest.mark.parametrize("cost", ["e++0", "1e+-5"])
 def test_cost_exponent_with_two_signs_names_the_token(tmp_path, capsys, cost):
     text = f"n 2 root 0\nedge 0 1\nlink 0 1 {cost}\n"

@@ -100,11 +100,30 @@ def render() -> dict:
     return files
 
 
-def test_golden_corpus_is_reproduced():
-    files = render()
+def assert_is_the_corpus(files: dict):
     assert sorted(files) == sorted(p.name for p in GOLDEN.iterdir())
     for name, content in files.items():
         assert (GOLDEN / name).read_bytes() == content.encode(), name
+
+
+def test_golden_corpus_is_reproduced():
+    assert_is_the_corpus(render())
+
+
+def test_golden_corpus_is_reproduced_under_python_O():
+    # runtime invariants raise instead of asserting, so stripping the
+    # asserts must change no output
+    code = ("import json, sys, test_golden; "
+            "json.dump([sys.flags.optimize, test_golden.render()], sys.stdout)")
+    path = os.pathsep.join([str(Path(wtap.__file__).parent.parent),
+                            str(Path(__file__).parent)])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    optimize, files = json.loads(proc.stdout)
+    assert optimize == 1
+    assert_is_the_corpus(files)
 
 
 USAGE = "usage: python tests/test_golden.py --regenerate"

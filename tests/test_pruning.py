@@ -14,7 +14,6 @@ from wtap.pruning import (
     PathLink,
     build_minimal_instance,
     path_instance_from_tree,
-    path_positions,
     prune_class,
     prune_rooted,
     replacement,
@@ -101,11 +100,6 @@ def test_class_cover_keeps_disjoint():
 
 def test_class_cover_tie_prefers_smaller_id():
     assert prune_class([PL(0, 2, 0, 7), PL(0, 2, 0, 3)]) == {3}
-
-
-def test_class_cover_rejects_mixed_classes():
-    with pytest.raises(BadInputError):
-        prune_class([PL(0, 1, 0, 0), PL(0, 2, 1, 1)])
 
 
 def test_class_cover_empty():
@@ -326,16 +320,13 @@ def test_transfer_bounds_and_coverage():
 
 # -- path-shaped tree instances ----------------------------------------------
 
-def test_path_positions_identifies_endpoint_rooted_path():
-    inst = TreeInstance(n=4, edges=[(2, 3), (0, 1), (1, 2)], root=0)
-    assert path_positions(inst) == [0, 1, 2, 3]
-
-
-def test_path_positions_rejects_other_shapes():
-    star = TreeInstance(n=4, edges=[(0, 1), (0, 2), (0, 3)], root=0)
-    assert path_positions(star) is None
-    mid = TreeInstance(n=3, edges=[(0, 1), (1, 2)], root=1)
-    assert path_positions(mid) is None
+def test_path_instance_from_tree_takes_edges_in_any_order():
+    inst = TreeInstance(n=4, edges=[(2, 3), (0, 1), (1, 2)], root=0,
+                        raw_links=[(3, 0, 1)], requests=[(3, 1)])
+    edge_count, plinks, request_edges = path_instance_from_tree(inst)
+    assert edge_count == 3
+    assert [(l.left, l.right) for l in plinks] == [(0, 3)]
+    assert request_edges == [2, 1]
 
 
 def test_path_instance_from_tree_maps_links_and_requests():
@@ -357,7 +348,8 @@ def test_path_request_edges_follow_each_tree_path(n, seed):
     pairs += [(order[0], order[-1]), (order[-1], order[0]), (order[0], order[0])]
     inst = TreeInstance(n=n, edges=list(zip(order, order[1:])), root=order[0],
                         requests=pairs)
-    pos = {v: i for i, v in enumerate(path_positions(inst))}
+    # the path is built from order, so a vertex's position is its index
+    pos = {v: i for i, v in enumerate(order)}
     walked = [pos[inst.child_of_edge[e]] - 1
               for r in inst.requests for e in inst.tree_path(r.s, r.t)]
     assert path_instance_from_tree(inst)[2] == walked
@@ -367,6 +359,12 @@ def test_path_instance_from_tree_rejects_star():
     star = TreeInstance(n=4, edges=[(0, 1), (0, 2), (0, 3)], root=0)
     with pytest.raises(BadInputError):
         path_instance_from_tree(star)
+
+
+def test_path_instance_from_tree_rejects_a_path_rooted_inside():
+    mid = TreeInstance(n=3, edges=[(0, 1), (1, 2)], root=1)
+    with pytest.raises(BadInputError, match="not a path rooted at an endpoint"):
+        path_instance_from_tree(mid)
 
 
 def test_build_minimal_holds_little_beyond_what_it_returns():

@@ -64,19 +64,27 @@ def test_report_version_gate():
 
 
 def test_config_hash_stable_and_sensitive():
-    a = config_hash("run-tree", 7)
-    assert a == config_hash("run-tree", 7)
+    a = config_hash("tree-online")
+    assert a == config_hash("tree-online")
     assert len(a) == 16
-    assert a != config_hash("run-tree", 8)
-    assert a != config_hash("run-frac", 7)
-    assert config_hash("run-tree") == config_hash("run-tree", None)
+    assert a != config_hash("path-online")
+    assert a != config_hash("fractional")
 
 
 def test_config_hash_hashes_the_blob_with_empty_params():
     # the blob earlier reports were hashed from, so their hashes still hold
-    blob = '{"algorithm":"tree-online","params":[],"seed":null}'
+    blob = '{"algorithm":"tree-online","params":[],"seed":0}'
     assert config_hash("tree-online") == (
         hashlib.sha256(blob.encode()).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("algorithm, digits", [
+    ("path-online", "99485c4eed1d2b5f"),
+    ("tree-online", "b4f4808fb8036007"),
+    ("fractional", "cfff714872f38e02"),
+])
+def test_config_hash_is_the_one_the_golden_reports_carry(algorithm, digits):
+    assert config_hash(algorithm) == digits
 
 
 def test_rows_to_csv_golden():

@@ -241,11 +241,11 @@ def test_path_solvers_keep_only_this_state(cls):
     assert sorted(vars(cls(minimal))) == _STATE[cls]
 
 
-_RUN_OPTIONS = ["--quiet", "--report", "--seed"]
+_RUN_OPTIONS = ["--quiet", "--report"]
 _OPTIONS = {
     "decompose": ["--quiet"],
     "prune": ["--path", "--quiet"],
-    "run-path": ["--quiet", "--report", "--seed", "--trace"],
+    "run-path": ["--quiet", "--report", "--trace"],
     "run-tree": _RUN_OPTIONS,
     "run-frac": _RUN_OPTIONS,
     "oracle": ["--quiet"],

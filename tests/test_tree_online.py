@@ -156,6 +156,46 @@ def test_source_cost_never_below_path_accounting():
         assert solver.cost_total <= solver.path_cost_total()
 
 
+# (n, seed, pair, kept link, purchase type, source, cost_total,
+# path_cost_total): path 0's solver buys a kept link whose source an
+# earlier pair already bought, once by a type-3 sweep, once by a type-2
+# trigger; each instance is `wtap gen --kind tree --n N --links 2N
+# --cost-spread 64 --requests N --seed SEED`
+REPEAT_PURCHASES = [
+    (21, 1577, 9, 23, 3, 37, 22, 24),
+    (40, 3276, 7, 5, 2, 73, 37, 41),
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, pair, kept, kind, src, cost_total, path_cost_total",
+    REPEAT_PURCHASES, ids=["type-3-sweep", "type-2-trigger"])
+def test_repeat_purchase_of_a_source_costs_nothing(
+        n, seed, pair, kept, kind, src, cost_total, path_cost_total):
+    inst = gen_random("tree", n, 2 * n, 64.0, seed, request_count=n)
+    solver = TreeSolver(inst)
+    path0 = solver.solvers[0]
+    for req in inst.requests[:pair]:
+        solver.serve_pair(req.s, req.t)
+    assert src in solver.bought_sources and kept not in path0.bought
+    path_cost = solver.path_cost_total()
+    req = inst.requests[pair]
+    rep = solver.serve_pair(req.s, req.t)
+    assert path0.bought[kept] == kind
+    assert path0.minimal.kept_from[kept] == src
+    assert src not in rep.bought_sources
+    assert rep.incremental_cost == sum(
+        inst.links[b].cost for b in rep.bought_sources)
+    assert rep.incremental_cost == (solver.path_cost_total() - path_cost
+                                    - inst.links[src].cost)
+    for req in inst.requests[pair + 1:]:
+        solver.serve_pair(req.s, req.t)
+    assert (solver.cost_total, solver.path_cost_total()) == (
+        cost_total, path_cost_total)
+    invariant = {r.id: r for r in run_report("tree-online", inst).invariants}
+    assert invariant["purchases-not-double-counted"].ok
+
+
 def test_projection_multiplicity_bounded_by_width():
     for seed in range(20):
         inst, solver, _ = run_random(seed, n=24, extras=20, pairs=4)
