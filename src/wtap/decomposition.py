@@ -19,20 +19,26 @@ Two layers:
   ``parent``/``children`` arrays and a top-down ``order`` (the root
   first, each vertex after its parent), as ``TreeInstance`` keeps them;
   the exhaustive small tree sweeps run through it.
-* instance layer (``decompose``, ``width``, ``project``) takes a
-  ``TreeInstance``.  ``decompose`` returns the arrays frozen in a
-  ``RootedPathDecomposition``, and ``project`` returns a link's spans as
-  ``(path_id, left, right)`` triples.
+* instance layer (``decompose``, ``width``, ``project_all``,
+  ``project``) takes a ``TreeInstance``.  ``decompose`` returns the
+  arrays frozen in a ``RootedPathDecomposition``; ``project_all`` walks
+  a whole sequence of links once, yielding every span as
+  ``(link, path_id, left, right)``, and ``project`` is that walk for
+  one link, its spans sorted by path id.
 
-A ``RootedPathDecomposition`` holds three arrays.  ``paths[p]`` is path
+A ``RootedPathDecomposition`` holds four arrays.  ``paths[p]`` is path
 p's vertex tuple, from its head (the vertex closest to the tree root)
 downward.  ``pid_above[v]`` is the path owning the edge from v to its
 parent, and ``pos_above[v]`` is v's position on that path.  Every edge
-is addressed by its child vertex, so ``width`` and ``project`` (and the
+is addressed by its child vertex, so ``width`` and the walk (and the
 tree solver's edge routing) read these arrays instead of rebuilding
-vertex-to-position maps.
+vertex-to-position maps.  ``base`` numbers the edges globally,
+heavy-light style: path p's edges hold the contiguous slots
+``base[p] .. base[p+1]-1`` in path order, so a span ``(p, left,
+right)`` is the slot run ``base[p]+left .. base[p]+right-1``, and
+``base[-1]`` is the edge count.
 
-``project`` never walks a tree path edge by edge.  It steps both
+The walk never follows a tree path edge by edge.  It steps both
 endpoints at once, always jumping the one whose path head
 (``paths[pid][0]``) is deeper to that head, until both sit on one path;
 each jump yields one span.  So a link's projections cost O(width) steps.
@@ -53,6 +59,7 @@ class RootedPathDecomposition:
     paths: tuple             # path id -> vertex tuple, head first
     pid_above: tuple         # vertex -> id of the path owning its parent edge
     pos_above: tuple         # vertex -> its position on that path (root: -1)
+    base: tuple              # path id -> slot of its first edge; then n - 1
 
 
 def decompose_arrays(parent: list, children: list, order: list):
@@ -155,13 +162,16 @@ def default_width_bound(n: int) -> int:
 def decompose(inst: TreeInstance) -> RootedPathDecomposition:
     paths, pid_above = decompose_arrays(inst.parent, inst.children, inst.order)
     pos_above = [-1] * inst.n
+    base = [0]
     for p in paths:
         for i in range(1, len(p)):
             pos_above[p[i]] = i
+        base.append(base[-1] + len(p) - 1)
     return RootedPathDecomposition(
         paths=tuple(map(tuple, paths)),
         pid_above=tuple(pid_above),
         pos_above=tuple(pos_above),
+        base=tuple(base),
     )
 
 
@@ -170,46 +180,56 @@ def width(inst: TreeInstance, decomp: RootedPathDecomposition) -> int:
                         decomp.pid_above)
 
 
-def project(inst: TreeInstance, decomp: RootedPathDecomposition,
-            link: Link) -> list:
-    """The link's spans ``(path_id, left, right)``, path id ascending.
+def project_all(inst: TreeInstance, decomp: RootedPathDecomposition,
+                links):
+    """Yield ``(link, path_id, left, right)`` for every span of every link.
 
     ``left``/``right`` are vertex positions on path ``path_id`` (head =
     0); the span covers that path's edges ``left .. right-1`` and is
     rooted exactly when ``left == 0``.  One joint walk from both
-    endpoints finds the spans: while the two ends hang below different
-    paths, the end whose path head is deeper takes the rooted span
-    ``(pid, 0, pos_above[x])`` of its path ``pid`` and jumps to that
+    endpoints finds a link's spans: while the two ends hang below
+    different paths, the end whose path head is deeper takes the rooted
+    span ``(pid, 0, pos_above[x])`` of its path ``pid`` and jumps to that
     head; once both hang below one path, the span between them is the
     last.  Each jump leaves a path for good, so a link costs O(width),
-    not O(length of its tree path).  Paths meeting the link's tree path
-    in zero edges contribute nothing; among the rest at most one span
-    is non-rooted.  A path met twice, or a span end not at its stated
+    not O(length of its tree path), and its spans come in walk order,
+    not path id order.  Paths meeting the link's tree path in zero edges
+    contribute nothing; among the rest at most one span is non-rooted.
+    A path met twice by one link, or a span end not at its stated
     position, means the decomposition's arrays disagree and raises
     ``InvariantViolationError``.
     """
     pid_above, pos_above = decomp.pid_above, decomp.pos_above
     paths, depth = decomp.paths, inst.depth
-    spans = {}                      # path id -> (path id, left, right)
-    x, z = link.u, link.v           # x steps; the two ends swap as needed
-    while x != z:
-        pid, other = pid_above[x], pid_above[z]
-        if pid == other:
-            if depth[x] < depth[z]:
-                x, z = z, x
-            y, left = z, pos_above[z]
-        else:
-            if pid < 0 or (other >= 0 and depth[paths[other][0]]
-                           > depth[paths[pid][0]]):
-                x, z, pid = z, x, other
-            y, left = paths[pid][0], 0
-        verts = paths[pid]
-        right = pos_above[x]
-        if (pid in spans or not 0 <= left < right < len(verts)
-                or verts[left] != y or verts[right] != x):
-            raise InvariantViolationError(
-                f"projection of link {link.id} onto path {pid} "
-                f"is not contiguous")
-        spans[pid] = (pid, left, right)
-        x = y
-    return [spans[pid] for pid in sorted(spans)]
+    met = [-1] * len(paths)         # path id -> last link index meeting it
+    for i, link in enumerate(links):
+        x, z = link.u, link.v       # x steps; the two ends swap as needed
+        while x != z:
+            pid, other = pid_above[x], pid_above[z]
+            if pid == other:
+                if depth[x] < depth[z]:
+                    x, z = z, x
+                y, left = z, pos_above[z]
+            else:
+                if pid < 0 or (other >= 0 and depth[paths[other][0]]
+                               > depth[paths[pid][0]]):
+                    x, z, pid = z, x, other
+                y, left = paths[pid][0], 0
+            verts = paths[pid]
+            right = pos_above[x]
+            if (met[pid] == i or not 0 <= left < right < len(verts)
+                    or verts[left] != y or verts[right] != x):
+                raise InvariantViolationError(
+                    f"projection of link {link.id} onto path {pid} "
+                    f"is not contiguous")
+            met[pid] = i
+            yield link, pid, left, right
+            x = y
+
+
+def project(inst: TreeInstance, decomp: RootedPathDecomposition,
+            link: Link) -> list:
+    """The link's spans ``(path_id, left, right)``, path id ascending:
+    ``project_all`` for one link."""
+    return sorted((pid, left, right) for _, pid, left, right
+                  in project_all(inst, decomp, (link,)))

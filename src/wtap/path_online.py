@@ -45,11 +45,14 @@ caps provable; the accompanying test suite pins the intended traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError)
 from .pruning import MinimalPathInstance
+
+_RIGHT = attrgetter("right")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -94,7 +97,7 @@ class PathSolver:
         self.covered = [False] * m
         self.residual = {l.id: l.cost for l in minimal.links}
         self.rooted_by_right = sorted(
-            (l for l in minimal.links if l.rooted), key=lambda l: l.right)
+            [l for l in minimal.links if l.left == 0], key=_RIGHT)
         self.cost = 0
 
     # -- prefix index -----------------------------------------------------

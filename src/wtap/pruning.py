@@ -9,7 +9,8 @@ most two links over any edge, and its rooted links are strictly nested
 by class.  Pruning happens in two stages, rooted dominance first, then
 a per-class minimum interval cover; each stage returns only what it
 keeps.  ``build_minimal_instance`` then splits the links into kept and
-removed in one pass by id.
+removed in one pass by id, sorting them first only when their ids do
+not already ascend.
 ``replacement`` hands any link a cover by kept links: itself if kept,
 one kept rooted link of no higher class if it is a removed rooted
 link, else at most three kept links of its own class.
@@ -18,6 +19,7 @@ link, else at most three kept links of its own class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import attrgetter
 
 from .errors import BadInputError, InvariantViolationError
@@ -42,12 +44,15 @@ class PathLink:
         return self.left == 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MinimalPathInstance:
     """A pruned link set plus the one coverage index its solvers share.
 
     ``by_id`` maps link id to link and ``cov_ids[e]`` lists the ids of
     the links covering edge e, ascending; both are built once here.
+    Coverage changes only at link ends, so the edges of each run
+    between consecutive ends share one list.  Immutable by convention:
+    nothing assigns to an instance or its lists after it is built.
     """
 
     edge_count: int
@@ -57,12 +62,29 @@ class MinimalPathInstance:
     cov_ids: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cov_ids = [[] for _ in range(self.edge_count)]
+        self.by_id = {l.id: l for l in self.links}
+        # coverage changes only at link ends: a run of edges starts at
+        # edge 0 and at each link end, each run gets one list, and each
+        # link's id goes to the runs that start within its span, in id
+        # order (a one-edge link lies in one run)
+        m = self.edge_count
+        starts = bytearray(m + 1)
+        starts[0] = 1
         for l in self.links:
-            for e in range(l.left, l.right):
-                cov_ids[e].append(l.id)
-        object.__setattr__(self, "by_id", {l.id: l for l in self.links})
-        object.__setattr__(self, "cov_ids", cov_ids)
+            starts[l.left] = starts[l.right] = 1
+        cov_ids = []
+        for start in starts[:m]:
+            if start:
+                run = []
+            cov_ids.append(run)
+        for l in self.links:
+            lid, left, right = l.id, l.left, l.right
+            if right - left == 1:
+                cov_ids[left].append(lid)
+                continue
+            for run in compress(cov_ids[left:right], starts[left:right]):
+                run.append(lid)
+        self.cov_ids = cov_ids
 
 
 def prune_rooted(links):
@@ -172,25 +194,34 @@ def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
 def build_minimal_instance(edge_count: int, links, kept_from=None):
     """Run both prune stages; returns (minimal, removed).
 
-    ``removed`` lists the removed PathLinks ascending by id.
+    ``removed`` lists the removed PathLinks ascending by id.  The links
+    are sorted by id only when they do not already ascend.
     """
     rooted, by_class = [], {}           # class -> its non-rooted links
+    ascending, last = True, None
     for l in links:
         left = l.left
         if not 0 <= left < l.right <= edge_count:
             raise BadInputError(f"link {l.id} positions out of range")
-        if l.cost != 1 << l.cls:
+        if l.cls < 0 or l.cost != 1 << l.cls:
             raise BadInputError(f"link {l.id} cost is not 2**cls")
         if left == 0:
             rooted.append(l)
         else:
             by_class.setdefault(l.cls, []).append(l)
-    for l in prune_rooted(rooted):
+        if ascending and last is not None and l.id <= last:
+            ascending = False
+        last = l.id
+    for l in prune_rooted(rooted) if len(rooted) > 1 else rooted:
         by_class.setdefault(l.cls, []).append(l)
-    kept_ids = {cls: prune_class(group) for cls, group in by_class.items()}
-    by_id = sorted(links, key=attrgetter("id"))
-    if any(a.id == b.id for a, b in zip(by_id, by_id[1:])):
-        raise BadInputError("duplicate link ids")
+    # a lone link of its class is its class's cover
+    kept_ids = {cls: prune_class(group) if len(group) > 1 else {group[0].id}
+                for cls, group in by_class.items()}
+    by_id = links
+    if not ascending:
+        by_id = sorted(links, key=attrgetter("id"))
+        if any(a.id == b.id for a, b in zip(by_id, by_id[1:])):
+            raise BadInputError("duplicate link ids")
     kept, sources, removed = [], {}, []
     for l in by_id:
         if l.id in kept_ids.get(l.cls, ()):

@@ -1,8 +1,9 @@
 """Online tree augmentation by reduction to per-path solvers.
 
 Setup: decompose the tree into rooted paths, project every link onto
-every path it meets (by path-head jumps, O(width) per link), dedup
-projections landing on identical spans to the cheapest source, prune
+every path it meets in one walk over all links (by path-head jumps,
+O(width) per link), dedup the spans of all paths by their global edge
+slots, keeping each span's cheapest source, prune
 each path's link set to a minimal instance, and attach one path solver
 per path.
 
@@ -39,7 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .decomposition import decompose, project
+# ``project``, the one-link view of ``project_all``, stays importable
+# here: perfbench's tracer wraps it under this module's name
+from .decomposition import decompose, project, project_all
 from .errors import InfeasibleInstanceError, InvariantViolationError
 from .instance import TreeInstance
 from .path_online import PathSolver
@@ -72,23 +75,53 @@ def path_link_sets(inst: TreeInstance, decomp):
     """Yield each path's pruning input, in path id order.
 
     A path's input is ``(links, kept_from)``: one PathLink per distinct
-    projected span, numbered in ascending span order, and the map from
-    those numbers to the span's cheapest source link.  Links come in
-    ascending id and project onto a path at most once, so a strict cost
-    test keeps the lowest id among equal costs.
+    projected span, numbered in ascending ``(left, right)`` order, and
+    the map from those numbers to the span's cheapest source link.
+
+    One walk over all links feeds one dedup in global edge slots: path
+    p's edges hold the slots ``base[p] .. base[p+1]-1``, so a span is
+    the slot run ``lo .. hi-1``.  A rooted span is fixed by ``hi``
+    alone, and most spans are rooted, so those go to a flat list by
+    ``hi``; the rest (at most one per link) go to one dict keyed by the
+    int ``lo * (S+1) + hi`` (S tree edges), whose sorted keys run path
+    by path.  Links come in ascending id and meet a path at most once,
+    so a strict cost test keeps the lowest id among equal costs.
     """
-    spans = [dict() for _ in decomp.paths]
-    for ln in inst.links:
-        for pid, left, right in project(inst, decomp, ln):
-            cur = spans[pid].get((left, right))
-            if cur is None or ln.cost < cur.cost:
-                spans[pid][(left, right)] = ln
-    for by_span in spans:
+    base = decomp.base
+    stride = base[-1] + 1
+    rooted = [None] * stride            # hi -> cheapest rooted source
+    inner = {}                          # lo * stride + hi -> the same
+    get = inner.get
+    for link, pid, left, right in project_all(inst, decomp, inst.links):
+        if left:
+            b = base[pid]
+            key = (b + left) * stride + b + right
+            cur = get(key)
+            if cur is None or link.cost < cur.cost:
+                inner[key] = link
+        else:
+            hi = base[pid] + right
+            cur = rooted[hi]
+            if cur is None or link.cost < cur.cost:
+                rooted[hi] = link
+    keys = sorted(inner)
+    i, count = 0, len(keys)
+    for pid in range(len(decomp.paths)):
+        b, end = base[pid], base[pid + 1]
         links = []
         kept_from = {}
-        for idx, ((left, right), src) in enumerate(sorted(by_span.items())):
-            links.append(PathLink(left, right, src.cost, src.cls, idx))
-            kept_from[idx] = src.id
+        for hi in range(b + 1, end + 1):
+            src = rooted[hi]
+            if src is not None:
+                kept_from[len(links)] = src.id
+                links.append(PathLink(0, hi - b, src.cost, src.cls, len(links)))
+        past = end * stride             # the first key past this path
+        while i < count and keys[i] < past:
+            lo, hi = divmod(keys[i], stride)
+            src = inner[keys[i]]
+            kept_from[len(links)] = src.id
+            links.append(PathLink(lo - b, hi - b, src.cost, src.cls, len(links)))
+            i += 1
         yield links, kept_from
 
 

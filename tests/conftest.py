@@ -11,8 +11,9 @@ every kept link instead of one edge's coverage list, an adversary
 that recomputes each level's block size and takes a keyed minimum
 instead of indexing precomputed rows, a path solver that records each
 type-1 link's charged edges as it serves instead of a replay of the
-serve records) so that agreement between the two actually means
-something.
+serve records, one dict of spans per path filled link by link instead
+of one walk over all links and one dedup over global edge slots) so
+that agreement between the two actually means something.
 """
 
 import random
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import settings
 
 from wtap.adversary import CanonicalWrapper
+from wtap.decomposition import project
 from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
 from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
@@ -495,6 +497,28 @@ def pairwise_width(n, edges, pid_above, root=0):
                 a = parent[a]
             best = max(best, len(pids))
     return best
+
+
+def reference_path_link_sets(inst, decomp):
+    """Each path's ``(links, kept_from)``, as the one-walk set-up yields
+    them: every link projected on its own, into one dict per path keyed
+    by ``(left, right)``, each kept to its cheapest source (the lowest
+    id among equal costs), then each path's spans sorted."""
+    spans = [dict() for _ in decomp.paths]
+    for ln in inst.links:
+        for pid, left, right in project(inst, decomp, ln):
+            cur = spans[pid].get((left, right))
+            if cur is None or ln.cost < cur.cost:
+                spans[pid][(left, right)] = ln
+    out = []
+    for by_span in spans:
+        links = []
+        kept_from = {}
+        for idx, ((left, right), src) in enumerate(sorted(by_span.items())):
+            links.append(PathLink(left, right, src.cost, src.cls, idx))
+            kept_from[idx] = src.id
+        out.append((links, kept_from))
+    return out
 
 
 class ReferenceSweepSolver(PathSolver):

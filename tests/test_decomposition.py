@@ -4,11 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wtap import tree_online
 from wtap.decomposition import (
     decompose,
     decompose_arrays,
     default_width_bound,
     project,
+    project_all,
     width,
     width_arrays,
 )
@@ -246,15 +248,54 @@ def broom(handle, leaves, links, seed):
     return TreeInstance(n, edges, 0, raw_links)
 
 
-def test_projections_stay_within_the_width_bound():
-    # every link's span count against the bound itself, not a measured
-    # width, up to n = 2**13; a broom's leaf-to-leaf links take three
+def bound_instances():
+    """Random trees at n = 2**8 .. 2**13, then a broom."""
     insts = [gen_random("tree", 1 << p, 1000, 4.0, seed=p, feasible=False)
              for p in range(8, 14)]
     insts.append(broom(4000, 4000, 2000, seed=1))
-    for inst in insts:
+    return insts
+
+
+def test_projections_stay_within_the_width_bound():
+    # every link's span count against the bound itself, not a measured
+    # width, up to n = 2**13; a broom's leaf-to-leaf links take three
+    for inst in bound_instances():
         decomp = decompose(inst)
         bound = default_width_bound(inst.n)
         worst = max(len(project(inst, decomp, ln)) for ln in inst.links)
         assert worst <= bound, (inst.n, worst, bound)
     assert worst == 3
+
+
+def test_set_up_walks_once_and_dedups_each_raw_span_once(monkeypatch):
+    # the tree set-up runs one walk over all links; it yields each link's
+    # spans (those of ``project``, within the width bound) once, and the
+    # span dedup takes each yielded span in one dict probe, so each raw
+    # span reaches the dedup dict exactly once
+    for inst in bound_instances():
+        decomp = decompose(inst)
+        walks, probed = [], []
+
+        def counted(inst_, decomp_, links):
+            walks.append(len(links))
+            for item in project_all(inst_, decomp_, links):
+                probed.append(item)
+                yield item
+
+        monkeypatch.setattr(tree_online, "project_all", counted)
+        sets = list(tree_online.path_link_sets(inst, decomp))
+        assert walks == [len(inst.links)]
+        by_link = {}
+        for link, pid, left, right in probed:
+            by_link.setdefault(link.id, []).append((pid, left, right))
+        bound = default_width_bound(inst.n)
+        raw = 0
+        for ln in inst.links:
+            spans = project(inst, decomp, ln)
+            assert sorted(by_link.get(ln.id, [])) == spans
+            assert len(spans) <= bound
+            raw += len(spans)
+        assert len(probed) == raw
+        # and the dedup keeps one link per distinct span
+        assert sum(len(links) for links, _ in sets) == len(
+            {(pid, left, right) for _, pid, left, right in probed})

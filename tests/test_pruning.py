@@ -134,6 +134,11 @@ def test_build_minimal_validates_inputs():
         build_minimal_instance(4, [PL(2, 2, 0, 0)])           # empty span
     with pytest.raises(BadInputError):
         build_minimal_instance(4, [PL(0, 1, 0, 0), PL(1, 2, 0, 0)])
+    with pytest.raises(BadInputError):                        # ids descend
+        build_minimal_instance(4, [PL(0, 1, 0, 1), PL(1, 2, 0, 0),
+                                   PL(2, 3, 0, 1)])
+    with pytest.raises(BadInputError, match="cost is not 2"):
+        build_minimal_instance(2, [PathLink(0, 1, 1, -1, 0)])  # class < 0
 
 
 def test_build_minimal_records_reasons():
@@ -224,11 +229,38 @@ def pruning_inputs(draw, shape):
 @given(data=st.data())
 def test_build_minimal_matches_the_two_stage_reference(shape, data):
     m, links, kept_from = data.draw(pruning_inputs(shape))
-    minimal, removed = build_minimal_instance(m, links, kept_from)
     kept, want_from, want_removed = reference_build_minimal(links, kept_from)
-    assert minimal.links == tuple(kept)
-    assert list(minimal.kept_from.items()) == list(want_from.items())
-    assert [(l, removal_reason(l)) for l in removed] == want_removed
+    # shuffled ids are sorted first; ascending ones are taken as they are
+    for given_links in (links, sorted(links, key=lambda l: l.id)):
+        minimal, removed = build_minimal_instance(m, given_links, kept_from)
+        assert minimal.links == tuple(kept)
+        assert list(minimal.kept_from.items()) == list(want_from.items())
+        assert [(l, removal_reason(l)) for l in removed] == want_removed
+
+
+@pytest.mark.parametrize("shape", ["mixed", "identical", "rooted", "infeasible"])
+@given(data=st.data())
+def test_coverage_lists_are_shared_per_run(shape, data):
+    # edge e's list holds the ids of the kept links over e, ascending,
+    # and neighbouring edges share one list exactly when those agree
+    m, links, kept_from = data.draw(pruning_inputs(shape))
+    minimal, _ = build_minimal_instance(m, links, kept_from)
+    cov = minimal.cov_ids
+    assert len(cov) == m
+    for e in range(m):
+        assert cov[e] == [l.id for l in minimal.links if l.left <= e < l.right]
+        assert cov[e] == sorted(set(cov[e]))
+        if e:
+            assert (cov[e] is cov[e - 1]) == (cov[e] == cov[e - 1])
+
+
+def test_coverage_lists_of_a_run_are_one_list():
+    minimal, _ = build_minimal_instance(
+        7, [PL(0, 4, 0, 0), PL(2, 6, 1, 1)])
+    cov = minimal.cov_ids
+    assert cov == [[0], [0], [0, 1], [0, 1], [1], [1], []]
+    assert len({id(ids) for ids in cov}) == 4
+    assert cov[0] is cov[1] and cov[2] is cov[3] and cov[4] is cov[5]
 
 
 # -- replacements and transfer ----------------------------------------------

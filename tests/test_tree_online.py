@@ -9,9 +9,10 @@ from wtap.errors import InfeasibleInstanceError, InvariantViolationError
 from wtap.generators import gen_random, prufer_decode
 from wtap.instance import TreeInstance
 from wtap.oracles import TREE_ENUM_LINK_CAP, opt_tree_enum
-from wtap.tree_online import TreeSolver
+from wtap.pruning import build_minimal_instance
+from wtap.tree_online import TreeSolver, path_link_sets
 
-from conftest import run_pairs
+from conftest import reference_path_link_sets, run_pairs
 
 
 def covered_edges(solver):
@@ -336,6 +337,71 @@ def test_head_jumps_and_union_find_match_the_walked_paths(data):
     # counts those of a pair cut short by an uncoverable edge
     assert solver.bought_sources == set(order)
     assert solver.cost_total == total
+
+
+# -- the one-walk set-up against per-link projection --------------------
+
+
+@st.composite
+def set_up_inputs(draw, shape):
+    """``(inst, gap)``: a tree instance whose links stress the span dedup,
+    and for ``uncoverable`` the edge no link crosses (else None).
+
+    ``random`` draws any links; ``equal`` draws them from a pool of at
+    most three endpoint pairs at two costs, so equal spans of equal cost
+    meet; ``leaves`` joins leaves, so most links span several paths;
+    ``tiny`` has n = 1 or 2.
+    """
+    n = draw(st.integers(1, 2) if shape == "tiny" else st.integers(3, 30))
+    root = draw(st.integers(0, n - 1))
+    if n == 1:
+        return TreeInstance(n=1, edges=[], root=0), None
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                        max_size=n - 2))
+    tree = TreeInstance(n=n, edges=prufer_decode(seq, n), root=root)
+    ends = list(range(n))
+    if shape == "leaves":
+        ends = [v for v in ends if not tree.children[v]] + [root]
+    pair = st.tuples(st.sampled_from(ends), st.sampled_from(ends)).filter(
+        lambda e: e[0] != e[1])
+    cost = st.sampled_from([1, 2, 3, 5, 8])
+    if shape == "equal":
+        pair = st.sampled_from(draw(st.lists(pair, min_size=1, max_size=3)))
+        cost = st.sampled_from([2, 4])
+    raw = draw(st.lists(st.tuples(pair, cost), max_size=3 * n))
+    gap = None
+    if shape == "uncoverable":
+        gap = draw(st.integers(0, n - 2))
+        raw = [(e, c) for e, c in raw if gap not in tree.tree_path(*e)]
+    inst = TreeInstance(n=n, edges=tree.edges, root=root,
+                        raw_links=[(u, v, c) for (u, v), c in raw])
+    return inst, gap
+
+
+@pytest.mark.parametrize("shape",
+                         ["random", "equal", "leaves", "tiny", "uncoverable"])
+@given(data=st.data())
+def test_one_walk_set_up_matches_per_link_projection(shape, data):
+    inst, gap = data.draw(set_up_inputs(shape))
+    solver = TreeSolver(inst)
+    got = list(path_link_sets(inst, solver.decomp))
+    want = reference_path_link_sets(inst, solver.decomp)
+    assert len(got) == len(want) == len(solver.solvers)
+    for pid, ((links, kept_from), (ref_links, ref_from)) in enumerate(
+            zip(got, want)):
+        assert links == ref_links
+        assert list(kept_from.items()) == list(ref_from.items())
+        minimal = solver.solvers[pid].minimal
+        ref_minimal, _ = build_minimal_instance(
+            len(solver.decomp.paths[pid]) - 1, ref_links, ref_from)
+        assert minimal == ref_minimal
+        assert list(minimal.kept_from.items()) == list(
+            ref_minimal.kept_from.items())
+        assert minimal.cov_ids == ref_minimal.cov_ids
+    if gap is not None:
+        child = inst.child_of_edge[gap]
+        pid, pos = solver.decomp.pid_above[child], solver.decomp.pos_above[child]
+        assert solver.solvers[pid].minimal.cov_ids[pos - 1] == []
 
 
 def walk(*args, **kwargs):
