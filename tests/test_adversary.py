@@ -71,8 +71,9 @@ def test_constructor_guards():
         HierarchicalInstance(2, 11)  # path longer than the memory guard
 
 
-def test_canonical_wrapper_buys_the_containing_chain():
-    inst = HierarchicalInstance(2, 2)
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_canonical_wrapper_buys_the_containing_chain(B):
+    inst = HierarchicalInstance(B, 2)
 
     class TopOnly:
         def __init__(self):
@@ -86,8 +87,8 @@ def test_canonical_wrapper_buys_the_containing_chain():
 
     wrapper = CanonicalWrapper(inst, TopOnly(), canonical=True)
     wrapper.serve(5)
-    # top link cost 4, plus its level-1 and level-0 links through edge 5
-    assert wrapper.cost == 4 + 2 + 1
+    # top link cost B^2, plus its level-1 and level-0 links through edge 5
+    assert wrapper.cost == B ** 2 + B + 1
     assert links_over(inst, 5)[1].id in wrapper.bought
     assert links_over(inst, 5)[0].id in wrapper.bought
     assert all(wrapper.covered)
@@ -101,8 +102,9 @@ def test_level_zero_purchase_adds_nothing():
     assert wrapper.covered[3] and not wrapper.covered[4]
 
 
-def test_canonical_at_most_doubles_the_inner_cost():
-    inst = HierarchicalInstance(2, 3)
+@pytest.mark.parametrize("B", [2, 3, 4])
+def test_canonical_at_most_doubles_the_inner_cost(B):
+    inst = HierarchicalInstance(B, 3)
     rng = random.Random(9)
 
     class RandomBuyer:
