@@ -44,12 +44,12 @@ class HierarchicalInstance:
         self.k = k
         self.n = n
         self.spans = [(2 * B) ** j for j in range(k + 1)]
-        self.levels = []        # level j is cost class j
+        self.levels = []        # level j costs B^j
         self.links = []
         for j, span in enumerate(self.spans):
             cost = B ** j
             base = len(self.links)
-            row = [PathLink(i * span, (i + 1) * span, cost, j, base + i)
+            row = [PathLink(i * span, (i + 1) * span, cost, base + i)
                    for i in range(n // span)]
             self.levels.append(row)
             self.links.extend(row)
@@ -79,7 +79,11 @@ class CanonicalWrapper:
             link = inst.links[lid]                # ids are list positions
             self._buy(link)
             if self.canonical and link.left <= e < link.right:
-                for row, span in zip(inst.levels[:link.cls], inst.spans):
+                # spans rise strictly and a level-j link is spans[j] wide
+                width = link.right - link.left
+                for row, span in zip(inst.levels, inst.spans):
+                    if span == width:
+                        break
                     self._buy(row[e // span])
 
 

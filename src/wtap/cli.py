@@ -390,7 +390,7 @@ def cmd_prune(args) -> int:
 
     def link_row(l):
         return {"id": l.id, "left": l.left, "right": l.right,
-                "cls": l.cls, "cost": l.cost}
+                "cls": l.cost.bit_length() - 1, "cost": l.cost}
 
     kept = [{**link_row(l), "source": minimal.kept_from[l.id]}
             for l in minimal.links]
@@ -458,8 +458,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if args.algo not in CONTESTANTS:
-        raise BadInputError(f"unknown contestant {args.algo!r}")
     rows = []
     for k in _parse_int_range(args.k, _K_MOST):
         inst = HierarchicalInstance(args.B, k)
@@ -574,8 +572,7 @@ def build_parser() -> _Parser:
                        help="adaptive adversary on hierarchical instances")
     p.add_argument("--B", type=int, default=2)
     p.add_argument("--k", default="1..4", help="depth or range, e.g. 1..6")
-    p.add_argument("--algo", default="greedy",
-                   help="greedy | alg1 | top")
+    p.add_argument("--algo", default="greedy", choices=sorted(CONTESTANTS))
     p.add_argument("--csv", help="write the table to this file")
     p.set_defaults(func=cmd_lowerbound)
 

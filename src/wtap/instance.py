@@ -22,14 +22,14 @@ time is checked, so the check costs once per distinct vertex.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
-every link cost is an integer ``2**cls``.  Only the raw input costs are
-rational, held exactly as an ``int`` or a ``fractions.Fraction``: the
-parser turns a digit string into an ``int`` and an ``a.b`` or ``p/q``
-token into one reduced ``Fraction`` built from ints, and only other
-tokens (signs, exponents, underscores) go through ``Fraction(token)``.
-``str()`` of either reads as ``str(Fraction(token))`` would.  The path
-solvers' duals are exact ints, and the fractional solver's ``x`` is a
-float.
+every link cost is an integer power of two and is its own cost class.
+Only the raw input costs are rational, held exactly as an ``int`` or a
+``fractions.Fraction``: the parser turns a digit string into an
+``int`` and an ``a.b`` or ``p/q`` token into one reduced ``Fraction``
+built from ints, and only other tokens (signs, exponents, underscores)
+go through ``Fraction(token)``.  ``str()`` of either reads as
+``str(Fraction(token))`` would.  The path solvers' duals are exact
+ints, and the fractional solver's ``x`` is a float.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import BadInputError
 
 @dataclass(slots=True, unsafe_hash=True)
 class Link:
-    """An extra edge with a power-of-two cost (``cost == 2**cls``).
+    """An extra edge with a power-of-two cost, which is also its class.
 
     Immutable by convention: nothing assigns to a link after it is built.
     """
@@ -51,7 +51,6 @@ class Link:
     u: int
     v: int
     cost: int
-    cls: int
     id: int
 
 
@@ -183,7 +182,7 @@ class TreeInstance:
             ends += u, v
             raw_costs.append(c)
         ends = iter(ends)
-        self.links = [Link(u, v, 1 << j, j, i) for i, (u, v, j)
+        self.links = [Link(u, v, 1 << j, i) for i, (u, v, j)
                       in enumerate(zip(ends, ends, _cost_classes(raw_costs)))]
 
         self.requests = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))

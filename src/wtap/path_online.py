@@ -5,7 +5,7 @@ requests.  A serve step does three things, in order:
 
 1. raise the request edge's dual until the cheapest-residual covering
    link goes tight, and buy that link (type 1; ties prefer higher
-   class, then the furthest right endpoint, then the smaller id);
+   cost, then the furthest right endpoint, then the smaller id);
 2. charge every positive-dual edge of the bought link's span at or
    beyond the frontier;
 3. scan rooted links extending past the frontier whose accumulated
@@ -137,7 +137,7 @@ class PathSolver:
         swept = []
         for lid in self.minimal.cov_ids[right]:
             l = by_id[lid]
-            if lid not in self.bought and l.cls < trig.cls and 0 < l.left < right:
+            if lid not in self.bought and l.cost < trig.cost and 0 < l.left < right:
                 self._buy(l, 3)
                 swept.append(lid)
         return tuple(swept)
@@ -161,7 +161,7 @@ class PathSolver:
         for lid in cands:
             if self.residual[lid] == delta:
                 l = minimal.by_id[lid]
-                key = (-l.cls, -l.right, l.id)
+                key = (-l.cost, -l.right, l.id)
                 if pick is None or key < pick_key:
                     pick, pick_key = l, key
         if delta > 0:

@@ -4,16 +4,16 @@ Links here live on one decomposition path with integer vertex
 positions: a link ``[left, right]`` covers edges ``left .. right-1``
 and is rooted exactly when ``left == 0``.
 
-A minimal instance has, per cost class, at most one rooted link and at
-most two links over any edge, and its rooted links are strictly nested
-by class.  Pruning happens in two stages, rooted dominance first, then
-a per-class minimum interval cover; each stage returns only what it
+Costs are powers of two, so a link's cost is its class.  A minimal
+instance has, per class, at most one rooted link and at most two links
+over any edge, and its rooted links are strictly nested by class.
+Pruning happens in two stages, rooted dominance first, then a
+per-class minimum interval cover; each stage returns only what it
 keeps.  ``build_minimal_instance`` then splits the links into kept and
 removed in one pass by id, sorting them first only when their ids do
-not already ascend.
-``replacement`` hands any link a cover by kept links: itself if kept,
-one kept rooted link of no higher class if it is a removed rooted
-link, else at most three kept links of its own class.
+not already ascend.  ``replacement`` hands any link a cover by kept
+links: itself if kept, one kept rooted link of no higher cost if it is
+a removed rooted link, else at most three kept links of its own cost.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class PathLink:
     left: int
     right: int
     cost: int
-    cls: int
     id: int
 
     @property
@@ -94,7 +93,7 @@ def prune_rooted(links):
     class, with strictly increasing spans.
     """
     order = sorted((l for l in links if l.left == 0),
-                   key=lambda l: (l.cls, -l.right, l.id))
+                   key=lambda l: (l.cost, -l.right, l.id))
     kept = []
     max_right = -1
     for l in order:
@@ -146,7 +145,7 @@ def replacement(minimal: MinimalPathInstance, link: PathLink) -> list:
     """Kept links covering the given link's span.
 
     A kept link replaces itself; a removed rooted link gets the kept
-    rooted link of smallest (class, id) among those with class no higher
+    rooted link of smallest (cost, id) among those costing no more and
     reaching at least as far; any other link gets a chain of at most
     three same-class kept links.  Both read the coverage index: a kept
     rooted link reaches as far exactly when it covers the link's last
@@ -157,11 +156,11 @@ def replacement(minimal: MinimalPathInstance, link: PathLink) -> list:
     if link.rooted:
         dominators = [k for k in map(minimal.by_id.get,
                                      minimal.cov_ids[link.right - 1])
-                      if k.rooted and k.cls <= link.cls]
+                      if k.rooted and k.cost <= link.cost]
         if not dominators:
             raise InvariantViolationError(
                 f"dominated rooted link {link.id} has no kept dominator")
-        return [min(dominators, key=lambda l: (l.cls, l.id))]
+        return [min(dominators, key=lambda l: (l.cost, l.id))]
     return replacement_cover(link, minimal)
 
 
@@ -177,7 +176,7 @@ def replacement_cover(link: PathLink, minimal: MinimalPathInstance) -> list:
     while pos < link.right:
         best = None
         for l in map(minimal.by_id.get, minimal.cov_ids[pos]):
-            if l.cls == link.cls and (best is None or l.right > best.right
+            if l.cost == link.cost and (best is None or l.right > best.right
                                       or (l.right == best.right and l.id < best.id)):
                 best = l
         if best is None:
@@ -197,26 +196,26 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
     ``removed`` lists the removed PathLinks ascending by id.  The links
     are sorted by id only when they do not already ascend.
     """
-    rooted, by_class = [], {}           # class -> its non-rooted links
+    rooted, by_class = [], {}           # cost -> its non-rooted links
     ascending, last = True, None
     for l in links:
         left = l.left
         if not 0 <= left < l.right <= edge_count:
             raise BadInputError(f"link {l.id} positions out of range")
-        if l.cls < 0 or l.cost != 1 << l.cls:
-            raise BadInputError(f"link {l.id} cost is not 2**cls")
+        if l.cost < 1 or l.cost & (l.cost - 1):
+            raise BadInputError(f"link {l.id} cost is not a power of two")
         if left == 0:
             rooted.append(l)
         else:
-            by_class.setdefault(l.cls, []).append(l)
+            by_class.setdefault(l.cost, []).append(l)
         if ascending and last is not None and l.id <= last:
             ascending = False
         last = l.id
     for l in prune_rooted(rooted) if len(rooted) > 1 else rooted:
-        by_class.setdefault(l.cls, []).append(l)
+        by_class.setdefault(l.cost, []).append(l)
     # a lone link of its class is its class's cover
-    kept_ids = {cls: prune_class(group) if len(group) > 1 else {group[0].id}
-                for cls, group in by_class.items()}
+    kept_ids = {cost: prune_class(group) if len(group) > 1 else {group[0].id}
+                for cost, group in by_class.items()}
     by_id = links
     if not ascending:
         by_id = sorted(links, key=attrgetter("id"))
@@ -224,7 +223,7 @@ def build_minimal_instance(edge_count: int, links, kept_from=None):
             raise BadInputError("duplicate link ids")
     kept, sources, removed = [], {}, []
     for l in by_id:
-        if l.id in kept_ids.get(l.cls, ()):
+        if l.id in kept_ids.get(l.cost, ()):
             kept.append(l)
             sources[l.id] = l.id if kept_from is None else kept_from[l.id]
         else:
@@ -248,7 +247,7 @@ def path_instance_from_tree(inst: TreeInstance):
     for ln in inst.links:
         a, b = pos[ln.u], pos[ln.v]
         left, right = min(a, b), max(a, b)
-        plinks.append(PathLink(left, right, ln.cost, ln.cls, ln.id))
+        plinks.append(PathLink(left, right, ln.cost, ln.id))
     # the edge above the vertex at position i sits at position i - 1, so
     # a request's edges, in order from s, are a run of consecutive positions
     request_edges = []

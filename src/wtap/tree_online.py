@@ -114,13 +114,13 @@ def path_link_sets(inst: TreeInstance, decomp):
             src = rooted[hi]
             if src is not None:
                 kept_from[len(links)] = src.id
-                links.append(PathLink(0, hi - b, src.cost, src.cls, len(links)))
+                links.append(PathLink(0, hi - b, src.cost, len(links)))
         past = end * stride             # the first key past this path
         while i < count and keys[i] < past:
             lo, hi = divmod(keys[i], stride)
             src = inner[keys[i]]
             kept_from[len(links)] = src.id
-            links.append(PathLink(lo - b, hi - b, src.cost, src.cls, len(links)))
+            links.append(PathLink(lo - b, hi - b, src.cost, len(links)))
             i += 1
         yield links, kept_from
 

@@ -41,7 +41,7 @@ def transfer(minimal, links) -> tuple:
     rooted = [l for l in links if l.rooted]
     rooted_cover = []
     if rooted:
-        deepest = max(rooted, key=lambda l: (l.right, -l.cls, -l.id))
+        deepest = max(rooted, key=lambda l: (l.right, -l.cost, -l.id))
         rooted_cover = replacement(minimal, deepest)
     nonrooted_cover = {}
     for link in links:
@@ -54,20 +54,20 @@ def transfer(minimal, links) -> tuple:
 def check_minimal(minimal) -> list:
     """Violations of the minimal-instance shape; empty list when clean."""
     problems = []
-    by_class = {}
+    by_cost = {}
     for l in minimal.links:
-        by_class.setdefault(l.cls, []).append(l)
-    rooted_all = sorted((l for l in minimal.links if l.rooted), key=lambda l: l.cls)
-    for cls, group in sorted(by_class.items()):
+        by_cost.setdefault(l.cost, []).append(l)
+    rooted_all = sorted((l for l in minimal.links if l.rooted), key=lambda l: l.cost)
+    for cost, group in sorted(by_cost.items()):
         rooted = [l for l in group if l.rooted]
         if len(rooted) > 1:
-            problems.append(f"class {cls}: {len(rooted)} rooted links")
+            problems.append(f"cost {cost}: {len(rooted)} rooted links")
         for e in range(minimal.edge_count):
             depth = sum(1 for l in group if covers(l, e))
             if depth > 2:
-                problems.append(f"class {cls}: edge {e} covered {depth} times")
+                problems.append(f"cost {cost}: edge {e} covered {depth} times")
     for a, b in zip(rooted_all, rooted_all[1:]):
-        if not (a.cls < b.cls and a.right < b.right):
+        if not (a.cost < b.cost and a.right < b.right):
             problems.append(
                 f"rooted links {a.id},{b.id} not strictly nested by class")
     return problems
@@ -174,11 +174,11 @@ def random_minimal_path_instance(rng, max_edges: int = 64,
     """
     m = rng.randint(2, max_edges)
     count = rng.randint(1, max_links - 1)
-    raw = [PathLink(left=0, right=m, cost=2 ** max_cls, cls=max_cls, id=0)]
+    raw = [PathLink(left=0, right=m, cost=2 ** max_cls, id=0)]
     for i in range(1, count + 1):
         left = 0 if rng.random() < 0.3 else rng.randint(0, m - 1)
         right = rng.randint(left + 1, m)
         cls = rng.randint(0, max_cls)
-        raw.append(PathLink(left=left, right=right, cost=2 ** cls, cls=cls, id=i))
+        raw.append(PathLink(left=left, right=right, cost=2 ** cls, id=i))
     minimal, removed = build_minimal_instance(m, raw)
     return minimal, removed, raw

@@ -43,7 +43,7 @@ settings.load_profile("suite")
 
 def PL(left, right, cls, id):
     """PathLink with the cost implied by its class."""
-    return PathLink(left=left, right=right, cost=1 << cls, cls=cls, id=id)
+    return PathLink(left=left, right=right, cost=1 << cls, id=id)
 
 
 def bought_of_type(solver, kind):
@@ -176,7 +176,7 @@ def reference_opt_path_dp(edge_count, links, requested_edges):
 def _reference_prune_rooted(links):
     """(kept, removed) rooted links, each ascending by id."""
     rooted = [l for l in links if l.rooted]
-    order = sorted(rooted, key=lambda l: (l.cls, -l.right, l.id))
+    order = sorted(rooted, key=lambda l: (l.cost, -l.right, l.id))
     kept = []
     max_right = -1
     for l in order:
@@ -225,13 +225,13 @@ def reference_build_minimal(links, kept_from=None):
     are merged and sorted by id."""
     kept_rooted, removed_rooted = _reference_prune_rooted(links)
     survivors = kept_rooted + [l for l in links if not l.rooted]
-    by_class = {}
+    by_cost = {}
     for l in survivors:
-        by_class.setdefault(l.cls, []).append(l)
+        by_cost.setdefault(l.cost, []).append(l)
     kept = []
     removed = [(l, "dominated-rooted") for l in removed_rooted]
-    for cls in sorted(by_class):
-        k, r = _reference_prune_class(by_class[cls])
+    for cost in sorted(by_cost):
+        k, r = _reference_prune_class(by_cost[cost])
         kept.extend(k)
         removed.extend((l, "redundant-cover") for l in r)
     kept.sort(key=lambda l: l.id)
@@ -244,7 +244,8 @@ def reference_build_minimal(links, kept_from=None):
 
 
 def _reference_round_costs(raw_costs):
-    """``(cost, cls)`` per raw cost, from one ``(num, den)`` pair each."""
+    """The rounded cost of each raw cost, from one ``(num, den)`` pair
+    each."""
     if not raw_costs:
         return []
     pairs = [(c, 1) if type(c) is int else (c.numerator, c.denominator)
@@ -261,7 +262,7 @@ def _reference_round_costs(raw_costs):
     for num, den in pairs:
         q = -(-num * lo_den // (den * lo_num))
         j = (q - 1).bit_length()
-        out.append((1 << j, j))
+        out.append(1 << j)
     return out
 
 
@@ -294,8 +295,8 @@ def _reference_instance(n, edges, root, raw_links, requests):
             raise BadInputError(f"link {i} cost has a numerator or denominator "
                                 f"over {2 * MAX_COST_CHARS} digits", ("link", i))
         raw_costs.append(c)
-    links = [Link(int(u), int(v), cost, cls, i)
-             for i, ((u, v, _), (cost, cls))
+    links = [Link(int(u), int(v), cost, i)
+             for i, ((u, v, _), cost)
              in enumerate(zip(raw_links, _reference_round_costs(raw_costs)))]
     out = []
     for i, (s, t) in enumerate(requests):
@@ -515,7 +516,7 @@ def reference_path_link_sets(inst, decomp):
         links = []
         kept_from = {}
         for idx, ((left, right), src) in enumerate(sorted(by_span.items())):
-            links.append(PathLink(left, right, src.cost, src.cls, idx))
+            links.append(PathLink(left, right, src.cost, idx))
             kept_from[idx] = src.id
         out.append((links, kept_from))
     return out
@@ -527,7 +528,7 @@ class ReferenceSweepSolver(PathSolver):
     def _sweep(self, trig):
         swept = []
         for l in self.minimal.links:
-            if (l.id not in self.bought and l.cls < trig.cls
+            if (l.id not in self.bought and l.cost < trig.cost
                     and 0 < l.left < trig.right < l.right):
                 self._buy(l, 3)
                 swept.append(l.id)
@@ -554,7 +555,7 @@ class ReferenceChargeSolver(PathSolver):
         delta = min(self.residual[lid] for lid in cands)
         pick = min((self.minimal.by_id[lid] for lid in cands
                     if self.residual[lid] == delta),
-                   key=lambda l: (-l.cls, -l.right, l.id))
+                   key=lambda l: (-l.cost, -l.right, l.id))
         self.y[e] += delta
         for lid in cands:
             self.residual[lid] -= delta
@@ -605,7 +606,7 @@ def reference_hierarchy_links(B, k):
         span = (2 * B) ** j
         for i in range((2 * B) ** k // span):
             links.append(PathLink(left=i * span, right=(i + 1) * span,
-                                  cost=B ** j, cls=j, id=len(links)))
+                                  cost=B ** j, id=len(links)))
     return links
 
 
@@ -649,7 +650,7 @@ class ReferenceWrapper(CanonicalWrapper):
             link = self.inst.links[lid]
             self._buy(link)
             if self.canonical and link.left <= e < link.right:
-                for j in range(link.cls):
+                for j in range(self.inst.spans.index(link.right - link.left)):
                     self._buy(_reference_link_at(self.inst, j, e))
 
 

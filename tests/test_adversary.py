@@ -37,7 +37,7 @@ def test_depth_one_layout():
     assert len(inst.links) == 5
     assert sorted(l.cost for l in inst.links) == [1, 1, 1, 1, 2]
     assert links_over(inst, 2)[0].left == 2
-    assert [l.cls for l in links_over(inst, 3)] == [0, 1]
+    assert [l.cost for l in links_over(inst, 3)] == [1, 2]
 
 
 def test_depth_two_layout():

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wtap import cli, instance
+from wtap.adversary import CONTESTANTS
 from wtap.cli import _uncovered_requested_edges, main
 from wtap.decomposition import decompose, project
 from wtap.errors import BadInputError
@@ -331,8 +332,13 @@ def test_lowerbound_json_and_file(tmp_path, capsys):
     assert rows[0]["opt"] == 1
 
 
-def test_lowerbound_bad_algo(capsys):
+def test_lowerbound_bad_algo(capsys, monkeypatch):
+    # the name is rejected while parsing, before any hierarchy is built
+    monkeypatch.setattr(cli, "HierarchicalInstance", None)
     assert main(["lowerbound", "--algo", "nope", "--quiet"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "'nope'" in err and all(name in err for name in CONTESTANTS)
 
 
 def test_gen_is_deterministic_and_runnable(tmp_path, capsys):

@@ -135,8 +135,8 @@ def test_random_minimal_path_instance_shape():
         full = [l for l in mp.links if l.left == 0 and l.right == mp.edge_count]
         assert full, "whole-path link must survive pruning"
         for l in mp.links:
-            assert l.cost == 1 << l.cls
-            assert l.cls <= 6
+            assert l.cost == 1 << l.cost.bit_length() - 1
+            assert l.cost <= 1 << 6
 
 
 def test_random_minimal_respects_custom_bounds():
@@ -146,4 +146,4 @@ def test_random_minimal_respects_custom_bounds():
                                                 max_cls=3)
         assert mp.edge_count <= 12
         assert len(mp.links) <= 6
-        assert all(l.cls <= 3 for l in mp.links)
+        assert all(l.cost <= 1 << 3 for l in mp.links)

@@ -283,7 +283,6 @@ def test_parse_sample():
     assert inst.n == 3
     assert inst.root == 0
     assert [l.cost for l in inst.links] == [1, 2]
-    assert [l.cls for l in inst.links] == [0, 1]
     assert inst.requests[0].s == 0 and inst.requests[0].t == 2
 
 
@@ -414,7 +413,7 @@ def test_parse_format_round_trip(kind, n, links, requests, feasible, seed):
     again = parse_instance(format_instance(inst))
     assert (again.n, again.root) == (inst.n, inst.root)
     assert again.edges == inst.edges
-    assert again.links == inst.links            # endpoints, cost, cls, id
+    assert again.links == inst.links            # endpoints, cost, id
     assert again.raw_costs == inst.raw_costs
     assert again.requests == inst.requests
 

@@ -304,9 +304,9 @@ def test_batch_type2_strictly_deepens():
     for minimal, _, _, solver, _ in BATCH:
         type2 = [minimal.by_id[i] for i in bought_of_type(solver, 2)]
         rights = [l.right for l in type2]
-        classes = [l.cls for l in type2]
+        costs = [l.cost for l in type2]
         assert rights == sorted(set(rights))
-        assert classes == sorted(set(classes))
+        assert costs == sorted(set(costs))
 
 
 @settings(max_examples=60)
@@ -441,7 +441,7 @@ def assert_prefix_queries_bounded(solver, edges):
 
     solver._prefix = counted
     rooted = solver.rooted_by_right
-    classes = len({l.cls for l in rooted})
+    classes = len({l.cost for l in rooted})
     for e in edges:
         ahead = sum(l.right > solver.frontier for l in rooted)
         before = calls[0]

@@ -73,13 +73,13 @@ def test_rooted_survivors_strictly_nested(raw):
     links = [PL(0, r, c, i) for i, (r, c) in enumerate(raw)]
     kept = prune_rooted(links)
     for a, b in zip(kept, kept[1:]):
-        assert a.cls < b.cls
+        assert a.cost < b.cost
         assert a.right < b.right
     # every removed link has a kept dominator
     kept_ids = {l.id for l in kept}
     for l in links:
         if l.id not in kept_ids:
-            assert any(k.cls <= l.cls and k.right >= l.right for k in kept)
+            assert any(k.cost <= l.cost and k.right >= l.right for k in kept)
 
 
 # -- per-class cover --------------------------------------------------------
@@ -127,8 +127,6 @@ def test_class_cover_preserves_union_at_depth_two(raw):
 
 def test_build_minimal_validates_inputs():
     with pytest.raises(BadInputError):
-        build_minimal_instance(4, [PathLink(0, 2, 3, 1, 0)])  # cost not 2**cls
-    with pytest.raises(BadInputError):
         build_minimal_instance(4, [PL(0, 5, 0, 0)])           # right too big
     with pytest.raises(BadInputError):
         build_minimal_instance(4, [PL(2, 2, 0, 0)])           # empty span
@@ -137,8 +135,19 @@ def test_build_minimal_validates_inputs():
     with pytest.raises(BadInputError):                        # ids descend
         build_minimal_instance(4, [PL(0, 1, 0, 1), PL(1, 2, 0, 0),
                                    PL(2, 3, 0, 1)])
-    with pytest.raises(BadInputError, match="cost is not 2"):
-        build_minimal_instance(2, [PathLink(0, 1, 1, -1, 0)])  # class < 0
+
+
+@pytest.mark.parametrize("cost", [0, 3, 6, -4])
+def test_build_minimal_rejects_a_cost_not_a_power_of_two(cost):
+    links = [PL(0, 1, 0, 0), PathLink(1, 2, cost, 5)]
+    with pytest.raises(BadInputError, match="^link 5 cost is not a power of two$"):
+        build_minimal_instance(2, links)
+
+
+def test_build_minimal_accepts_a_huge_power_of_two():
+    links = [PathLink(0, 2, 2 ** 4000, 0), PL(0, 1, 0, 1)]
+    minimal, removed = build_minimal_instance(2, links)
+    assert minimal.links == tuple(links) and removed == []
 
 
 def test_build_minimal_records_reasons():
@@ -181,10 +190,10 @@ def test_build_minimal_shape_and_coverage(data):
             assert len(reps) == 1
             rep = reps[0]
             assert rep in minimal.links and rep.rooted
-            assert rep.cls <= link.cls and rep.right >= link.right
+            assert rep.cost <= link.cost and rep.right >= link.right
         else:
             assert 1 <= len(reps) <= 3
-            assert all(r in minimal.links and r.cls == link.cls for r in reps)
+            assert all(r in minimal.links and r.cost == link.cost for r in reps)
             span = {e for r in reps for e in range(r.left, r.right)}
             assert span >= set(range(link.left, link.right))
 

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -201,9 +202,9 @@ def test_coverage_check_uses_nothing_of_the_tree_solver():
 
 _INST = TreeInstance(3, [(0, 1), (1, 2)], 0, [(0, 2, 3)], [(0, 2)])
 _RECORDS = [
-    (Link, (0, 2, 1, 0, 0)),
+    (Link, (0, 2, 1, 0)),
     (Request, (0, 2)),
-    (PathLink, (0, 2, 4, 2, 7)),
+    (PathLink, (0, 2, 4, 7)),
     (ServeRecord, (1, 3, 0, None, (2,), 2)),
     (FracRecord, (1, 4, "large", 0.5, 1.25, 2)),
     (PairReport, (0, 2, (0, 1), (0,), 1, _INST)),
@@ -223,6 +224,27 @@ def test_records_are_slotted_and_compare_by_field(cls, args):
     assert changed != a
 
 
+_FIELDS = {
+    Link: ["u", "v", "cost", "id"],
+    PathLink: ["left", "right", "cost", "id"],
+    Request: ["s", "t"],
+    ServeRecord: ["request", "y_raise", "type1", "type2", "type3",
+                  "frontier_right", "skipped"],
+    FracRecord: ["request", "opt_i", "kind", "t_star", "incremental_cost",
+                 "band_size"],
+    PairReport: ["s", "t", "served", "bought_sources", "incremental_cost",
+                 "inst"],
+}
+
+
+@pytest.mark.parametrize("cls", list(_FIELDS), ids=lambda cls: cls.__name__)
+def test_records_keep_only_these_fields(cls):
+    # a link record exists once per link and a serve record once per
+    # request, so a new field costs once per entry; it shows up here as
+    # a change to this table
+    assert [f.name for f in dataclasses.fields(cls)] == _FIELDS[cls]
+
+
 _STATE = {
     PathSolver: ["bought", "charge", "cost", "covered", "fenwick",
                  "frontier", "m", "minimal", "n_global", "residual",
@@ -237,7 +259,7 @@ _STATE = {
 def test_path_solvers_keep_only_this_state(cls):
     # every path of a tree instance owns one solver, so a new field costs
     # once per path; it shows up here as a change to this table
-    minimal, _ = build_minimal_instance(2, [PathLink(0, 2, 2, 1, 0)])
+    minimal, _ = build_minimal_instance(2, [PathLink(0, 2, 2, 0)])
     assert sorted(vars(cls(minimal))) == _STATE[cls]
 
 
