@@ -73,9 +73,11 @@ def test_constructor_guards():
 
 @pytest.mark.parametrize("B", [2, 3, 4])
 def test_canonical_wrapper_buys_the_containing_chain(B):
-    inst = HierarchicalInstance(B, 2)
+    # a level-2 link below the top: the chain stops at its own level
+    inst = HierarchicalInstance(B, 3)
+    chain = links_over(inst, 5)[:3]
 
-    class TopOnly:
+    class BuyOnce:
         def __init__(self):
             self.fired = False
 
@@ -83,15 +85,15 @@ def test_canonical_wrapper_buys_the_containing_chain(B):
             if self.fired:
                 return []
             self.fired = True
-            return [inst.levels[2][0].id]
+            return [chain[2].id]
 
-    wrapper = CanonicalWrapper(inst, TopOnly(), canonical=True)
+    wrapper = CanonicalWrapper(inst, BuyOnce(), canonical=True)
     wrapper.serve(5)
-    # top link cost B^2, plus its level-1 and level-0 links through edge 5
+    # level-2 link cost B^2, plus its level-1 and level-0 links through edge 5
     assert wrapper.cost == B ** 2 + B + 1
-    assert links_over(inst, 5)[1].id in wrapper.bought
-    assert links_over(inst, 5)[0].id in wrapper.bought
-    assert all(wrapper.covered)
+    assert wrapper.bought == {l.id for l in chain}
+    assert wrapper.covered == [chain[2].left <= i < chain[2].right
+                               for i in range(inst.n)]
 
 
 def test_level_zero_purchase_adds_nothing():
