@@ -28,7 +28,7 @@ from .adversary import CONTESTANTS, HierarchicalInstance, adversary_drive
 from .decomposition import decompose, default_width_bound, width
 from .errors import (BadInputError, InfeasibleInstanceError,
                      InvariantViolationError)
-from .fractional import FractionalPathSolver
+from .fractional import COVERAGE_TOL, FractionalPathSolver
 from .generators import gen_random
 from .instance import format_instance, load_instance, parse_instance
 from .oracles import (TREE_ENUM_LINK_CAP, opt_path_dp, opt_tree_enum,
@@ -273,7 +273,7 @@ def _run_frac(inst):
             "band_size": rec.band_size,
         })
     low = [e for e in set(request_edges)
-           if solver.coverage(e) < 1.0 - 1e-9]
+           if solver.coverage(e) < 1.0 - COVERAGE_TOL]
     invariants = [InvariantRecord(
         id="coverage-within-tolerance", ok=not low,
         detail=f"undercovered edges {sorted(low)}" if low else "")]

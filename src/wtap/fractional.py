@@ -190,9 +190,10 @@ class FractionalPathSolver:
         if not band:
             raise InvariantViolationError(
                 f"no band link for edge {e} at optimum {opt_i}")
-        if len(band) > band_cap(self.m) + 1e-9:
+        cap = band_cap(self.m)
+        if len(band) > cap + 1e-9:
             raise InvariantViolationError(
-                f"band size {len(band)} exceeds cap {band_cap(self.m):.3f}")
+                f"band size {len(band)} exceeds cap {cap:.3f}")
 
         theta = self.theta
         exp = math.exp
