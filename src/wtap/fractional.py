@@ -3,26 +3,33 @@
 Serving keeps a fractional unit of coverage over every requested edge.
 Each request reads the exact offline optimum OPT_i of everything
 requested so far (an integer, by the interval structure), kept by one
-incremental prefix DP: over the requested positions in sorted order,
-g[k] is the cheapest cover of the first k.  When a covering link of
-the new edge is in the current optimal witness, nothing is recomputed:
-OPT is monotone in the request set and the witness still covers every
-request at cost OPT, so both stand, and only the DP entries right of
-the new position go stale.  Otherwise the DP resumes from the leftmost
-stale position.  Sorted arrivals extend it by one entry each, and a
-repeated edge costs nothing.
+incremental prefix DP.  Coverage changes only at link ends, so the
+edges of a coverage run (between consecutive link ends) have the same
+covering links and one DP entry serves them all: the DP runs over the
+requested runs, each named by its first edge, in sorted order, and
+g[k] is the cheapest cover of the first k.  An arrival into a run that
+is already requested changes nothing and costs no DP work.  When a
+covering link of a newly requested run is in the current optimal
+witness, nothing is recomputed either: OPT is monotone in the request
+set and the witness still covers every request at cost OPT, so both
+stand, and only the DP entries right of the new run go stale.
+Otherwise the DP resumes from the leftmost stale entry.  Sorted
+arrivals extend it by one entry each.
 
-The DP reads tables, not searches.  Each link's cost and left end sit
-in lists indexed by id, and a per-left table holds g_at[x] =
-g[#requested < x] at every link left end x, so a covering link of
-position p offers cost + g_at[left] in two list reads.  As the resumed
-DP reaches the j-th requested position it rewrites g_at for the left
-ends in (pos[j-1], pos[j]] with g[j]; left ends at or left of the last
-position before the resume point keep their values, for the same
-reason the DP entries up to it stay valid.  The choice behind g[k] is
-a link id only, so the witness walk back from the last position makes
-one binary search per witness link, to the first position at or right
-of that link's left end.
+The DP reads tables, not searches.  A per-left table holds g_at[x] =
+g[#requested < x] at every link left end x, so a covering link offers
+cost + g_at[left] in one list read.  As the resumed DP reaches the j-th
+requested run it rewrites g_at for the left ends in (pos[j-1], pos[j]]
+with g[j]; left ends at or left of the last run before the resume
+point keep their values, for the same reason the DP entries up to it
+stay valid.  g_at never decreases as x moves right, so a link never
+gives the lowest (value, id) when another link over the run starts no
+further right and is cheaper, or as cheap with a lower id.  Each run
+keeps only the links no other one beats that way, as (cost, left, id)
+by ascending id, built on the run's first DP visit.  The choice
+behind g[k] is a link id only, so the witness walk back from the last
+run makes one binary search per witness link, to the first requested
+run at or right of that link's left end.
 
 A request an ultra-cheap link can cover (cost * edge_count <= current
 optimum) is served by setting that link's variable to 1 outright.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BadInputError, InfeasibleInstanceError, InvariantViolationError
@@ -100,53 +108,87 @@ class FractionalPathSolver:
         # the links' distinct left ends, ascending, closed by a sentinel
         # right of every edge
         self._lefts = sorted({l.left for l in minimal.links}) + [m]
-        # the exact optimum of the requests so far, kept incrementally
-        self.requested = []        # requested positions, ascending
+        # the first edge of each edge's coverage run: the edges of a run
+        # share one list in cov_ids
+        self._run_start = run_start = []
+        start = last = None
+        for e, cov in enumerate(minimal.cov_ids):
+            if cov is not last:
+                start, last = e, cov
+            run_start.append(start)
+        # the exact optimum of the requested runs so far, kept incrementally
+        self.requested = []        # requested runs' first edges, ascending
         self._g = [0]              # _g[k] = optimum over the first k of them
         self._g_at = [0] * m       # _g_at[x] = _g[#requested < x], x a left end
         self._choice = [None]      # id of the last link behind _g[k]
         self._stale = None         # _g[k] is out of date for k > _stale
         self._witness = frozenset()
+        self._cands = [None] * m   # a run's undominated (cost, left, id), by id
 
     # -- offline optimum of the requests so far ---------------------------
 
+    def _candidates(self, p: int) -> list:
+        """The links covering run p that no other link there beats.
+
+        A link is dropped when another starts no right of it and has a
+        lower (cost, id): the kept ones are the running minima of
+        (cost, id) by left end.  _g_at never decreases rightwards, so a
+        dropped link never has the lowest (value, id).  The kept ones
+        ascend by id.
+        """
+        cost_of, left_of = self._cost_of, self._left_of
+        cands = []
+        low = (math.inf, 0)
+        for left, cost, lid in sorted((left_of[lid], cost_of[lid], lid)
+                                      for lid in self.minimal.cov_ids[p]):
+            if (cost, lid) < low:
+                low = (cost, lid)
+                cands.append((cost, left, lid))
+        cands.sort(key=itemgetter(2))
+        return cands
+
     def _note_request(self, e: int):
         pos = self.requested
-        k = bisect_left(pos, e)
-        if k < len(pos) and pos[k] == e:
+        s = self._run_start[e]
+        k = bisect_left(pos, s)
+        if k < len(pos) and pos[k] == s:
+            # the run is requested already: the optimum and the DP stand
             return
-        pos.insert(k, e)
+        pos.insert(k, s)
         d = k if self._stale is None else min(self._stale, k)
-        cov_ids = self.minimal.cov_ids
-        if not self._witness.isdisjoint(cov_ids[e]):
-            # the witness covers e too, so by monotonicity it stays optimal
+        if not self._witness.isdisjoint(self.minimal.cov_ids[s]):
+            # the witness covers s too, so by monotonicity it stays optimal
             self._stale = d
             return
         g, choice, g_at, lefts = self._g, self._choice, self._g_at, self._lefts
-        cost_of, left_of = self._cost_of, self._left_of
+        all_cands = self._cands
         del g[d + 1:], choice[d + 1:]
         # _g_at still holds at the left ends up to pos[d-1]: neither their
         # count of requests left of them nor _g[:d+1] has changed
         r = bisect_right(lefts, pos[d - 1]) if d else 0
-        for j in range(d, len(pos)):
-            p = pos[j]
-            gj = g[j]
+        best = g[d]
+        for p in pos[d:]:
+            # best is the optimum over the requested runs left of p
             x = lefts[r]
             while x <= p:
-                g_at[x] = gj
+                g_at[x] = best
                 r += 1
                 x = lefts[r]
-            cov = cov_ids[p]
-            best_lid = cov[0]
-            best = cost_of[best_lid] + g_at[left_of[best_lid]]
-            for lid in cov:
-                cand = cost_of[lid] + g_at[left_of[lid]]
+            cands = all_cands[p]
+            if cands is None:
+                cands = all_cands[p] = self._candidates(p)
+            it = iter(cands)
+            c, left, best_lid = next(it)
+            best = c + g_at[left]
+            for c, left, lid in it:
+                v = c + g_at[left]
                 # ids ascend, so the strict test keeps the lowest id on ties
-                if cand < best:
-                    best, best_lid = cand, lid
+                if v < best:
+                    best, best_lid = v, lid
             g.append(best)
             choice.append(best_lid)
         self._stale = None
+        left_of = self._left_of
         witness = set()
         k = len(pos)
         while k > 0:
@@ -161,7 +203,7 @@ class FractionalPathSolver:
     # -- serving -----------------------------------------------------------
 
     def coverage(self, e: int) -> float:
-        return sum(self.x[lid] for lid in self.minimal.cov_ids[e])
+        return sum(map(self.x.__getitem__, self.minimal.cov_ids[e]))
 
     def serve(self, e: int) -> FracRecord:
         if not 0 <= e < self.m:

@@ -12,13 +12,16 @@ that recomputes each level's block size and takes a keyed minimum
 instead of indexing precomputed rows, a path solver that records each
 type-1 link's charged edges as it serves instead of a replay of the
 serve records, one dict of spans per path filled link by link instead
-of one walk over all links and one dedup over global edge slots) so
-that agreement between the two actually means something.
+of one walk over all links and one dedup over global edge slots, a
+fractional solver whose optimum DP keeps one entry per requested edge
+and reads every covering link instead of one entry per requested
+coverage run over its undominated links) so that agreement between the
+two actually means something.
 """
 
 import random
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -31,6 +34,7 @@ from wtap.adversary import CanonicalWrapper
 from wtap.decomposition import project
 from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
+from wtap.fractional import FractionalPathSolver
 from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
                            Link, Request, _check_ends, _parse_cost)
 from wtap.oracles import OracleResult
@@ -597,6 +601,56 @@ class ReferenceChargeSolver(PathSolver):
                 for e in edges:
                     hat[e] += self.y[e]
         return hat
+
+
+class ReferenceFractionalSolver(FractionalPathSolver):
+    """A fractional solver whose optimum DP keeps one entry per requested
+    edge and evaluates every link covering it, and whose coverage sums a
+    generator."""
+
+    def _note_request(self, e):
+        pos = self.requested
+        k = bisect_left(pos, e)
+        if k < len(pos) and pos[k] == e:
+            return
+        pos.insert(k, e)
+        d = k if self._stale is None else min(self._stale, k)
+        cov_ids = self.minimal.cov_ids
+        if not self._witness.isdisjoint(cov_ids[e]):
+            self._stale = d
+            return
+        g, choice, g_at, lefts = self._g, self._choice, self._g_at, self._lefts
+        cost_of, left_of = self._cost_of, self._left_of
+        del g[d + 1:], choice[d + 1:]
+        r = bisect_right(lefts, pos[d - 1]) if d else 0
+        for j in range(d, len(pos)):
+            p = pos[j]
+            gj = g[j]
+            x = lefts[r]
+            while x <= p:
+                g_at[x] = gj
+                r += 1
+                x = lefts[r]
+            cov = cov_ids[p]
+            best_lid = cov[0]
+            best = cost_of[best_lid] + g_at[left_of[best_lid]]
+            for lid in cov:
+                cand = cost_of[lid] + g_at[left_of[lid]]
+                if cand < best:
+                    best, best_lid = cand, lid
+            g.append(best)
+            choice.append(best_lid)
+        self._stale = None
+        witness = set()
+        k = len(pos)
+        while k > 0:
+            lid = choice[k]
+            witness.add(lid)
+            k = bisect_left(pos, left_of[lid])
+        self._witness = frozenset(witness)
+
+    def coverage(self, e):
+        return sum(self.x[lid] for lid in self.minimal.cov_ids[e])
 
 
 def reference_hierarchy_links(B, k):

@@ -17,7 +17,7 @@ from wtap.oracles import opt_path_dp
 from wtap.pruning import build_minimal_instance
 
 from checkers import random_minimal_path_instance
-from conftest import PL, run_edges
+from conftest import PL, ReferenceFractionalSolver, run_edges
 
 
 def single_link_path(m=8, cls=0):
@@ -143,17 +143,17 @@ def test_incremental_optimum_matches_dp_out_of_order():
             rng, max_edges=12, max_links=10, max_cls=3)
         sol = FractionalPathSolver(minimal)
         edges = [rng.randrange(minimal.edge_count) for _ in range(8)]
-        for e in edges:
+        for i, e in enumerate(edges):
             sol.serve(e)
             want = opt_path_dp(minimal.edge_count, minimal.links,
-                               sol.requested).opt_cost
+                               edges[:i + 1]).opt_cost
             assert sol.current_opt() == want
             witness = sol._witness
             covered = set()
             for lid in witness:
                 l = minimal.by_id[lid]
                 covered.update(range(l.left, l.right))
-            assert set(sol.requested) <= covered
+            assert set(edges[:i + 1]) <= covered
 
 
 def test_serve_never_reruns_the_offline_dp(monkeypatch):
@@ -178,16 +178,16 @@ def test_serve_never_reruns_the_offline_dp(monkeypatch):
     assert calls == []
 
 
-def assert_exact_optimum(sol):
+def assert_exact_optimum(sol, served):
     minimal = sol.minimal
     opt = sol.current_opt()
     assert opt == opt_path_dp(minimal.edge_count, minimal.links,
-                              sol.requested).opt_cost
+                              served).opt_cost
     witness = sol._witness
     covered = set()
     for lid in witness:
         covered.update(range(minimal.by_id[lid].left, minimal.by_id[lid].right))
-    assert set(sol.requested) <= covered
+    assert set(served) <= covered
     assert sum(minimal.by_id[lid].cost for lid in witness) == opt
 
 
@@ -201,9 +201,9 @@ def test_incremental_optimum_is_exact_after_every_serve(data):
     arrivals = data.draw(st.lists(st.integers(0, m - 1), min_size=m,
                                   max_size=3 * m))
     sol = FractionalPathSolver(minimal)
-    for e in arrivals:
+    for i, e in enumerate(arrivals):
         sol.serve(e)
-        assert_exact_optimum(sol)
+        assert_exact_optimum(sol, arrivals[:i + 1])
 
 
 def test_phases_never_decrease_along_a_run():
@@ -250,18 +250,20 @@ def wide_minimal_instance(rng, m):
 
 
 def traced_runs(sol):
-    """Wrap sol._note_request; return a list that gets, per new edge,
-    (stale position before, insertion index, DP ran, witness size)."""
+    """Wrap sol._note_request; return a list that gets, per newly
+    requested coverage run, (stale position before, insertion index, DP
+    ran, witness size)."""
     events = []
     note = sol._note_request
 
     def traced(e):
-        new = e not in sol.requested
+        start = sol._run_start[e]
+        new = start not in sol.requested
         stale = sol._stale
         note(e)
         if new:
             ran = sol._stale is None
-            events.append((stale, sol.requested.index(e), ran,
+            events.append((stale, sol.requested.index(start), ran,
                            len(sol._witness) if ran else 0))
 
     sol._note_request = traced
@@ -277,9 +279,9 @@ def test_incremental_optimum_is_exact_on_wide_paths(data):
     arrivals = data.draw(st.lists(st.integers(0, m - 1), min_size=m // 2,
                                   max_size=2 * m))
     sol = FractionalPathSolver(minimal)
-    for e in arrivals:
+    for i, e in enumerate(arrivals):
         sol.serve(e)
-        assert_exact_optimum(sol)
+        assert_exact_optimum(sol, arrivals[:i + 1])
 
 
 def test_dp_resumes_from_a_stale_position():
@@ -293,9 +295,9 @@ def test_dp_resumes_from_a_stale_position():
     events = traced_runs(sol)
     order = list(range(m))
     rng.shuffle(order)
-    for e in order:
+    for i, e in enumerate(order):
         sol.serve(e)
-        assert_exact_optimum(sol)
+        assert_exact_optimum(sol, order[:i + 1])
     resumed = [ev for ev in events if ev[2] and ev[0] is not None
                and 0 < ev[0] < ev[1]]
     assert resumed
@@ -344,3 +346,144 @@ def test_dp_tie_breaks_to_the_lower_id(long_id, short_id, want):
     sol.serve(4)
     assert sol.current_opt() == 2
     assert sol._witness == want
+
+
+def test_dp_keeps_the_equal_cost_link_that_starts_right_with_the_lower_id():
+    # links 2 = [0, 4) and 1 = [2, 6) cost the same over edge 3: alone,
+    # edge 3 ties and goes to link 1; once edge 0 is requested too, link 2
+    # covers both for the cost of one
+    minimal, _ = build_minimal_instance(6, [PL(0, 4, 1, 2), PL(2, 6, 1, 1)])
+    sol = FractionalPathSolver(minimal)
+    sol.serve(3)
+    assert (sol.current_opt(), sol._witness) == (2, {1})
+    sol.serve(0)
+    assert (sol.current_opt(), sol._witness) == (2, {2})
+
+
+def run_mates(minimal, e):
+    """The edges of e's coverage run, e among them."""
+    cov = minimal.cov_ids
+    return [f for f in range(minimal.edge_count) if cov[f] is cov[e]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans())
+def test_run_indexed_dp_matches_the_per_edge_reference(data, wide):
+    """The run-indexed DP over undominated candidates serves exactly as
+    the per-edge DP over every covering link: same records, variables,
+    cost, optimum and witness after every serve, for arrivals in random
+    order, with repeats and with further edges of requested runs."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    if wide:
+        minimal = wide_minimal_instance(rng, data.draw(st.integers(60, 150)))
+    else:
+        minimal, _, _ = random_minimal_path_instance(
+            rng, max_edges=24, max_links=24, max_cls=5)
+    m = minimal.edge_count
+    arrivals = []
+    for e in data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                max_size=2 * m)):
+        arrivals.append(e)
+        if data.draw(st.booleans()):
+            arrivals.append(data.draw(st.sampled_from(run_mates(minimal, e))))
+    arrivals += data.draw(st.lists(st.sampled_from(arrivals), max_size=m))
+    sol = FractionalPathSolver(minimal)
+    ref = ReferenceFractionalSolver(minimal)
+    for e in arrivals:
+        assert sol.serve(e) == ref.serve(e)
+        assert sol.x == ref.x
+        assert sol.total_cost == ref.total_cost
+        assert sol.current_opt() == ref.current_opt()
+        assert sol._witness == ref._witness
+
+
+class CountedReads(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class CountedAppends(list):
+    """A list that calls on_append(index) before each append."""
+
+    def append(self, v):
+        self.on_append(len(self))
+        super().append(v)
+
+
+def candidate_bound(minimal, p):
+    """One candidate per link cost over run p, plus one for each cost
+    whose two links there have the right-starting one with the lower id:
+    neither of those two beats the other on both left end and id."""
+    by_cost = {}
+    for lid in minimal.cov_ids[p]:
+        l = minimal.by_id[lid]
+        by_cost.setdefault(l.cost, []).append(l)
+    bound = 0
+    for group in by_cost.values():
+        # a minimal instance covers no edge with more than two links of
+        # one cost
+        assert len(group) <= 2
+        a, b = min(group, key=lambda l: l.left), max(group, key=lambda l: l.left)
+        bound += 2 if b.left > a.left and b.id < a.id else 1
+    return bound
+
+
+def undominated(minimal, p):
+    """(cost, left, id) by ascending id of each link over run p that no
+    other link there beats: none starts no right of it and is cheaper,
+    or as cheap with a lower id."""
+    links = [minimal.by_id[lid] for lid in minimal.cov_ids[p]]
+    return [(b.cost, b.left, b.id) for b in links
+            if not any(a.left <= b.left and (a.cost < b.cost or
+                                              a.cost == b.cost and a.id < b.id)
+                       for a in links)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dp_evaluates_only_undominated_candidates_once_per_run(data):
+    """Each DP entry reads the DP table once per candidate, its
+    candidates are the links no other one over its run beats, and they
+    number at most its run's distinct link costs plus its equal-cost
+    pairs that cross with the lower id on the right; an arrival into a
+    run that is already requested runs no DP step and leaves every DP
+    entry and the stale mark as they were."""
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    m = data.draw(st.integers(60, 150))
+    minimal = wide_minimal_instance(rng, m)
+    sol = FractionalPathSolver(minimal)
+    sol._g_at = g_at = CountedReads(sol._g_at)
+    sol._g = g = CountedAppends(sol._g)
+    steps = []
+
+    def on_append(k):
+        p = sol.requested[k - 1]
+        assert g_at.reads <= candidate_bound(minimal, p)
+        assert sol._cands[p] == undominated(minimal, p)
+        assert g_at.reads == len(sol._cands[p])
+        steps.append(p)
+        g_at.reads = 0
+
+    g.on_append = on_append
+    arrivals = data.draw(st.lists(st.integers(0, m - 1), min_size=m // 2,
+                                  max_size=2 * m))
+    arrivals += [data.draw(st.sampled_from(run_mates(minimal, e)))
+                 for e in arrivals[:m // 4]]
+    repeats = 0
+    for e in arrivals:
+        if sol._run_start[e] in sol.requested:
+            repeats += 1
+            before = (list(g), list(sol._choice), list(g_at), sol._stale,
+                      len(steps))
+            sol.serve(e)
+            assert (list(g), list(sol._choice), list(g_at), sol._stale,
+                    len(steps)) == before
+        else:
+            sol.serve(e)
+        assert g_at.reads == 0
+    assert repeats and steps

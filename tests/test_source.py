@@ -249,9 +249,10 @@ _STATE = {
     PathSolver: ["bought", "charge", "cost", "covered", "fenwick",
                  "frontier", "m", "minimal", "n_global", "residual",
                  "rooted_by_right", "y"],
-    FractionalPathSolver: ["_choice", "_cost_of", "_g", "_g_at", "_left_of",
-                           "_lefts", "_stale", "_witness", "m", "minimal",
-                           "requested", "theta", "total_cost", "x"],
+    FractionalPathSolver: ["_cands", "_choice", "_cost_of", "_g", "_g_at",
+                           "_left_of", "_lefts", "_run_start", "_stale",
+                           "_witness", "m", "minimal", "requested", "theta",
+                           "total_cost", "x"],
 }
 
 
