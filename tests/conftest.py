@@ -36,7 +36,7 @@ from wtap.errors import (BadInputError, InfeasibleInstanceError,
                          InvariantViolationError)
 from wtap.fractional import FractionalPathSolver
 from wtap.instance import (_ARITY, _COST_BOUND, _LINE_SHAPES, MAX_COST_CHARS,
-                           Link, Request, _check_ends, _parse_cost)
+                           Link, Request, _check_ends)
 from wtap.oracles import OracleResult
 from wtap.path_online import PathSolver, ServeRecord
 from wtap.pruning import PathLink
@@ -334,6 +334,30 @@ def _reference_digits(token):
     return int(token)
 
 
+def _reference_cost(token):
+    """An ``int`` for a digit string, one reduced ``Fraction`` built from
+    ints for ``a.b`` or ``p/q``; any other token is ``Fraction(token)``
+    once its length and exponent are within ``MAX_COST_CHARS``."""
+    if len(token) > MAX_COST_CHARS:
+        raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
+    if token.isdecimal():
+        return int(token)
+    whole, dot, digits = token.partition(".")
+    if dot:
+        if whole.isdecimal() and digits.isdecimal():
+            return Fraction(int(whole + digits), 10 ** len(digits))
+    else:
+        p, slash, q = token.partition("/")
+        if slash and p.isdecimal() and q.isdecimal():
+            return Fraction(int(p), int(q))
+    # Fraction reads "_" between digits, so "1e30_000" is a 30000 exponent
+    exponent = token.lower().partition("e")[2].replace("_", "")
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if digits.isdecimal() and abs(int(exponent)) > MAX_COST_CHARS:
+        raise ValueError(f"cost exponent beyond {MAX_COST_CHARS}")
+    return Fraction(token)
+
+
 def reference_parse_instance(text):
     """The instance format parsed with one tuple and one line number kept
     per entry, so an error names its line from the stored numbers;
@@ -362,7 +386,7 @@ def reference_parse_instance(text):
         try:
             a = _reference_digits(parts[1])
             b = _reference_digits(parts[3] if kind == "n" else parts[2])
-            cost = _parse_cost(parts[3]) if kind == "link" else None
+            cost = _reference_cost(parts[3]) if kind == "link" else None
         except ValueError as exc:
             raise BadInputError(f"line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:
