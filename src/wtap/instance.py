@@ -9,33 +9,46 @@ them.  The same breadth-first walk keeps the rooted shape every later
 stage reads: ``order``, each vertex after its parent, and
 ``children``, each vertex's children ascending.  The constructor is
 the one place that checks an instance's values, and it reads each kind
-of entry once, so it takes iterators.  The text parser only tokenizes,
-into flat endpoint and cost lists with no per-entry tuple or line
-number; when the constructor names a ``(kind, index)`` entry, the
-parser reads the text again to find its line.  Every endpoint token the
-parser has read before maps to the int it made then, so the instance
-holds one int object per vertex id, not one per endpoint; the map is
-dropped before the constructor runs.  An endpoint, ``n`` or ``root``
-token must be ASCII digits (``int()`` would also read signs,
-underscores and other scripts' digits); only a token met for the first
-time is checked, so the check costs once per distinct vertex.
+of entry once, so it takes iterators.  It checks link and request
+endpoints in bulk, by ``min``/``max`` over flat lists and one
+``map(operator.eq, ...)`` pass for self-loops; only when a bulk check
+fails does it go entry by entry, to raise at the first entry at fault
+the error an entry-by-entry check would raise first.  The text parser
+only tokenizes, into flat endpoint and cost lists with no per-entry
+tuple or line number; when the constructor names a ``(kind, index)``
+entry, the parser reads the text again to find its line.  A line ends
+at ``\\n``, ``\\r\\n`` or ``\\r`` only.  Every endpoint token the parser
+has read before maps to the int it made then, so the instance holds
+one int object per vertex id, not one per endpoint; the map is dropped
+before the constructor runs.  An endpoint, ``n`` or ``root`` token must
+be ASCII digits (``int()`` would also read signs, underscores and other
+scripts' digits); only a token met for the first time is checked, so
+the check costs once per distinct vertex.
 
 Costs enter as positive rationals and are rounded once: divide by the
 minimum raw cost, then round up to the next power of two.  After that
 every link cost is an integer power of two and is its own cost class.
-Only the raw input costs are rational, held exactly as an ``int`` or a
-``fractions.Fraction``: the parser turns a digit string into an
-``int`` and an ``a.b`` or ``p/q`` token into one reduced ``Fraction``
-built from ints, and only other tokens (signs, exponents, underscores)
-go through ``Fraction(token)``.  ``str()`` of either reads as
-``str(Fraction(token))`` would.  The path solvers' duals are exact
-ints, and the fractional solver's ``x`` is a float.
+Only the raw input costs are rational, and the instance holds each one
+exactly as an int ratio in two flat lists, numerators and
+denominators, not reduced; a denominator of 1 marks a cost given as an
+``int``.  The parser passes a digit token on as an ``int`` and an
+``a.b`` or ``p/q`` token as the token itself, which the constructor
+reads with int arithmetic (``a.b`` as ``int(a + b)`` over a power of
+ten); only other tokens (signs, exponents, underscores) go through
+``Fraction(token)``.  Rounding and ``format_instance`` read the ratios;
+``raw_costs``, each cost as an ``int`` or a ``Fraction``, is built on
+its first read.  The path solvers' duals are exact ints, and the
+fractional solver's ``x`` is a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
+from math import gcd
+from operator import attrgetter, eq
 from typing import Sequence
 
 from .errors import BadInputError
@@ -74,27 +87,56 @@ class Request:
 # Fraction build a huge power of ten
 MAX_COST_CHARS = 1000
 _COST_BOUND = 10 ** (2 * MAX_COST_CHARS)
+_TENS = [10 ** k for k in range(32)]   # the denominator of an a.b token
 
 
-def _cost_classes(raw_costs: Sequence) -> list:
+def _cost_ratio(cost) -> tuple:
+    """``(num, den)`` with ``num / den`` the exact value of a raw cost,
+    not reduced.  ``den == 1`` marks a cost given as an ``int``; any
+    other cost has ``den >= 2``, a whole one read as ``(2 * c, 2)``.
+
+    A string ``a.b`` or ``p/q`` of decimal digits is read with int
+    arithmetic; anything else is read as ``Fraction(cost)`` reads it.
+    """
+    if type(cost) is int:
+        return cost, 1
+    if type(cost) is str:
+        whole, dot, digits = cost.partition(".")
+        if dot:
+            if whole.isdecimal() and digits.isdecimal():
+                k = len(digits)
+                return int(whole + digits), _TENS[k] if k < 32 else 10 ** k
+        else:
+            p, slash, q = cost.partition("/")
+            if slash and p.isdecimal() and q.isdecimal():
+                den = int(q)
+                if den:
+                    return (int(p), den) if den > 1 else (2 * int(p), 2)
+    num, den = Fraction(cost).as_integer_ratio()
+    return (num, den) if den > 1 else (2 * num, 2)
+
+
+def _cost_classes(nums: Sequence, dens: Sequence) -> list:
     """Each cost's class: normalize by the minimum, then round up to a
     power of two ``2**cls``, ``cls >= 0``, by integer arithmetic.
 
-    ``raw_costs`` holds ints or rationals.  Rejects nonpositive entries,
-    naming the ``("link", i)`` entry at fault.
+    Cost ``i`` is ``nums[i] / dens[i]``, ``dens[i] >= 1``.  Rejects
+    nonpositive entries, naming the ``("link", i)`` entry at fault.
     """
-    lo_num, lo_den = 1, 0           # the least cost so far; 1/0 exceeds all
-    for i, c in enumerate(raw_costs):
-        num, den = c.as_integer_ratio()
-        if num <= 0:
-            raise BadInputError(
-                f"link {i} cost is not positive; buy zero-cost links up "
-                f"front and drop them", ("link", i))
+    if not nums:
+        return []
+    if min(nums) <= 0:
+        i = next(i for i, num in enumerate(nums) if num <= 0)
+        raise BadInputError(
+            f"link {i} cost is not positive; buy zero-cost links up "
+            f"front and drop them", ("link", i))
+    lo_num, lo_den = nums[0], dens[0]       # the least cost so far
+    for num, den in zip(nums, dens):
         if num * lo_den < lo_num * den:
             lo_num, lo_den = num, den
     # with q = ceil(c / lo) >= 1 the class is the bit length of q - 1
     return [(-(-num * lo_den // (den * lo_num)) - 1).bit_length()
-            for num, den in (c.as_integer_ratio() for c in raw_costs)]
+            for num, den in zip(nums, dens)]
 
 
 def _check_ends(n: int, kind: str, i: int, u: int, v: int):
@@ -103,6 +145,29 @@ def _check_ends(n: int, kind: str, i: int, u: int, v: int):
         raise BadInputError(f"{kind} {i} endpoint out of range 0..{n - 1}", (kind, i))
     if u == v and kind != "request":
         raise BadInputError(f"{kind} {i} endpoints must differ", (kind, i))
+
+
+_REQUEST_S, _REQUEST_T = attrgetter("s"), attrgetter("t")
+
+
+def _ends_fit(n: int, ends: list) -> bool:
+    """Every endpoint in ``0..n-1``, checked in bulk."""
+    return not ends or (0 <= min(ends) and max(ends) < n)
+
+
+def _check_links(n: int, ends: list, nums: list, dens: list):
+    """Link by link, what the bulk checks check in aggregate: both ends,
+    then the size of the cost in lowest terms; raises at the first link
+    at fault.  ``ends`` holds each link's ``u, v`` flat, and may run one
+    link past the costs read."""
+    for i in range(len(ends) // 2):
+        _check_ends(n, "link", i, ends[2 * i], ends[2 * i + 1])
+        if i < len(nums):
+            g = gcd(nums[i], dens[i])
+            if not (-_COST_BOUND < nums[i] // g < _COST_BOUND
+                    and dens[i] // g < _COST_BOUND):
+                raise BadInputError(f"link {i} cost has a numerator or denominator "
+                                    f"over {2 * MAX_COST_CHARS} digits", ("link", i))
 
 
 class TreeInstance:
@@ -165,31 +230,47 @@ class TreeInstance:
                 order.append(x)
         if len(order) != n:
             raise BadInputError("edges do not connect all vertices")
+        del edge_id                 # freed before the links are read
 
-        # one pass over the links, which may be an iterator
-        self.raw_costs = raw_costs = []
-        ends = []                                 # u, v of each link, flat
-        for i, (u, v, c) in enumerate(raw_links):
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                _check_ends(n, "link", i, u, v)
-            if type(c) is not int and type(c) is not Fraction:
-                c = Fraction(c)
-            num, den = c.as_integer_ratio()
-            if not (-_COST_BOUND < num < _COST_BOUND and den < _COST_BOUND):
-                raise BadInputError(f"link {i} cost has a numerator or denominator "
-                                    f"over {2 * MAX_COST_CHARS} digits", ("link", i))
-            ends += u, v
-            raw_costs.append(c)
+        # one pass over the links, which may be an iterator, into flat
+        # lists that are checked in bulk: ends holds each link's u, v,
+        # and link i's raw cost is exactly nums[i] / dens[i], not
+        # reduced, with dens[i] == 1 marking a cost given as an int.
+        # When a read or a bulk check fails, _check_links goes link by
+        # link to raise at the first one at fault.
+        ends, nums, dens = [], [], []
+        try:
+            for u, v, c in raw_links:
+                ends += int(u), int(v)
+                num, den = _cost_ratio(c)
+                nums.append(num)
+                dens.append(den)
+        except (ArithmeticError, TypeError, ValueError):
+            _check_links(n, ends, nums, dens)     # an earlier link may be at fault
+            raise
+        if not _ends_fit(n, ends) or any(map(eq, islice(ends, 0, None, 2),
+                                             islice(ends, 1, None, 2))):
+            _check_links(n, ends, nums, dens)
+        if nums and not (-_COST_BOUND < min(nums) and max(nums) < _COST_BOUND
+                         and max(dens) < _COST_BOUND):
+            _check_links(n, ends, nums, dens)     # bounds hold in lowest terms
+        self._cost_nums, self._cost_dens = nums, dens
         ends = iter(ends)
         self.links = [Link(u, v, 1 << j, i) for i, (u, v, j)
-                      in enumerate(zip(ends, ends, _cost_classes(raw_costs)))]
+                      in enumerate(zip(ends, ends, _cost_classes(nums, dens)))]
 
-        self.requests = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
-                         for r in requests]
-        for i, r in enumerate(self.requests):
-            if not (0 <= r.s < n and 0 <= r.t < n):
+        self.requests = reqs = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
+                                for r in requests]
+        if not _ends_fit(n, [*map(_REQUEST_S, reqs), *map(_REQUEST_T, reqs)]):
+            for i, r in enumerate(reqs):
                 _check_ends(n, "request", i, r.s, r.t)
+
+    @cached_property
+    def raw_costs(self) -> list:
+        """The raw link costs, by link id: an ``int`` for a cost given as
+        one, a ``Fraction`` for any other; built on first read."""
+        return [num if den == 1 else Fraction(num, den)
+                for num, den in zip(self._cost_nums, self._cost_dens)]
 
     # -- path primitives ------------------------------------------------
 
@@ -220,10 +301,11 @@ class TreeInstance:
                          if edge_id in self.tree_path(ln.u, ln.v))
 
 
-def _parse_cost(token: str) -> int | Fraction:
-    """An ``int`` for a digit string, one reduced ``Fraction`` built from
-    ints for ``a.b`` or ``p/q``; any other token is ``Fraction(token)``
-    once its length and exponent are within ``MAX_COST_CHARS``."""
+def _cost_token(token: str) -> int | str | Fraction:
+    """A cost token checked, in the form the constructor reads: an
+    ``int`` for a digit string, the token itself for ``a.b`` or ``p/q``
+    of decimal digits, and ``Fraction(token)`` for any other token once
+    its length and exponent are within ``MAX_COST_CHARS``."""
     if len(token) > MAX_COST_CHARS:
         raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
     if token.isdecimal():
@@ -231,11 +313,13 @@ def _parse_cost(token: str) -> int | Fraction:
     whole, dot, digits = token.partition(".")
     if dot:
         if whole.isdecimal() and digits.isdecimal():
-            return Fraction(int(whole + digits), 10 ** len(digits))
+            return token
     else:
         p, slash, q = token.partition("/")
         if slash and p.isdecimal() and q.isdecimal():
-            return Fraction(int(p), int(q))
+            if not int(q):
+                raise ZeroDivisionError(token)
+            return token
     # Fraction reads "_" between digits, so "1e30_000" is a 30000 exponent
     exponent = token.lower().partition("e")[2].replace("_", "")
     digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
@@ -282,7 +366,7 @@ def parse_instance(text: str) -> TreeInstance:
     n = root = header = None
     edges, links, requests, costs = [], [], [], []     # endpoints flat
     ends_of = {"edge": edges, "link": links, "request": requests}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if "#" in line:
             line = line.partition("#")[0]
         parts = line.split()
@@ -317,14 +401,16 @@ def parse_instance(text: str) -> TreeInstance:
             ends.append(u)
             ends.append(v)
             if ends is links:
-                costs.append(_parse_cost(parts[3]))
+                costs.append(_cost_token(parts[3]))
         except ValueError as exc:
             raise BadInputError(f"line {lineno}: {exc}") from exc
         except ZeroDivisionError as exc:
             raise BadInputError(f"line {lineno}: cost has a zero denominator") from exc
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
-    del ids                 # the instance holds each int from here on
+    # the instance holds each int from here on, and each flat list is
+    # freed once the constructor has read it
+    del ids, ends_of, ends
     edges, links, requests = iter(edges), iter(links), iter(requests)
     try:
         return TreeInstance(n=n, edges=zip(edges, edges), root=root,
@@ -340,19 +426,37 @@ def parse_instance(text: str) -> TreeInstance:
         raise BadInputError(f"line {_entry_line(text, kind, i)}: {exc}{also}") from exc
 
 
+def _lines(text: str) -> list:
+    """The text's lines, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only;
+    ``str.splitlines`` would also break at ``\\x0b``, ``\\x0c``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``, even
+    inside a comment."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
 def _entry_line(text: str, kind: str, index: int) -> int:
     """The line of entry ``index`` of ``kind`` in a text that parsed."""
-    firsts = (line.partition("#")[0].split(None, 1)[:1] for line in text.splitlines())
+    firsts = (line.partition("#")[0].split(None, 1)[:1] for line in _lines(text))
     return [no for no, first in enumerate(firsts, start=1) if first == [kind]][index]
 
 
 def format_instance(inst: TreeInstance) -> str:
+    """The instance in the text format, each raw cost written as
+    ``str()`` of its value, from its ratio in lowest terms."""
     lines = [f"n {inst.n} root {inst.root}"]
     lines += (f"edge {u} {v}" for u, v in inst.edges)
-    lines += (f"link {ln.u} {ln.v} {raw}"
-              for ln, raw in zip(inst.links, inst.raw_costs))
+    lines += (f"link {ln.u} {ln.v} {_ratio_text(num, den)}" for ln, num, den
+              in zip(inst.links, inst._cost_nums, inst._cost_dens))
     lines += (f"request {r.s} {r.t}" for r in inst.requests)
     return "\n".join(lines) + "\n"
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``num / den`` written as ``str(Fraction(num, den))`` writes it."""
+    g = gcd(num, den)
+    return f"{num // g}" if den == g else f"{num // g}/{den // g}"
 
 
 def load_instance(path: str) -> TreeInstance:

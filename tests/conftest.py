@@ -270,7 +270,7 @@ def _reference_round_costs(raw_costs):
     return out
 
 
-def _reference_instance(n, edges, root, raw_links, requests):
+def reference_instance(n, edges, root, raw_links, requests):
     """The instance fields ``TreeInstance`` must build from the same
     entries, raising the same ``BadInputError`` in the same order:
     edges, tree shape, link ends and sizes, link costs, requests."""
@@ -366,7 +366,9 @@ def reference_parse_instance(text):
     n = root = header = None
     entries = {"edge": [], "link": [], "request": []}
     lines = {"edge": [], "link": [], "request": []}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # only "\n", "\r\n" and "\r" end a line; other Unicode line
+    # boundaries (form feed, "\x85", "\u2028", ...) may sit in a comment
+    for lineno, line in enumerate(re.split("\r\n|\r|\n", text), start=1):
         if "#" in line:
             line = line.partition("#")[0]
         parts = line.split()
@@ -399,7 +401,7 @@ def reference_parse_instance(text):
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
     try:
-        return _reference_instance(n, entries["edge"], root, entries["link"],
+        return reference_instance(n, entries["edge"], root, entries["link"],
                                    entries["request"])
     except BadInputError as exc:
         if not exc.items:

@@ -18,33 +18,40 @@ from wtap.instance import (
     parse_instance,
 )
 
-from conftest import bfs_path, reference_parse_instance
+from conftest import bfs_path, reference_instance, reference_parse_instance
 
 
 # -- cost rounding ----------------------------------------------------------
 
+def cost_classes(raws):
+    """``_cost_classes`` of ints and rationals, each split into its
+    numerator and denominator."""
+    ratios = [c.as_integer_ratio() for c in raws]
+    return _cost_classes([num for num, _ in ratios], [den for _, den in ratios])
+
+
 def test_round_costs_all_equal():
-    assert _cost_classes([Fraction(1)] * 3) == [0] * 3
+    assert cost_classes([Fraction(1)] * 3) == [0] * 3
 
 
 def test_round_costs_single_entry_normalizes_to_one():
-    assert _cost_classes([Fraction(3)]) == [0]
+    assert cost_classes([Fraction(3)]) == [0]
 
 
 def test_round_costs_mixed():
-    out = _cost_classes([Fraction(1), Fraction(3), Fraction(8)])
+    out = cost_classes([Fraction(1), Fraction(3), Fraction(8)])
     assert out == [0, 2, 3]
 
 
 def test_round_costs_empty():
-    assert _cost_classes([]) == []
+    assert cost_classes([]) == []
 
 
 def test_round_costs_rejects_nonpositive():
     with pytest.raises(BadInputError):
-        _cost_classes([Fraction(0), Fraction(1)])
+        cost_classes([Fraction(0), Fraction(1)])
     with pytest.raises(BadInputError):
-        _cost_classes([Fraction(-2)])
+        cost_classes([Fraction(-2)])
 
 
 @given(st.lists(st.fractions(min_value=Fraction(1, 1000), max_value=1000,
@@ -52,7 +59,7 @@ def test_round_costs_rejects_nonpositive():
                 min_size=1, max_size=12))
 def test_round_costs_within_factor_two(raws):
     lo = min(raws)
-    for raw, cls in zip(raws, _cost_classes(raws)):
+    for raw, cls in zip(raws, cost_classes(raws)):
         norm = raw / lo
         cost = 1 << cls
         assert cls >= 0
@@ -87,7 +94,7 @@ def test_round_costs_matches_the_fraction_formulation(raws, shifts):
     lo = min(raws)
     raws = raws + [lo * (1 << s) + d for s in shifts
                    for d in (0, Fraction(1, 10 ** 40))]
-    assert _cost_classes(raws) == fraction_cost_classes(raws)
+    assert cost_classes(raws) == fraction_cost_classes(raws)
 
 
 # -- tree structure ---------------------------------------------------------
@@ -479,6 +486,82 @@ def test_plain_costs_never_parse_a_string_through_fraction(monkeypatch):
     assert format_instance(got) == format_instance(want)
 
 
+def test_plain_cost_tokens_build_no_fraction_until_raw_costs_is_read(monkeypatch):
+    real = Fraction
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(instance_module, "Fraction", counted)
+    text = ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 1 3\n"
+            "link 0 2 1.3302\nlink 1 2 10/4\nlink 0 2 007\nlink 1 0 3/1\n")
+    inst = parse_instance(text)
+    assert [ln.cost for ln in inst.links] == [4, 1, 2, 8, 4]
+    assert format_instance(inst).splitlines()[3:] == [
+        "link 0 1 3", "link 0 2 6651/5000", "link 1 2 5/2", "link 0 2 7", "link 1 0 3"]
+    assert calls == []
+    # one Fraction per cost that is not an int, on the first read only
+    assert [(type(c), c) for c in inst.raw_costs] == [
+        (int, 3), (real, real(6651, 5000)), (real, real(5, 2)), (int, 7), (real, 3)]
+    assert len(calls) == 3
+    assert inst.raw_costs is inst.raw_costs
+    assert len(calls) == 3
+
+
+_API_COSTS = st.one_of(
+    st.integers(1, 10 ** 30),
+    st.fractions(min_value=Fraction(1, 10 ** 12), max_value=10 ** 12,
+                 max_denominator=10 ** 12),
+    st.integers(1, 10 ** 6).map(Fraction),
+    st.builds("{}.{}".format, st.integers(0, 10 ** 6), st.text("0123456789", min_size=1,
+                                                               max_size=40)),
+    st.builds("{}/{}".format, st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.sampled_from(["3", "1e3", "2.5e-2", "+7", "1_000", " 3/4 "]))
+
+
+@given(st.lists(_API_COSTS, min_size=1, max_size=8))
+def test_each_cost_formats_as_str_of_its_value(costs):
+    # the formatter writes a cost from its ratio in lowest terms: an int
+    # as it is, any other cost as str() of its Fraction
+    want = [c if type(c) is int else Fraction(c) for c in costs]
+    if min(want) <= 0:
+        return
+    inst = TreeInstance(2, [(0, 1)], 0, raw_links=[(0, 1, c) for c in costs])
+    lines = format_instance(inst).splitlines()[2:]
+    assert [line.split()[3] for line in lines] == list(map(str, want))
+    assert [(type(c), c) for c in inst.raw_costs] == [(type(c), c) for c in want]
+
+
+_FAULTY_COSTS = st.one_of(_API_COSTS, st.sampled_from(
+    [0, -3, Fraction(-1, 2), "0/5", "zz", "1/0", "", 10 ** 2000, -10 ** 2000,
+     Fraction(1, 10 ** 2000), 2 * 10 ** 1999, Fraction(10 ** 2000 - 1),
+     "1." + "0" * 2500, None, 1.5]))
+
+
+@given(data=st.data())
+def test_constructor_matches_the_reference_and_its_first_fault(data):
+    # the bulk checks raise what an entry-by-entry pass raises first
+    n = data.draw(st.integers(1, 5))
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    end = st.integers(-1, n)
+    links = data.draw(st.lists(st.tuples(end, end, _FAULTY_COSTS), max_size=6))
+    requests = data.draw(st.lists(st.tuples(end, end), max_size=4))
+    try:
+        want = reference_instance(n, edges, 0, links, requests)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            TreeInstance(n, edges, 0, raw_links=iter(links), requests=requests)
+        assert str(got.value) == str(exc)
+        if isinstance(exc, BadInputError):
+            assert got.value.items == exc.items
+        return
+    got = TreeInstance(n, edges, 0, raw_links=iter(links), requests=requests)
+    assert got.links == want.links and got.requests == want.requests
+    assert [(type(c), c) for c in got.raw_costs] == [(type(c), c) for c in want.raw_costs]
+
+
 def test_api_and_parsed_costs_agree():
     tokens = ["3", "1.25", "10/4", "007", "2.50"]
     text = "n 3 root 0\nedge 0 1\nedge 1 2\n" + "".join(
@@ -563,6 +646,11 @@ def _corrupt(data, lines, n, fault):
                      f"n {n} root {data.draw(st.integers(0, n - 1))}")
 
 
+# the line boundaries str.splitlines() knows beyond "\n", "\r\n" and "\r"
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_OTHER_BREAKS = st.sampled_from(OTHER_BREAKS)
+
+
 @pytest.mark.parametrize("fault", _FAULTS)
 @given(data=st.data())
 def test_parse_matches_the_reference_parser(fault, data):
@@ -583,12 +671,15 @@ def test_parse_matches_the_reference_parser(fault, data):
         s, t = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         lines.append(f"request {s} {t}")
     _corrupt(data, lines, n, fault)
-    # blank lines, whole-line and trailing comments, CRLF and CR endings
+    # blank lines, whole-line and trailing comments, some holding a
+    # Unicode line boundary that is no newline, CRLF and CR endings
     decorated = []
     for line in lines:
         for _ in range(data.draw(st.integers(0, 2))):
-            decorated.append(data.draw(st.sampled_from(["", "  ", "# note", " #"])))
-        decorated.append(line + data.draw(st.sampled_from(["", " # why", "#x", "\t"])))
+            decorated.append(data.draw(st.sampled_from(
+                ["", "  ", "# note", " #", "# note" + data.draw(_OTHER_BREAKS) + "n 1"])))
+        decorated.append(line + data.draw(st.sampled_from(
+            ["", " # why", "#x", "\t", " # why" + data.draw(_OTHER_BREAKS) + "edge"])))
     newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(decorated) + data.draw(st.sampled_from(["", newline]))
 
@@ -605,6 +696,20 @@ def test_parse_matches_the_reference_parser(fault, data):
     assert [(type(c), c) for c in got.raw_costs] == [
         (type(c), c) for c in want.raw_costs]
     assert got.requests == want.requests
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_only_newlines_end_a_line(brk):
+    # a comment runs to the next "\n", "\r\n" or "\r", past any other
+    # line boundary, and line numbers count only those three
+    text = (f"n 3 root 0 # note{brk}more words\nedge 0 1\r\n"
+            f"edge 1 2 #{brk}\rlink 0 2 -1\n")
+    with pytest.raises(BadInputError,
+                       match="^line 4: link 0 cost is not positive"):
+        parse_instance(text)
+    inst = parse_instance(text.replace("-1", "3/2"))
+    assert (inst.n, inst.edges, inst.links) == (
+        3, [(0, 1), (1, 2)], [instance_module.Link(0, 2, 1, 0)])
 
 
 def test_parse_keeps_its_peak_memory_near_what_it_returns():

@@ -83,6 +83,8 @@ _UNNAMED_BY_A_RUN = {
     "oracles.verify_nice": "ROADMAP item 4 decides its place",
     "oracles.hat_dual": "ROADMAP item 4 decides its place",
     "fractional.restricted_solution": "goes with ROADMAP item 3",
+    "instance.TreeInstance.raw_costs": "the raw costs as values, for callers; "
+                                       "a run reads only their ratios",
 }
 
 
