@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import count, islice
 from math import gcd
 from operator import attrgetter, eq
 from typing import Sequence
@@ -255,9 +255,9 @@ class TreeInstance:
                          and max(dens) < _COST_BOUND):
             _check_links(n, ends, nums, dens)     # bounds hold in lowest terms
         self._cost_nums, self._cost_dens = nums, dens
-        ends = iter(ends)
-        self.links = [Link(u, v, 1 << j, i) for i, (u, v, j)
-                      in enumerate(zip(ends, ends, _cost_classes(nums, dens)))]
+        ends = iter(ends)                         # u, then v, of each link
+        self.links = list(map(Link, ends, ends,
+                              map((1).__lshift__, _cost_classes(nums, dens)), count()))
 
         self.requests = reqs = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
                                 for r in requests]
@@ -310,16 +310,13 @@ def _cost_token(token: str) -> int | str | Fraction:
         raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
     if token.isdecimal():
         return int(token)
-    whole, dot, digits = token.partition(".")
-    if dot:
-        if whole.isdecimal() and digits.isdecimal():
-            return token
-    else:
-        p, slash, q = token.partition("/")
-        if slash and p.isdecimal() and q.isdecimal():
-            if not int(q):
-                raise ZeroDivisionError(token)
-            return token
+    if token.replace(".", "", 1).isdecimal():       # a.b, or a. or .b
+        return token
+    p, slash, q = token.partition("/")
+    if slash and p.isdecimal() and q.isdecimal():
+        if not int(q):
+            raise ZeroDivisionError(token)
+        return token
     # Fraction reads "_" between digits, so "1e30_000" is a 30000 exponent
     exponent = token.lower().partition("e")[2].replace("_", "")
     digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
