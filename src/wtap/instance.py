@@ -34,8 +34,8 @@ denominators, not reduced; a denominator of 1 marks a cost given as an
 ``int``.  The parser passes a digit token on as an ``int`` and an
 ``a.b`` or ``p/q`` token as the token itself, which the constructor
 reads with int arithmetic (``a.b`` as ``int(a + b)`` over a power of
-ten); only other tokens (signs, exponents, underscores) go through
-``Fraction(token)``.  Rounding and ``format_instance`` read the ratios;
+ten); only other tokens (signs, exponents, underscores, a dot at
+either end) go through ``Fraction(token)``.  Rounding and ``format_instance`` read the ratios;
 ``raw_costs``, each cost as an ``int`` or a ``Fraction``, is built on
 its first read.  The path solvers' duals are exact ints, and the
 fractional solver's ``x`` is a float.
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import count, islice, starmap
 from math import gcd
 from operator import attrgetter, eq
 from typing import Sequence
@@ -179,6 +179,9 @@ class TreeInstance:
     edges : the n-1 tree edges as (u, v) pairs; index = edge id.
     root : root vertex id.
     raw_links : (u, v, raw_cost) triples; costs rounded at construction.
+        A raw cost is an ``int`` or anything ``Fraction()`` reads; it
+        reads back from ``raw_costs`` as an ``int`` if given as one,
+        else as a ``Fraction``.
     requests : arrival-ordered terminal pairs.
     """
 
@@ -303,9 +306,9 @@ class TreeInstance:
 
 def _cost_token(token: str) -> int | str | Fraction:
     """A cost token checked, in the form the constructor reads: an
-    ``int`` for a digit string, the token itself for ``a.b`` or ``p/q``
-    of decimal digits, and ``Fraction(token)`` for any other token once
-    its length and exponent are within ``MAX_COST_CHARS``."""
+    ``int`` for a digit string, the token itself for decimal digits with
+    one dot or one slash, and ``Fraction(token)`` for any other token
+    once its length and exponent are within ``MAX_COST_CHARS``."""
     if len(token) > MAX_COST_CHARS:
         raise ValueError(f"cost longer than {MAX_COST_CHARS} characters")
     if token.isdecimal():
@@ -406,13 +409,15 @@ def parse_instance(text: str) -> TreeInstance:
     if n is None:
         raise BadInputError("missing 'n <count> root <vertex>' header")
     # the instance holds each int from here on, and each flat list is
-    # freed once the constructor has read it
+    # freed once the constructor has read it; request endpoints are ints
+    # already, so the parser builds each Request and the constructor
+    # keeps it as it is
     del ids, ends_of, ends
     edges, links, requests = iter(edges), iter(links), iter(requests)
     try:
         return TreeInstance(n=n, edges=zip(edges, edges), root=root,
                             raw_links=zip(links, links, costs),
-                            requests=zip(requests, requests))
+                            requests=starmap(Request, zip(requests, requests)))
     except BadInputError as exc:
         if not exc.items:
             # the tree as a whole: its size, root, edge count or connectivity
