@@ -254,6 +254,16 @@ def test_rejects_oversized_cost():
             TreeInstance(2, [(0, 1)], 0, raw_links=[(0, 1, cost)])
 
 
+def test_cost_size_is_bounded_in_lowest_terms():
+    # a ratio over the bound as given but under it in lowest terms is
+    # accepted, as the Fraction of the same value always was
+    for cost in ("1." + "0" * 2500, f"{10 ** 2000}/{10 ** 2000}",
+                 Fraction(10 ** 2000 - 1)):
+        inst = TreeInstance(2, [(0, 1)], 0, raw_links=[(0, 1, cost), (0, 1, 1)])
+        assert inst.raw_costs == [Fraction(cost), 1]
+        assert format_instance(inst).splitlines()[2] == f"link 0 1 {Fraction(cost)}"
+
+
 def test_value_errors_name_the_entry_at_fault():
     with pytest.raises(BadInputError) as info:
         TreeInstance(n=3, edges=[(0, 1), (1, 0)], root=0)
@@ -469,24 +479,9 @@ def test_parsed_cost_is_the_fraction_of_its_token(token):
 
 
 def test_plain_costs_never_parse_a_string_through_fraction(monkeypatch):
-    real = Fraction
-
-    def no_strings(*args):
-        if any(isinstance(a, str) for a in args):
-            raise AssertionError(f"Fraction{args!r}")
-        return real(*args)
-
-    text = ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 1 3\n"
-            "link 0 2 1.3302\nlink 1 2 10/4\nlink 0 2 007\n")
-    want = parse_instance(text)
-    monkeypatch.setattr(instance_module, "Fraction", no_strings)
-    got = parse_instance(text)
-    assert got.raw_costs == [3, Fraction(6651, 5000), Fraction(5, 2), 7]
-    assert got.links == want.links
-    assert format_instance(got) == format_instance(want)
-
-
-def test_plain_cost_tokens_build_no_fraction_until_raw_costs_is_read(monkeypatch):
+    # digit, a.b and p/q tokens are read with int arithmetic alone: no
+    # Fraction while parsing or formatting, one per cost that is not an
+    # int on the first read of raw_costs, none on a later read
     real = Fraction
     calls = []
 
@@ -494,19 +489,20 @@ def test_plain_cost_tokens_build_no_fraction_until_raw_costs_is_read(monkeypatch
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(instance_module, "Fraction", counted)
     text = ("n 3 root 0\nedge 0 1\nedge 1 2\nlink 0 1 3\n"
             "link 0 2 1.3302\nlink 1 2 10/4\nlink 0 2 007\nlink 1 0 3/1\n")
-    inst = parse_instance(text)
-    assert [ln.cost for ln in inst.links] == [4, 1, 2, 8, 4]
-    assert format_instance(inst).splitlines()[3:] == [
+    want = parse_instance(text)
+    monkeypatch.setattr(instance_module, "Fraction", counted)
+    got = parse_instance(text)
+    assert got.links == want.links
+    assert [ln.cost for ln in got.links] == [4, 1, 2, 8, 4]
+    assert format_instance(got).splitlines()[3:] == [
         "link 0 1 3", "link 0 2 6651/5000", "link 1 2 5/2", "link 0 2 7", "link 1 0 3"]
     assert calls == []
-    # one Fraction per cost that is not an int, on the first read only
-    assert [(type(c), c) for c in inst.raw_costs] == [
+    assert [(type(c), c) for c in got.raw_costs] == [
         (int, 3), (real, real(6651, 5000)), (real, real(5, 2)), (int, 7), (real, 3)]
     assert len(calls) == 3
-    assert inst.raw_costs is inst.raw_costs
+    assert got.raw_costs is got.raw_costs
     assert len(calls) == 3
 
 
@@ -542,12 +538,19 @@ _FAULTY_COSTS = st.one_of(_API_COSTS, st.sampled_from(
 
 @given(data=st.data())
 def test_constructor_matches_the_reference_and_its_first_fault(data):
-    # the bulk checks raise what an entry-by-entry pass raises first
-    n = data.draw(st.integers(1, 5))
+    # the bulk checks raise what an entry-by-entry pass raises first;
+    # half the examples keep every endpoint sound, so that the cost
+    # checks behind the endpoint checks are reached
+    n = data.draw(st.integers(2, 5))
     edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    end = st.integers(-1, n)
-    links = data.draw(st.lists(st.tuples(end, end, _FAULTY_COSTS), max_size=6))
-    requests = data.draw(st.lists(st.tuples(end, end), max_size=4))
+    if data.draw(st.booleans()):
+        ends = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    else:
+        ends = st.builds(lambda u, k: (u, (u + k) % n),
+                         st.integers(0, n - 1), st.integers(1, n - 1))
+    links = data.draw(st.lists(st.builds(lambda uv, c: (*uv, c), ends, _FAULTY_COSTS),
+                               max_size=6))
+    requests = data.draw(st.lists(ends, max_size=4))
     try:
         want = reference_instance(n, edges, 0, links, requests)
     except Exception as exc:
@@ -560,6 +563,21 @@ def test_constructor_matches_the_reference_and_its_first_fault(data):
     got = TreeInstance(n, edges, 0, raw_links=iter(links), requests=requests)
     assert got.links == want.links and got.requests == want.requests
     assert [(type(c), c) for c in got.raw_costs] == [(type(c), c) for c in want.raw_costs]
+
+
+@pytest.mark.parametrize("links", [
+    [(0, 5, 1), (0, 1, "zz")],          # an endpoint, then a cost that does not read
+    [(0, 1, 10 ** 2000), (0, 1, "1/0")],    # a size, then a zero denominator
+    [(1, 1, 2), (0, 1, None)],          # a self-loop, then a cost of no number type
+    [(0, 1, "zz"), (0, 5, 1)],          # a cost that does not read, then an endpoint
+    [(0, 1, 0), (0, 5, 1)],             # signs are checked after every endpoint
+])
+def test_the_first_fault_in_link_order_is_raised(links):
+    with pytest.raises(Exception) as want:
+        reference_instance(2, [(0, 1)], 0, links, [])
+    with pytest.raises(type(want.value)) as got:
+        TreeInstance(2, [(0, 1)], 0, raw_links=iter(links))
+    assert str(got.value) == str(want.value)
 
 
 def test_api_and_parsed_costs_agree():
