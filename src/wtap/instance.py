@@ -35,10 +35,11 @@ denominators, not reduced; a denominator of 1 marks a cost given as an
 ``a.b`` or ``p/q`` token as the token itself, which the constructor
 reads with int arithmetic (``a.b`` as ``int(a + b)`` over a power of
 ten); only other tokens (signs, exponents, underscores, a dot at
-either end) go through ``Fraction(token)``.  Rounding and ``format_instance`` read the ratios;
-``raw_costs``, each cost as an ``int`` or a ``Fraction``, is built on
-its first read.  The path solvers' duals are exact ints, and the
-fractional solver's ``x`` is a float.
+either end) go through ``Fraction(token)``.  Rounding and
+``format_instance`` read the ratios; ``raw_costs``, each cost as an
+``int`` or a ``Fraction``, is built on its first read.  The path
+solvers' duals are exact ints, and the fractional solver's ``x`` is a
+float.
 """
 
 from __future__ import annotations
@@ -145,9 +146,6 @@ def _check_ends(n: int, kind: str, i: int, u: int, v: int):
         raise BadInputError(f"{kind} {i} endpoint out of range 0..{n - 1}", (kind, i))
     if u == v and kind != "request":
         raise BadInputError(f"{kind} {i} endpoints must differ", (kind, i))
-
-
-_REQUEST_S, _REQUEST_T = attrgetter("s"), attrgetter("t")
 
 
 def _ends_fit(n: int, ends: list) -> bool:
@@ -262,10 +260,11 @@ class TreeInstance:
         self.links = list(map(Link, ends, ends,
                               map((1).__lshift__, _cost_classes(nums, dens)), count()))
 
-        self.requests = reqs = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
-                                for r in requests]
-        if not _ends_fit(n, [*map(_REQUEST_S, reqs), *map(_REQUEST_T, reqs)]):
-            for i, r in enumerate(reqs):
+        self.requests = [r if isinstance(r, Request) else Request(int(r[0]), int(r[1]))
+                         for r in requests]
+        if not _ends_fit(n, [*map(attrgetter("s"), self.requests),
+                             *map(attrgetter("t"), self.requests)]):
+            for i, r in enumerate(self.requests):
                 _check_ends(n, "request", i, r.s, r.t)
 
     @cached_property
